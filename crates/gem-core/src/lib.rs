@@ -51,4 +51,4 @@ pub use method::{
     RegisteredMethod, SupervisedColumnEmbedder,
 };
 pub use model::{FeatureScaler, GemModel, GEM_MODEL_SCHEMA_VERSION};
-pub use signature::{signature_matrix, stack_values};
+pub use signature::{signature_matrix, stack_values, SIGNATURE_FANOUT_CELLS};

@@ -619,6 +619,7 @@ fn present_blocks(blocks: &Blocks) -> Vec<&Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signature::SIGNATURE_FANOUT_CELLS;
 
     fn corpus() -> Vec<GemColumn> {
         let mut cols = Vec::new();
@@ -931,6 +932,26 @@ mod tests {
         let (parallel, parallel_emb) =
             GemModel::fit_transform(&cols, &parallel_cfg, FeatureSet::dsc()).unwrap();
         assert_eq!(serial_emb.matrix, parallel_emb.matrix);
+        // Query batches on either side of the signature work gate: the largest that
+        // stays on the calling thread and the smallest that fans out.
+        let k = serial.gmm().unwrap().n_components();
+        for total_values in [SIGNATURE_FANOUT_CELLS / k, SIGNATURE_FANOUT_CELLS / k + 1] {
+            let queries: Vec<GemColumn> = (0..4)
+                .map(|c| {
+                    let len = total_values / 4 + usize::from(c < total_values % 4);
+                    let values = (0..len).map(|i| 20.0 + ((i * 7 + c) % 90) as f64 * 40.0);
+                    GemColumn::new(values.collect(), format!("gate_{c}"))
+                })
+                .collect();
+            assert_eq!(
+                queries.iter().map(|q| q.values.len()).sum::<usize>(),
+                total_values
+            );
+            assert_eq!(
+                serial.transform(&queries).unwrap().matrix,
+                parallel.transform(&queries).unwrap().matrix
+            );
+        }
         let (sg, pg) = (serial.gmm().unwrap(), parallel.gmm().unwrap());
         for (a, b) in sg.weights().iter().zip(pg.weights()) {
             assert_eq!(a.to_bits(), b.to_bits());

@@ -24,11 +24,24 @@ pub fn stack_values<S: AsRef<[f64]>>(columns: &[S]) -> Vec<f64> {
     out
 }
 
+/// The work gate of [`signature_matrix`]: a batch whose cell count (Σ column lengths ×
+/// components) is at most this runs on the calling thread even when `parallel` is set,
+/// because spawning and joining a worker costs more than the per-cell kernel work it
+/// would take over. Measured on a 2-vCPU VM, where a cell costs ~18 ns serially and the
+/// two-thread fan-out ~37 µs of spawn and join: with 60-value columns and k = 10 the
+/// fan-out lost at 2 columns (1,200 cells, 2.6× slower) through 12 columns (7,200 cells,
+/// 1.15–1.2× slower), was mixed at 9,600 cells and won from 19,200 cells up (0.76–0.88×);
+/// 128,000 cells ran in 0.56–0.58× the serial time. The gate sits inside that
+/// break-even band, so a few 60-value query columns never spawn, while a 32-column ×
+/// 1000-value stream batch (512,000 cells) still fans out.
+pub const SIGNATURE_FANOUT_CELLS: usize = 16_384;
+
 /// Compute the signature matrix: one row per column, one column per Gaussian component,
 /// entry `(i, j)` the mean responsibility of component `j` for the values of column `i`.
 /// Rows sum to one (they are averages of probability vectors).
 ///
-/// When `parallel` is true the columns are fanned out across threads with
+/// When `parallel` is true and the batch holds more than [`SIGNATURE_FANOUT_CELLS`]
+/// cells, the columns are fanned out across threads with
 /// [`gem_parallel::par_fill_rows_with_scratch`]; the GMM is immutable during this phase
 /// so sharing it by reference is free. Each worker writes its rows straight into the
 /// output matrix (no intermediate row vectors) and reuses one scratch buffer (hoisted
@@ -43,12 +56,13 @@ pub fn signature_matrix<S: AsRef<[f64]> + Sync>(
 ) -> Matrix {
     let k = gmm.n_components();
     let n = columns.len();
+    let cells = columns.iter().map(|c| c.as_ref().len()).sum::<usize>() * k;
     let mut out = Matrix::zeros(n, k);
     gem_parallel::par_fill_rows_with_scratch(
         columns,
         out.as_mut_slice(),
         k,
-        parallel,
+        parallel && cells > SIGNATURE_FANOUT_CELLS,
         Vec::new,
         |col, row, scratch| {
             gmm.mean_responsibilities_scratch(col.as_ref(), row, scratch);
@@ -122,15 +136,17 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_signatures_agree() {
-        // Enough columns to trigger the parallel path.
+        // Enough columns and cells to clear the work gate and trigger the parallel path.
         let base = columns();
         let mut cols = Vec::new();
         for i in 0..40 {
-            let mut c = base[i % 3].clone();
+            let mut c = base[i % 3].repeat(8);
             c.push(i as f64);
             cols.push(c);
         }
         let gmm = fitted_gmm(&cols);
+        let cells: usize = cols.iter().map(Vec::len).sum::<usize>() * gmm.n_components();
+        assert!(cells > SIGNATURE_FANOUT_CELLS);
         let serial = signature_matrix(&gmm, &cols, false);
         let parallel = signature_matrix(&gmm, &cols, true);
         assert_eq!(serial.shape(), parallel.shape());

@@ -17,21 +17,24 @@
 //! Every entry point has a sequential fallback that produces **identical** output:
 //! results are collected per input index, so ordering never depends on thread timing, and
 //! the closures receive the same arguments either way. The fallback is taken when the
-//! `threads` cargo feature is disabled, when `GEM_NUM_THREADS=1` is set, or when the
-//! input is too small to amortise thread spawning.
+//! caller passes `parallel: false`, when the input has fewer than [`MIN_PARALLEL_ITEMS`]
+//! items, when the `threads` cargo feature is disabled, or when `GEM_NUM_THREADS=1` is
+//! set. Item count is the only size gate here: a caller whose items may be too cheap to
+//! amortise a thread spawn measures its own work and passes `parallel: false` below its
+//! break-even (as `gem_core::signature_matrix` does).
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-/// Inputs shorter than this are always processed sequentially. The threshold is low
-/// (scoped-thread spawning costs microseconds) because the workspace's parallel callers —
-/// EM restarts, per-column signatures, per-method fan-out — all do heavy work per item;
-/// callers with trivial per-item work should pass `parallel: false` instead.
+/// Inputs shorter than this are always processed sequentially. The threshold counts
+/// items only, because the workspace's parallel callers — EM restarts, per-column
+/// signatures, per-method fan-out — usually do heavy work per item; callers whose items
+/// can be cheap should pass `parallel: false` below their own measured break-even.
 pub const MIN_PARALLEL_ITEMS: usize = 2;
 
 /// Parse a `GEM_NUM_THREADS` override: `Some(n)` for a positive integer, `None` for
-/// anything else. Reporting malformed values is [`max_threads`]'s job, not this one's,
-/// which keeps the policy unit-testable without touching the process environment.
+/// anything else. Reporting malformed values is the budget resolver's job, not this
+/// one's, which keeps the policy unit-testable without touching the process environment.
 fn parse_thread_override(raw: &str) -> Option<usize> {
     match raw.parse::<usize>() {
         Ok(n) if n >= 1 => Some(n),
@@ -42,8 +45,13 @@ fn parse_thread_override(raw: &str) -> Option<usize> {
 /// The number of worker threads parallel operations will use: the `GEM_NUM_THREADS`
 /// environment variable when set to a positive integer, otherwise
 /// [`std::thread::available_parallelism`]. A malformed override (not a positive integer)
-/// falls back to available parallelism after one warning on stderr. Returns 1 when the
+/// falls back to available parallelism after a warning on stderr. Returns 1 when the
 /// `threads` feature is disabled.
+///
+/// The budget is resolved once per process, at first use: `GEM_NUM_THREADS` is read
+/// then, and later changes to the environment have no effect. Resolving it per call
+/// would put a cgroup-file read (`available_parallelism` on Linux, 15–23 µs on a 2-vCPU
+/// VM) on every parallel entry point, about as much as a one-column transform.
 pub fn max_threads() -> usize {
     #[cfg(not(feature = "threads"))]
     {
@@ -51,29 +59,35 @@ pub fn max_threads() -> usize {
     }
     #[cfg(feature = "threads")]
     {
-        let override_threads = match std::env::var("GEM_NUM_THREADS") {
-            Err(_) => None,
-            Ok(raw) => {
-                let parsed = parse_thread_override(&raw);
-                if parsed.is_none() {
-                    static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-                    WARN_ONCE.call_once(|| {
-                        eprintln!(
-                            "gem-parallel: ignoring malformed GEM_NUM_THREADS={raw:?} \
-                             (expected a positive integer); using available parallelism"
-                        );
-                    });
-                }
-                parsed
-            }
-        };
-        match override_threads {
-            Some(n) => n,
-            None => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
+        static BUDGET: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+        *BUDGET.get_or_init(resolve_thread_budget)
+    }
+}
+
+#[cfg(feature = "threads")]
+fn resolve_thread_budget() -> usize {
+    if let Ok(raw) = std::env::var("GEM_NUM_THREADS") {
+        match parse_thread_override(&raw) {
+            Some(n) => return n,
+            None => eprintln!(
+                "gem-parallel: ignoring malformed GEM_NUM_THREADS={raw:?} \
+                 (expected a positive integer); using available parallelism"
+            ),
         }
     }
+    std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+}
+
+/// How many workers to split `n` items across: 1 (the sequential path) when the caller
+/// asked for no parallelism or the input is below [`MIN_PARALLEL_ITEMS`] — decided
+/// before the budget is consulted — otherwise the budget capped at one item per worker.
+fn worker_count(parallel: bool, n: usize) -> usize {
+    if !parallel || n < MIN_PARALLEL_ITEMS {
+        return 1;
+    }
+    max_threads().min(n)
 }
 
 /// Whether parallel execution is available at all (feature enabled and more than one
@@ -103,8 +117,8 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     let n = items.len();
-    let threads = max_threads().min(n.max(1));
-    if !parallel || threads <= 1 || n < MIN_PARALLEL_ITEMS {
+    let threads = worker_count(parallel, n);
+    if threads <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
 
@@ -147,8 +161,8 @@ where
     F: Fn(&T, &mut S) -> R + Sync,
 {
     let n = items.len();
-    let threads = max_threads().min(n.max(1));
-    if !parallel || threads <= 1 || n < MIN_PARALLEL_ITEMS {
+    let threads = worker_count(parallel, n);
+    if threads <= 1 {
         let mut scratch = init();
         return items.iter().map(|x| f(x, &mut scratch)).collect();
     }
@@ -206,6 +220,10 @@ where
 /// thread reuses one set of log-table and responsibility-row buffers across all the
 /// columns of its block instead of hitting the allocator per column.
 ///
+/// The calling thread fills the first block itself and spawns one worker per remaining
+/// block. Its caller is often a serving executor thread that would otherwise sit idle
+/// in the join, so this saves one spawn per fan-out and keeps that thread working.
+///
 /// # Panics
 /// Panics when `out.len() != items.len() * width`.
 pub fn par_fill_rows_with_scratch<T, S, I, F>(
@@ -232,26 +250,26 @@ pub fn par_fill_rows_with_scratch<T, S, I, F>(
     if n == 0 || width == 0 {
         return;
     }
-    let threads = max_threads().min(n);
-    if !parallel || threads <= 1 || n < MIN_PARALLEL_ITEMS {
+    let fill = |item_block: &[T], out_block: &mut [f64]| {
         let mut scratch = init();
-        for (item, row) in items.iter().zip(out.chunks_exact_mut(width)) {
+        for (item, row) in item_block.iter().zip(out_block.chunks_exact_mut(width)) {
             f(item, row, &mut scratch);
         }
+    };
+    let threads = worker_count(parallel, n);
+    if threads <= 1 {
+        fill(items, out);
         return;
     }
     let chunk = n.div_ceil(threads);
+    let mut blocks = items.chunks(chunk).zip(out.chunks_mut(chunk * width));
+    let (first_items, first_out) = blocks.next().expect("a non-empty input has a first block");
     std::thread::scope(|scope| {
-        for (item_block, out_block) in items.chunks(chunk).zip(out.chunks_mut(chunk * width)) {
-            let f = &f;
-            let init = &init;
-            scope.spawn(move || {
-                let mut scratch = init();
-                for (item, row) in item_block.iter().zip(out_block.chunks_exact_mut(width)) {
-                    f(item, row, &mut scratch);
-                }
-            });
+        for (item_block, out_block) in blocks {
+            let fill = &fill;
+            scope.spawn(move || fill(item_block, out_block));
         }
+        fill(first_items, first_out);
     });
 }
 
@@ -353,6 +371,23 @@ mod tests {
     }
 
     #[test]
+    fn fill_rows_caller_fills_the_first_block() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let caller = std::thread::current().id();
+        let first_on_caller = AtomicBool::new(false);
+        let items: Vec<f64> = (0..8).map(f64::from).collect();
+        let mut out = vec![0.0; items.len()];
+        par_fill_rows(&items, &mut out, 1, true, |&x, row| {
+            if x == 0.0 {
+                first_on_caller.store(std::thread::current().id() == caller, Ordering::SeqCst);
+            }
+            row[0] = x;
+        });
+        assert_eq!(out, items);
+        assert!(first_on_caller.load(Ordering::SeqCst));
+    }
+
+    #[test]
     fn join_returns_both_results() {
         let (a, b) = join(|| 21 * 2, || "ok".to_string());
         assert_eq!(a, 42);
@@ -369,7 +404,7 @@ mod tests {
         assert_eq!(parse_thread_override("1"), Some(1));
         assert_eq!(parse_thread_override("8"), Some(8));
         // Everything else is malformed and falls back to available parallelism
-        // (with a one-shot stderr warning from `max_threads`).
+        // (with a stderr warning from the once-per-process budget resolver).
         for bad in ["0", "", "banana", "-2", " 4", "4 ", "3.5", "+8x"] {
             assert_eq!(parse_thread_override(bad), None, "{bad:?}");
         }

@@ -629,51 +629,57 @@ impl EmbedService {
         }
 
         // Pass 4: the engine batch (grouped fits + transforms) and the side jobs are
-        // independent, so a mixed batch pays max(engine, side), not their sum.
-        let (engine_out, side_out): (_, Vec<(usize, ServeResult)>) = gem_parallel::join(
-            || self.engine.run(&engine_requests),
-            || {
-                gem_parallel::par_map(&side_jobs, self.parallel, |job| match job {
-                    SideJob::Registry {
-                        index,
-                        method,
-                        corpus,
-                        queries,
-                        labels,
-                    } => {
-                        let columns: &[GemColumn] = match queries {
-                            Some(queries) => queries,
-                            None => corpus,
-                        };
-                        let result = self
-                            .registry
-                            .require(method)
-                            .and_then(|m| m.embed(columns, labels.as_deref()))
-                            .map(|matrix| ServeResponse::Embedded {
-                                matrix,
-                                served_from: ServedFrom::ColdFit,
-                            })
-                            .map_err(ServeError::from_method_error);
-                        (*index, result)
-                    }
-                    SideJob::Transform {
-                        index,
-                        model,
-                        served_from,
-                        queries,
-                    } => {
-                        let result = model
-                            .transform(queries)
-                            .map(|embedding| ServeResponse::Embedded {
-                                matrix: embedding.matrix,
-                                served_from: *served_from,
-                            })
-                            .map_err(ServeError::Transform);
-                        (*index, result)
-                    }
-                })
-            },
-        );
+        // independent, so a mixed batch pays max(engine, side), not their sum. A batch
+        // with work on one side only — every wire request, which is a batch of one —
+        // runs it on this thread: forking costs more than a small request's transform.
+        let run_side = || -> Vec<(usize, ServeResult)> {
+            gem_parallel::par_map(&side_jobs, self.parallel, |job| match job {
+                SideJob::Registry {
+                    index,
+                    method,
+                    corpus,
+                    queries,
+                    labels,
+                } => {
+                    let columns: &[GemColumn] = match queries {
+                        Some(queries) => queries,
+                        None => corpus,
+                    };
+                    let result = self
+                        .registry
+                        .require(method)
+                        .and_then(|m| m.embed(columns, labels.as_deref()))
+                        .map(|matrix| ServeResponse::Embedded {
+                            matrix,
+                            served_from: ServedFrom::ColdFit,
+                        })
+                        .map_err(ServeError::from_method_error);
+                    (*index, result)
+                }
+                SideJob::Transform {
+                    index,
+                    model,
+                    served_from,
+                    queries,
+                } => {
+                    let result = model
+                        .transform(queries)
+                        .map(|embedding| ServeResponse::Embedded {
+                            matrix: embedding.matrix,
+                            served_from: *served_from,
+                        })
+                        .map_err(ServeError::Transform);
+                    (*index, result)
+                }
+            })
+        };
+        let (engine_out, side_out) = if engine_requests.is_empty() {
+            (Vec::new(), run_side())
+        } else if side_jobs.is_empty() {
+            (self.engine.run(&engine_requests), Vec::new())
+        } else {
+            gem_parallel::join(|| self.engine.run(&engine_requests), run_side)
+        };
         for (slot, response) in engine_slots.iter().zip(engine_out) {
             let served_from = response.served_from;
             results[*slot] = Some(match response.embedding {
@@ -949,6 +955,31 @@ mod tests {
         assert!(!response.cache_hit());
         let m = response.into_matrix().unwrap();
         assert_eq!(m.shape(), (corpus().len(), 2));
+    }
+
+    #[test]
+    fn a_single_request_runs_on_the_callers_thread() {
+        // A wire request is a batch of one; forking a thread for it costs more than a
+        // small transform, so its work must run where `serve_one` was called.
+        struct ThreadProbe(Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
+        impl ColumnEmbedder for ThreadProbe {
+            fn name(&self) -> &str {
+                "ThreadProbe"
+            }
+
+            fn embed_columns(&self, columns: &[GemColumn]) -> Result<Matrix, GemError> {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                Ok(Matrix::filled(columns.len(), 1, 0.0))
+            }
+        }
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut registry = MethodRegistry::new();
+        registry.register_unsupervised(ThreadProbe(Arc::clone(&seen)), &[]);
+        let service = EmbedService::new(registry, 4);
+        service
+            .serve_one(ServeRequest::embed_corpus("ThreadProbe", corpus()))
+            .unwrap();
+        assert_eq!(*seen.lock().unwrap(), vec![std::thread::current().id()]);
     }
 
     #[test]
