@@ -1,7 +1,7 @@
 //! Criterion benchmarks comparing the per-corpus embedding cost of Gem and every
 //! numeric-only baseline on a fixed synthetic corpus (the per-method slice of Figure 5),
-//! plus an ablation of two Gem design choices called out in DESIGN.md: serial vs. parallel
-//! signatures and 1 vs. multiple EM restarts.
+//! plus an ablation of two Gem design choices: serial vs. parallel signatures and 1 vs.
+//! multiple EM restarts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gem_bench::{registry_with_components, strip_headers, to_gem_columns};

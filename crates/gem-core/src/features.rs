@@ -1,6 +1,6 @@
 //! Statistical feature extraction (§3.2).
 
-use gem_numeric::stats::ColumnStats;
+use gem_numeric::stats::gem_feature_row;
 use gem_numeric::Matrix;
 
 /// The names of the seven Gem statistical features, in matrix-column order.
@@ -14,8 +14,20 @@ pub const STATISTICAL_FEATURE_NAMES: [&str; 7] = [
     "percentile_90",
 ];
 
+/// The work gate of the statistical block: a batch holding at most this many values
+/// (Σ column lengths) runs on the calling thread even when `parallel` is set, because
+/// spawning and joining a worker costs more than the sorting it would take over. Measured
+/// on a 2-vCPU VM, where a value costs ~40 ns in [`gem_feature_row`] and the two-thread
+/// fan-out ~40 µs of spawn and join: with 60-, 250- and 1000-value columns the fan-out
+/// lost up to 1,440 values (1.3–9.5× slower), was mixed around 2,000 (0.93–1.14×), and
+/// won from 2,880 values up (0.73–0.93× at 2,880–4,000, ~0.55× from 8,000). The gate
+/// sits just above the mixed band, so a few query columns never spawn, while a 32-column
+/// × 1000-value stream batch (32,000 values) uses every thread.
+pub(crate) const STATISTICAL_FANOUT_VALUES: usize = 4_096;
+
 /// Compute the raw (un-standardised) statistical feature matrix: one row per column, one
-/// column per feature in [`STATISTICAL_FEATURE_NAMES`] order.
+/// column per feature in [`STATISTICAL_FEATURE_NAMES`] order. Runs on the calling thread;
+/// [`crate::GemModel`] fits and transforms fan the same rows out across threads.
 ///
 /// Scale-carrying features (mean, range, percentiles, unique count) are passed through a
 /// signed `ln(1 + |x|)` squash before the cross-column standardisation of Equation 7.
@@ -23,29 +35,44 @@ pub const STATISTICAL_FEATURE_NAMES: [&str; 7] = [
 /// (populations and prices next to ages and ratings); without the squash the z-scores of the
 /// few huge-scale columns dominate the feature distribution and every other column collapses
 /// onto nearly identical standardised values, which destroys the discriminative power the
-/// statistical block is supposed to add (see DESIGN.md §6).
+/// statistical block is supposed to add.
 ///
 /// Empty columns produce an all-zero feature row rather than an error, so a corpus with a
 /// degenerate column can still be embedded (the paper's corpora contain short columns, and a
 /// pipeline that aborts on one bad column would be unusable on a data lake).
 pub fn statistical_feature_matrix<S: AsRef<[f64]>>(columns: &[S]) -> Matrix {
-    let n_features = STATISTICAL_FEATURE_NAMES.len();
-    let mut out = Matrix::zeros(columns.len(), n_features);
-    for (i, values) in columns.iter().enumerate() {
-        let values = values.as_ref();
-        if values.is_empty() {
-            continue;
-        }
-        if let Ok(stats) = ColumnStats::compute(values) {
-            let f = stats.gem_features();
-            for (j, v) in f.into_iter().enumerate() {
-                // Guard against pathological inputs (e.g. a column of identical ±inf): any
-                // non-finite feature is zeroed instead of poisoning the standardisation.
-                let v = if v.is_finite() { v } else { 0.0 };
-                out.set(i, j, v.signum() * (1.0 + v.abs()).ln());
+    let values: Vec<&[f64]> = columns.iter().map(AsRef::as_ref).collect();
+    statistical_block(&values, false)
+}
+
+/// [`statistical_feature_matrix`], fanned out per column with
+/// [`gem_parallel::par_fill_rows_with_scratch`] when `parallel` is set and the batch holds
+/// more than [`STATISTICAL_FANOUT_VALUES`] values. Each thread reuses one sort buffer for
+/// every column of its block, and rows are assigned by column index, so both paths
+/// produce bit-identical matrices.
+pub(crate) fn statistical_block(columns: &[&[f64]], parallel: bool) -> Matrix {
+    let width = STATISTICAL_FEATURE_NAMES.len();
+    let total_values = columns.iter().map(|c| c.len()).sum::<usize>();
+    let mut out = Matrix::zeros(columns.len(), width);
+    gem_parallel::par_fill_rows_with_scratch(
+        columns,
+        out.as_mut_slice(),
+        width,
+        parallel && total_values > STATISTICAL_FANOUT_VALUES,
+        Vec::new,
+        |col, row, sorted| {
+            // An empty column keeps its zero row.
+            if let Ok(features) = gem_feature_row(col, sorted) {
+                for (cell, v) in row.iter_mut().zip(features) {
+                    // Guard against pathological inputs (e.g. a column of identical
+                    // ±inf): any non-finite feature is zeroed instead of poisoning the
+                    // standardisation.
+                    let v = if v.is_finite() { v } else { 0.0 };
+                    *cell = v.signum() * (1.0 + v.abs()).ln();
+                }
             }
-        }
-    }
+        },
+    );
     out
 }
 

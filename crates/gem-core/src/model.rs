@@ -18,7 +18,7 @@
 use crate::compose::{compose, concat_blocks, fit_autoencoder, Composition};
 use crate::config::{FeatureSet, GemConfig};
 use crate::embedding::{GemColumn, GemEmbedding, GemError};
-use crate::features::{statistical_feature_matrix, STATISTICAL_FEATURE_NAMES};
+use crate::features::{statistical_block, STATISTICAL_FEATURE_NAMES};
 use crate::signature::{signature_matrix, stack_values};
 use gem_gmm::UnivariateGmm;
 use gem_json::{number, object, FromJson, Json, JsonError, ToJson};
@@ -187,7 +187,7 @@ impl GemModel {
             if values.iter().all(|v| v.is_empty()) {
                 return Err(GemError::NoValues);
             }
-            let raw = statistical_feature_matrix(&values);
+            let raw = statistical_block(&values, config.parallel);
             (Some(FeatureScaler::fit(&raw)), Some(raw))
         } else {
             (None, None)
@@ -306,7 +306,8 @@ impl GemModel {
         // 3. Statistical features, standardised with the frozen Equation 7 parameters.
         let statistical = match &self.scaler {
             Some(scaler) => {
-                let raw = raw_stats.unwrap_or_else(|| statistical_feature_matrix(values));
+                let raw =
+                    raw_stats.unwrap_or_else(|| statistical_block(values, self.config.parallel));
                 scaler.transform(&raw)
             }
             None => Matrix::zeros(n, 0),
@@ -316,7 +317,7 @@ impl GemModel {
         // statistical block is first brought onto the same per-row mass as the signature
         // (whose rows are probability vectors summing to 1); without this balancing the
         // seven statistical z-scores carry several times the L1 mass of the signature and
-        // drown out the distributional evidence in cosine space (DESIGN.md §6).
+        // drown out the distributional evidence in cosine space.
         let value_block = if self.features.distributional || self.features.statistical {
             let balanced_stats = if self.features.distributional && statistical.cols() > 0 {
                 l1_normalize_rows(&statistical)
@@ -619,6 +620,7 @@ fn present_blocks(blocks: &Blocks) -> Vec<&Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::STATISTICAL_FANOUT_VALUES;
     use crate::signature::SIGNATURE_FANOUT_CELLS;
 
     fn corpus() -> Vec<GemColumn> {
@@ -924,22 +926,15 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_model_fits_are_bit_identical() {
-        let cols = corpus();
         let serial_cfg = GemConfig::fast().with_parallel(false);
         let parallel_cfg = GemConfig::fast().with_parallel(true);
-        let (serial, serial_emb) =
-            GemModel::fit_transform(&cols, &serial_cfg, FeatureSet::dsc()).unwrap();
-        let (parallel, parallel_emb) =
-            GemModel::fit_transform(&cols, &parallel_cfg, FeatureSet::dsc()).unwrap();
-        assert_eq!(serial_emb.matrix, parallel_emb.matrix);
-        // Query batches on either side of the signature work gate: the largest that
-        // stays on the calling thread and the smallest that fans out.
-        let k = serial.gmm().unwrap().n_components();
-        for total_values in [SIGNATURE_FANOUT_CELLS / k, SIGNATURE_FANOUT_CELLS / k + 1] {
+        // Four differently scaled columns holding `total_values` values between them.
+        let batch = |total_values: usize| -> Vec<GemColumn> {
             let queries: Vec<GemColumn> = (0..4)
                 .map(|c| {
                     let len = total_values / 4 + usize::from(c < total_values % 4);
-                    let values = (0..len).map(|i| 20.0 + ((i * 7 + c) % 90) as f64 * 40.0);
+                    let values = (0..len)
+                        .map(|i| (20.0 + ((i * 7 + c) % 90) as f64 * 40.0) * (c + 1) as f64);
                     GemColumn::new(values.collect(), format!("gate_{c}"))
                 })
                 .collect();
@@ -947,20 +942,48 @@ mod tests {
                 queries.iter().map(|q| q.values.len()).sum::<usize>(),
                 total_values
             );
-            assert_eq!(
-                serial.transform(&queries).unwrap().matrix,
-                parallel.transform(&queries).unwrap().matrix
+            queries
+        };
+        // The statistical-only model has no GMM and fits on a corpus above the
+        // statistical gate, so its fit fans out too.
+        for (features, cols) in [
+            (FeatureSet::dsc(), corpus()),
+            (FeatureSet::s(), batch(STATISTICAL_FANOUT_VALUES + 1)),
+        ] {
+            let (serial, serial_emb) =
+                GemModel::fit_transform(&cols, &serial_cfg, features).unwrap();
+            let (parallel, parallel_emb) =
+                GemModel::fit_transform(&cols, &parallel_cfg, features).unwrap();
+            assert_eq!(serial_emb.matrix, parallel_emb.matrix);
+            // Query batches on either side of each work gate: the largest that stays on
+            // the calling thread and the smallest that fans out.
+            let mut gates = vec![STATISTICAL_FANOUT_VALUES];
+            gates.extend(
+                serial
+                    .gmm()
+                    .map(|gmm| SIGNATURE_FANOUT_CELLS / gmm.n_components()),
             );
-        }
-        let (sg, pg) = (serial.gmm().unwrap(), parallel.gmm().unwrap());
-        for (a, b) in sg.weights().iter().zip(pg.weights()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in sg.means().iter().zip(pg.means()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        for (a, b) in sg.variances().iter().zip(pg.variances()) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            for total_values in gates.into_iter().flat_map(|g| [g, g + 1]) {
+                let queries = batch(total_values);
+                assert_eq!(
+                    serial.transform(&queries).unwrap().matrix,
+                    parallel.transform(&queries).unwrap().matrix,
+                    "{} at {total_values} values",
+                    features.label()
+                );
+            }
+            let (Some(sg), Some(pg)) = (serial.gmm(), parallel.gmm()) else {
+                continue;
+            };
+            for (a, b) in sg.weights().iter().zip(pg.weights()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            for (a, b) in sg.means().iter().zip(pg.means()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            for (a, b) in sg.variances().iter().zip(pg.variances()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 }

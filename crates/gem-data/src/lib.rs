@@ -15,8 +15,6 @@
 //! * Sato Tables has only 12 broad clusters, GitTables 19 with minimal context,
 //! * fine-grained refinements subdivide coarse clusters by context with genuinely different
 //!   value distributions (cricket scores run much higher than rugby scores, etc.).
-//!
-//! See DESIGN.md §2 for the substitution rationale.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]

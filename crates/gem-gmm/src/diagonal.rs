@@ -1,9 +1,8 @@
 //! Diagonal-covariance multivariate Gaussian mixture.
 //!
-//! Gem's published formulation stacks all values into a one-dimensional array, but the
-//! ablation in DESIGN.md ("stacked-values GMM vs per-column GMM") and the Squashing_GMM
-//! baseline's prototype induction benefit from a multivariate mixture over small feature
-//! vectors. The diagonal restriction keeps the M-step closed-form and cheap while remaining
+//! Gem's published formulation stacks all values into a one-dimensional array, but a
+//! stacked-values vs per-column GMM ablation and the Squashing_GMM baseline's prototype
+//! induction benefit from a multivariate mixture over small feature vectors. The diagonal restriction keeps the M-step closed-form and cheap while remaining
 //! expressive enough for those uses.
 
 use crate::config::{GmmConfig, InitMethod};

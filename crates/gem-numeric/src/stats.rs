@@ -5,8 +5,19 @@
 //! coefficient of variation, entropy, range and the 10th/90th percentiles. This module
 //! implements those features (plus a few extra moments used by the Sherlock/Sato baselines)
 //! on raw `&[f64]` slices.
+//!
+//! Two paths compute them:
+//!
+//! * [`gem_feature_row`] is the Gem pipeline's path. It computes only the seven features,
+//!   reading the distinct count and both percentiles from one sorted copy of the column
+//!   kept in a caller-owned buffer, so a block of columns allocates nothing per column.
+//! * [`ColumnStats::compute`] computes every statistic from the standalone functions
+//!   below, each taking its own pass (and its own sorted copy per percentile). The
+//!   Sherlock/Sato baselines read its [`ColumnStats::extended_features`], and it is the
+//!   reference [`gem_feature_row`] is tested against bit for bit.
 
 use crate::error::{NumericError, NumericResult};
+use std::cmp::Ordering;
 
 /// Arithmetic mean.
 ///
@@ -25,7 +36,12 @@ pub fn mean(values: &[f64]) -> NumericResult<f64> {
 /// Returns [`NumericError::EmptyInput`] for an empty slice.
 pub fn variance(values: &[f64]) -> NumericResult<f64> {
     let m = mean(values)?;
-    Ok(values.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / values.len() as f64)
+    Ok(variance_about(values, m))
+}
+
+/// Population variance around an already computed mean `m` of a non-empty slice.
+fn variance_about(values: &[f64], m: f64) -> f64 {
+    values.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / values.len() as f64
 }
 
 /// Sample variance (divides by `n - 1`); falls back to 0 for a single observation.
@@ -103,15 +119,30 @@ pub fn percentile(values: &[f64], p: f64) -> NumericResult<f64> {
         });
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(nan_last);
+    Ok(sorted_percentile(&sorted, p))
+}
+
+/// The sort order of every percentile: numbers by value, NaNs equal to each other and
+/// after every number. `partial_cmp` alone is not a total order once a NaN is present,
+/// and the standard sort panics on such comparators. On NaN-free input this is exactly
+/// `partial_cmp`, so `-0.0` and `0.0` still compare equal and a stable sort keeps their
+/// input order.
+fn nan_last(a: &f64, b: &f64) -> Ordering {
+    a.partial_cmp(b)
+        .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+}
+
+/// Type-7 percentile of a non-empty slice already sorted by [`nan_last`].
+fn sorted_percentile(sorted: &[f64], p: f64) -> f64 {
     let rank = p / 100.0 * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     if lo == hi {
-        return Ok(sorted[lo]);
+        return sorted[lo];
     }
     let frac = rank - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 /// Median (50th percentile).
@@ -147,12 +178,15 @@ pub fn unique_count(values: &[f64]) -> usize {
 /// # Errors
 /// Returns [`NumericError::EmptyInput`] for an empty slice.
 pub fn coefficient_of_variation(values: &[f64]) -> NumericResult<f64> {
-    let m = mean(values)?;
-    let s = std_dev(values)?;
+    Ok(relative_dispersion(mean(values)?, std_dev(values)?))
+}
+
+/// `s / |m|`, or 0 when the mean `m` is (numerically) zero.
+fn relative_dispersion(m: f64, s: f64) -> f64 {
     if m.abs() < 1e-12 {
-        return Ok(0.0);
+        return 0.0;
     }
-    Ok(s / m.abs())
+    s / m.abs()
 }
 
 /// Shannon entropy (in nats) of the empirical distribution obtained by binning the values
@@ -173,13 +207,22 @@ pub fn entropy(values: &[f64], bins: usize) -> NumericResult<f64> {
             reason: "entropy requires at least one bin".into(),
         });
     }
-    let lo = min(values)?;
-    let hi = max(values)?;
+    Ok(binned_entropy(
+        values,
+        min(values)?,
+        max(values)?,
+        &mut vec![0; bins],
+    ))
+}
+
+/// Entropy of a non-empty slice whose minimum and maximum are `lo` and `hi`, binned into
+/// `counts.len()` equal-width bins. `counts` must arrive zeroed.
+fn binned_entropy(values: &[f64], lo: f64, hi: f64, counts: &mut [usize]) -> f64 {
     if (hi - lo).abs() < f64::EPSILON {
-        return Ok(0.0);
+        return 0.0;
     }
+    let bins = counts.len();
     let width = (hi - lo) / bins as f64;
-    let mut counts = vec![0usize; bins];
     for &v in values {
         let mut idx = ((v - lo) / width) as usize;
         if idx >= bins {
@@ -189,14 +232,14 @@ pub fn entropy(values: &[f64], bins: usize) -> NumericResult<f64> {
     }
     let n = values.len() as f64;
     let mut h = 0.0;
-    for &c in &counts {
+    for &c in counts.iter() {
         if c == 0 {
             continue;
         }
         let p = c as f64 / n;
         h -= p * p.ln();
     }
-    Ok(h)
+    h
 }
 
 /// Sample skewness (Fisher–Pearson, biased). Zero for constant columns.
@@ -322,6 +365,51 @@ impl ColumnStats {
     }
 }
 
+/// The seven Gem statistical features of §3.2, bit-identical to
+/// [`ColumnStats::gem_features`] (same order, same values), from one sorted copy of the
+/// column.
+///
+/// The mean is taken once and the population std from it. Min and max come from the same
+/// `f64::min`/`f64::max` folds as [`min`]/[`max`], never from the ends of the sorted copy,
+/// where `-0.0` and `0.0` keep their input order. The column is copied once into `sorted`
+/// (a caller-owned buffer, so its capacity carries over from column to column) and
+/// stably sorted; the distinct count is read off adjacent elements, and p10 and p90 with
+/// the type-7 interpolation of [`percentile`].
+///
+/// # Errors
+/// Returns [`NumericError::EmptyInput`] for an empty slice.
+pub fn gem_feature_row(values: &[f64], sorted: &mut Vec<f64>) -> NumericResult<[f64; 7]> {
+    if values.is_empty() {
+        return Err(NumericError::EmptyInput {
+            operation: "gem_feature_row",
+        });
+    }
+    let m = mean(values)?;
+    let s = variance_about(values, m).sqrt();
+    let (lo, hi) = (min(values)?, max(values)?);
+    let h = binned_entropy(values, lo, hi, &mut [0; ColumnStats::ENTROPY_BINS]);
+    sorted.clear();
+    sorted.extend_from_slice(values);
+    sorted.sort_by(nan_last);
+    Ok([
+        sorted_unique_count(sorted) as f64,
+        m,
+        relative_dispersion(m, s),
+        h,
+        hi - lo,
+        sorted_percentile(sorted, 10.0),
+        sorted_percentile(sorted, 90.0),
+    ])
+}
+
+/// [`unique_count`] of a slice sorted by [`nan_last`]: equal numbers (`-0.0 == 0.0`
+/// included) sit next to each other, and all NaNs count as one value at the end.
+fn sorted_unique_count(sorted: &[f64]) -> usize {
+    let numbers = &sorted[..sorted.partition_point(|v| !v.is_nan())];
+    let changes = numbers.windows(2).filter(|w| w[0] != w[1]).count();
+    usize::from(!numbers.is_empty()) + changes + usize::from(numbers.len() < sorted.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,6 +470,102 @@ mod tests {
                 (percentile(&sorted, p).unwrap() - percentile(&shuffled, p).unwrap()).abs() < EPS
             );
         }
+    }
+
+    #[test]
+    fn nan_columns_sort_nans_last_instead_of_panicking() {
+        // `partial_cmp(..).unwrap_or(Equal)` is not a total order once a NaN is present,
+        // and the standard sort panicked on this column every time.
+        let col: Vec<f64> = (0..21)
+            .map(|i| {
+                if i % 3 == 0 {
+                    f64::NAN
+                } else {
+                    (21 - i) as f64
+                }
+            })
+            .collect();
+        let stats = ColumnStats::compute(&col).unwrap();
+        assert_eq!(stats.unique_count, 15);
+        assert_eq!(percentile(&col, 0.0).unwrap(), 1.0);
+        // 14 numbers, then the 7 NaNs: rank 10 is the 11th number, rank 20 a NaN.
+        assert_eq!(median(&col).unwrap(), 16.0);
+        assert!(percentile(&col, 100.0).unwrap().is_nan());
+        let row = gem_feature_row(&col, &mut Vec::new()).unwrap();
+        assert_eq!(row[0], 15.0);
+    }
+
+    /// A splitmix64 stream, so the reference test needs no RNG crate.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// One value of a seeded reference column: mostly few distinct values (so columns
+    /// carry duplicates), with signed zeros, infinities, subnormals and NaNs mixed in.
+    fn reference_value(rng: &mut SplitMix, scale: f64) -> f64 {
+        match rng.below(20) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            4 => f64::from_bits(1 + rng.below(1 << 20)),
+            5 => -f64::MIN_POSITIVE / 4.0,
+            6 => f64::NAN,
+            7..=12 => rng.below(6) as f64 - 2.0,
+            _ => (rng.next() as f64 / u64::MAX as f64 - 0.3) * scale,
+        }
+    }
+
+    #[test]
+    fn gem_feature_row_matches_column_stats_bit_for_bit() {
+        let mut rng = SplitMix(0x5EED);
+        let mut sorted = Vec::new();
+        let mut columns: Vec<Vec<f64>> = vec![
+            vec![-0.0],
+            vec![0.0, -0.0],
+            vec![-0.0, 0.0],
+            vec![f64::INFINITY, f64::INFINITY],
+            vec![f64::NEG_INFINITY, f64::INFINITY],
+            vec![f64::from_bits(1), -f64::from_bits(1)],
+            vec![f64::NAN, 3.0],
+        ];
+        for c in 0..3000 {
+            let len = 1 + rng.below(if c % 10 == 0 { 700 } else { 40 }) as usize;
+            // Every fourth column stays finite, so the features themselves are finite.
+            let specials = c % 4 != 0;
+            let scale = [1e-300, 1.0, 1e3, 1e300][rng.below(4) as usize];
+            let value = |rng: &mut SplitMix| match c % 5 {
+                // Mostly signed zeros: p10 and p90 land inside the zero run, where only
+                // a stable sort reproduces the reference's sign.
+                0 => [0.0, -0.0, 0.0, -0.0, 1.0, -1.0][rng.below(6) as usize],
+                _ => loop {
+                    let v = reference_value(rng, scale);
+                    if specials || v.is_finite() {
+                        break v;
+                    }
+                },
+            };
+            columns.push((0..len).map(|_| value(&mut rng)).collect());
+        }
+        for col in &columns {
+            let want = ColumnStats::compute(col).unwrap().gem_features();
+            let got = gem_feature_row(col, &mut sorted).unwrap();
+            let bits = |f: &[f64]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "column {col:?}");
+        }
+        assert!(gem_feature_row(&[], &mut sorted).is_err());
     }
 
     #[test]

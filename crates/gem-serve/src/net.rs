@@ -702,16 +702,14 @@ fn stream_embed(
     let mut cols = 0usize;
     let mut served_from = String::new();
     // Zero queries still resolve the handle (and surface unknown_model) through one
-    // empty serve call, exactly like the JSON path.
-    let batches: Vec<&[gem_core::GemColumn]> = if queries.is_empty() {
-        vec![queries.as_slice()]
-    } else {
-        queries.chunks(EMBED_STREAM_BATCH).collect()
-    };
-    for batch in batches {
+    // empty serve call, exactly like the JSON path. Each batch's columns move out of
+    // `queries`; none of their values are copied.
+    let batches = queries.len().div_ceil(EMBED_STREAM_BATCH).max(1);
+    let mut queries = queries.into_iter();
+    for _ in 0..batches {
         match service.serve_one(ServeRequest::Embed {
             handle,
-            queries: batch.to_vec(),
+            queries: queries.by_ref().take(EMBED_STREAM_BATCH).collect(),
         }) {
             Ok(ServeResponse::Embedded {
                 matrix,
@@ -1711,6 +1709,50 @@ mod tests {
     }
 
     #[test]
+    fn nan_columns_embed_without_killing_executors() {
+        // Regression: a NaN made the statistical block's sort comparator inconsistent,
+        // the sort panicked, and the panic killed the executor running the embed. Two
+        // such embeds took down both executors of this server, so every later request
+        // went unanswered; nothing restarts a dead executor.
+        let config = GemConfig::fast();
+        let mut service = EmbedService::new(MethodRegistry::with_gem(&config), 8);
+        service.register_gem_family(&config);
+        let server = GemServer::bind(Arc::new(service), ("127.0.0.1", 0))
+            .unwrap()
+            .with_workers(2);
+        let handle = server.handle().unwrap();
+        let join = std::thread::spawn(move || server.run());
+        let mut client = GemClient::connect_timeout(handle.addr(), Duration::from_secs(5)).unwrap();
+        let cols = corpus();
+        let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
+        let nan_column = [GemColumn::new(
+            (0..21)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        f64::NAN
+                    } else {
+                        (21 - i) as f64
+                    }
+                })
+                .collect(),
+            "nan_col",
+        )];
+        for _ in 0..2 {
+            let served = client.embed(fitted.handle, &nan_column).unwrap();
+            assert_eq!(served.matrix.rows(), 1);
+            assert!(served.matrix.all_finite());
+        }
+        let healthy = client.embed(fitted.handle, &cols).unwrap();
+        let direct = GemModel::fit(&cols, &config, FeatureSet::ds())
+            .unwrap()
+            .transform(&cols)
+            .unwrap();
+        assert_eq!(healthy.matrix, direct.matrix);
+        handle.shutdown();
+        join.join().unwrap().unwrap();
+    }
+
+    #[test]
     fn connect_negotiates_binary_and_counts_wire_bytes() {
         let (server, join) = start_server();
         let mut client = GemClient::connect(server.addr()).unwrap();
@@ -1720,12 +1762,18 @@ mod tests {
         let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
         let served = client.embed(fitted.handle, &cols).unwrap();
 
-        // The raw-IEEE-754 path is bit-identical to the in-process fit+transform.
-        let direct = GemModel::fit(&cols, &config, FeatureSet::ds())
-            .unwrap()
-            .transform(&cols)
-            .unwrap();
-        assert_eq!(served.matrix, direct.matrix);
+        // The raw-IEEE-754 path is bit-identical to the in-process fit+transform,
+        // also when the rows stream back over several batches, the last one partial.
+        let model = GemModel::fit(&cols, &config, FeatureSet::ds()).unwrap();
+        assert_eq!(served.matrix, model.transform(&cols).unwrap().matrix);
+        let many: Vec<GemColumn> = (0..2 * EMBED_STREAM_BATCH + 1)
+            .map(|i| {
+                let values = cols[i % cols.len()].values.iter().map(|v| v + i as f64);
+                GemColumn::new(values.collect(), format!("q{i}"))
+            })
+            .collect();
+        let streamed = client.embed(fitted.handle, &many).unwrap();
+        assert_eq!(streamed.matrix, model.transform(&many).unwrap().matrix);
 
         // The wire-bytes telemetry saw both directions, and the fairness gauge saw
         // this connection's in-flight frames.

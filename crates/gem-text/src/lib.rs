@@ -20,7 +20,7 @@
 //! The properties that matter for the downstream experiments are preserved: identical
 //! headers map to identical vectors, headers sharing tokens ("score_cricket" vs
 //! "score_rugby") are similar but not identical, and unrelated headers are nearly
-//! orthogonal. See DESIGN.md §2 for the substitution rationale.
+//! orthogonal.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
