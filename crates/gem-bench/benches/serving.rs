@@ -1,16 +1,15 @@
 //! Serving benchmark: what the fit/transform split and the fingerprint-keyed model cache
 //! buy under repeated traffic against the same corpus.
 //!
-//! Four measurements on the 300-column scalability corpus (the same corpus the
-//! `scalability` bench uses for Gem (D+S)):
+//! Measurements on the 300-column scalability corpus (the same corpus the `scalability`
+//! bench uses for Gem (D+S)). The in-process rows send one `EmbedCorpus("Gem (D+S)")`
+//! request through `EmbedService::serve_one`:
 //!
-//! * `cold_fit` — a fresh engine per iteration: every request pays the EM fit (the
+//! * `cold_fit` — a fresh service per iteration: every request pays the EM fit (the
 //!   pre-split behaviour of `GemEmbedder::embed`),
-//! * `warm_hit` — a pre-warmed engine: every request is a cache hit and only pays the
+//! * `warm_hit` — a pre-warmed service: every request is a cache hit and only pays the
 //!   transform,
-//! * `warm_hit_batch16` — sixteen warm requests grouped into one batch, the
-//!   per-request cost of saturated serving,
-//! * `warm_start_disk` — a fresh engine per iteration over a pre-populated
+//! * `warm_start_disk` — a fresh service per iteration over a pre-populated
 //!   `ModelStore`: the request misses memory, rehydrates the model from disk (no EM
 //!   re-fit) and transforms — the cost of the first request after a process restart.
 //! * `remote_round_trip` — one embed-by-handle request over a real loopback TCP
@@ -40,7 +39,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gem_bench::{gem_config_with_components, strip_headers, to_gem_columns};
 use gem_core::{FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry};
 use gem_data::{gds, CorpusConfig};
-use gem_serve::{BatchEngine, EmbedService, EngineRequest, GemClient, GemServer, ServedFrom};
+use gem_serve::{EmbedService, GemClient, GemServer, ServeRequest, ServedFrom};
 use gem_store::{model_key, ModelStore};
 use std::sync::Arc;
 
@@ -61,10 +60,16 @@ fn bench_config() -> GemConfig {
     gem_config_with_components(10)
 }
 
+/// A service serving the Gem family fitted with the bench configuration.
+fn bench_service() -> EmbedService {
+    let mut service = EmbedService::new(MethodRegistry::with_gem(&bench_config()), 4);
+    service.register_gem_family(&bench_config());
+    service
+}
+
 fn bench_serving(criterion: &mut Criterion) {
     let corpus = corpus();
-    let request =
-        || EngineRequest::corpus_only(bench_config(), FeatureSet::ds(), Arc::clone(&corpus));
+    let request = || ServeRequest::embed_corpus("Gem (D+S)", Arc::clone(&corpus));
 
     let mut group = criterion.benchmark_group("serving");
     group.sample_size(10);
@@ -72,37 +77,28 @@ fn bench_serving(criterion: &mut Criterion) {
     // Cold: a fresh cache per iteration, so every embed pays the EM fit.
     group.bench_function(BenchmarkId::new("cold_fit", N_COLUMNS), |b| {
         b.iter(|| {
-            let engine = BatchEngine::new(4);
-            let response = engine.run_one(request());
-            assert!(response.embedding.is_ok() && !response.cache_hit);
+            let response = bench_service().serve_one(request()).expect("cold embed");
+            assert!(!response.cache_hit());
             response
         })
     });
 
     // Warm: the model is cached once up front; each embed is transform-only.
-    let warm_engine = BatchEngine::new(4);
-    assert!(!warm_engine.run_one(request()).cache_hit);
+    let warm_service = bench_service();
+    assert!(!warm_service
+        .serve_one(request())
+        .expect("warming embed")
+        .cache_hit());
     group.bench_function(BenchmarkId::new("warm_hit", N_COLUMNS), |b| {
         b.iter(|| {
-            let response = warm_engine.run_one(request());
-            assert!(response.embedding.is_ok() && response.cache_hit);
+            let response = warm_service.serve_one(request()).expect("warm embed");
+            assert!(response.cache_hit());
             response
         })
     });
 
-    // Warm batch: sixteen requests against the cached model in one engine call
-    // (per-request time = measured time / 16).
-    let batch: Vec<EngineRequest> = (0..16).map(|_| request()).collect();
-    group.bench_function(BenchmarkId::new("warm_hit_batch16", N_COLUMNS), |b| {
-        b.iter(|| {
-            let responses = warm_engine.run(&batch);
-            assert!(responses.iter().all(|r| r.cache_hit));
-            responses
-        })
-    });
-
     // Warm start from disk: the model snapshot is on disk (as after a restart); each
-    // iteration uses a fresh engine whose memory tier is cold, so the request
+    // iteration uses a fresh service whose memory tier is cold, so the request
     // rehydrates from the store — deserialisation + transform, no EM re-fit.
     let store_dir =
         std::env::temp_dir().join(format!("gem-serving-bench-store-{}", std::process::id()));
@@ -119,10 +115,11 @@ fn bench_serving(criterion: &mut Criterion) {
     drop(model);
     group.bench_function(BenchmarkId::new("warm_start_disk", N_COLUMNS), |b| {
         b.iter(|| {
-            let engine = BatchEngine::new(4).with_store(Arc::clone(&store));
-            let response = engine.run_one(request());
-            assert!(response.embedding.is_ok());
-            assert_eq!(response.served_from, ServedFrom::DiskStore);
+            let response = bench_service()
+                .with_store(Arc::clone(&store))
+                .serve_one(request())
+                .expect("warm-start embed");
+            assert_eq!(response.served_from(), Some(ServedFrom::DiskStore));
             response
         })
     });

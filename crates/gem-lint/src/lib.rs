@@ -8,7 +8,7 @@
 //! |------|-----------|
 //! | `L1` | **lock discipline** — serving locks go through `gem_serve::sync::lock_or_recover` (never `.lock().unwrap()`), and no guard stays live across an EM fit, a transform, or model-store I/O |
 //! | `L2` | **no silent refit** — `gem-serve`'s service/engine/net modules never call `GemEmbedder::embed` / `fit_transform`; unknown handles stay typed errors |
-//! | `L3` | **panic-free wire** — no `unwrap`/`expect`/`panic!`/slice-indexing in `net.rs`, `client.rs`, or anywhere in `gem-proto` |
+//! | `L3` | **panic-free wire** — no `unwrap`/`expect`/`panic!`/slice-indexing in `net.rs`, `client.rs`, `framing.rs`, the dispatch layer (`service.rs`, `engine.rs`), or anywhere in `gem-proto` or `gem-router` |
 //! | `L4` | **protocol bump** — `gem-proto`'s body shapes are fingerprinted into `wire-fingerprint.json`; a shape change without a `PROTOCOL_VERSION` bump is an error |
 //! | `L5` | **bit-exactness** — no decimal float formatting and no `as f32`/`as f64` casts in `gem-store`, `gem-proto`, or `persist` modules |
 //! | `L6` | **dispatch seam** — embedding-method structs are constructed only inside the `MethodRegistry` wiring |

@@ -23,7 +23,7 @@ pub fn rule_summary(code: &str) -> &'static str {
         }
         "L2" => "no silent refit: serving modules never call GemEmbedder::embed / fit_transform",
         "L3" => {
-            "panic-free wire: no unwrap/expect/panic!/indexing in net, client, gem-proto, or gem-router"
+            "panic-free wire: no unwrap/expect/panic!/indexing in net, client, the dispatch layer, gem-proto, or gem-router"
         }
         "L4" => {
             "protocol bump: gem-proto wire shapes may not change without a PROTOCOL_VERSION bump"
@@ -154,6 +154,8 @@ fn l3_scoped(path: &str) -> bool {
         "crates/gem-serve/src/net.rs"
             | "crates/gem-serve/src/client.rs"
             | "crates/gem-serve/src/framing.rs"
+            | "crates/gem-serve/src/service.rs"
+            | "crates/gem-serve/src/engine.rs"
     ) || path.starts_with("crates/gem-proto/src/")
         || path.starts_with("crates/gem-router/src/")
 }
@@ -475,7 +477,7 @@ fn check_l2_no_silent_refit(path: &str, model: &SourceModel, out: &mut Vec<Diagn
                     message: format!(
                         "`{token}` re-fits from a corpus inside a serving module — an unknown handle must stay a typed error, never a silent refit"
                     ),
-                    hint: "resolve handles through BatchEngine / ModelCache; only explicit Fit and FitUpdate requests may create models".to_string(),
+                    hint: "resolve handles through EmbedService / ModelCache; only explicit Fit and FitUpdate requests may create models".to_string(),
                 });
             }
         }

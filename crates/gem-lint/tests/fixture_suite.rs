@@ -117,6 +117,13 @@ fn l3_panic_paths_fire_with_tests_exempt() {
         "L3",
         &[10, 12, 13, 18],
     );
+    // The dispatch layer runs every wire request on an executor, so it is wire surface.
+    for dispatch in [
+        "crates/gem-serve/src/service.rs",
+        "crates/gem-serve/src/engine.rs",
+    ] {
+        expect("l3_panic_wire.rs", dispatch, "L3", &[10, 12, 13, 18]);
+    }
     // The same file under a non-wire path is clean: L3 is about the wire surface.
     let elsewhere = violations(
         "l3_panic_wire.rs",

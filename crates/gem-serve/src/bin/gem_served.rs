@@ -4,7 +4,7 @@
 //! ```sh
 //! gem-served [--addr 127.0.0.1:7878] [--workers N] [--queue-capacity N]
 //!            [--metrics-addr HOST:PORT] [--cache-capacity N] [--ttl-secs N]
-//!            [--max-bytes N] [--store DIR] [--components N] [--serial] [--json-only]
+//!            [--max-bytes N] [--store DIR] [--components N] [--json-only]
 //!            [--ctl-stdin]
 //! ```
 //!
@@ -28,7 +28,6 @@
 //!   and client handles survive restarts.
 //! * `--components` — GMM components of the registered `EmbedCorpus` method family
 //!   (`Fit` requests carry their own configuration and are unaffected).
-//! * `--serial` — disable thread fan-out inside the service (identical output).
 //! * `--json-only` — decline the binary-codec hello: every connection stays on
 //!   newline-delimited JSON envelopes. Negotiating clients fall back transparently.
 //!   For debugging with line tools and for exercising mixed-codec fleets; corpora
@@ -90,7 +89,6 @@ struct Args {
     max_bytes: Option<u64>,
     store: Option<String>,
     components: usize,
-    serial: bool,
     json_only: bool,
     ctl_stdin: bool,
 }
@@ -106,7 +104,6 @@ fn parse_args() -> Result<Args, String> {
         max_bytes: None,
         store: None,
         components: GemConfig::default().gmm.n_components,
-        serial: false,
         json_only: false,
         ctl_stdin: false,
     };
@@ -160,7 +157,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--components needs a positive integer".to_string())?;
             }
-            "--serial" => args.serial = true,
             "--json-only" => args.json_only = true,
             "--ctl-stdin" => args.ctl_stdin = true,
             other => return Err(format!("unknown flag `{other}`")),
@@ -183,7 +179,7 @@ fn run() -> Result<(), String> {
         format!(
             "{e}\nusage: gem-served [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
              [--metrics-addr HOST:PORT] [--cache-capacity N] [--ttl-secs N] [--max-bytes N] \
-             [--store DIR] [--components N] [--serial] [--json-only] [--ctl-stdin]"
+             [--store DIR] [--components N] [--json-only] [--ctl-stdin]"
         )
     })?;
 
@@ -198,9 +194,6 @@ fn run() -> Result<(), String> {
     let config = GemConfig::with_components(args.components);
     let mut service = EmbedService::with_policy(MethodRegistry::with_gem(&config), policy);
     service.register_gem_family(&config);
-    if args.serial {
-        service = service.with_parallel(false);
-    }
     if let Some(dir) = &args.store {
         let store = ModelStore::open(dir).map_err(|e| e.to_string())?;
         service = service.with_store(Arc::new(store));

@@ -25,7 +25,7 @@
 //! **Spills are deferred, not written in place.** An eviction only *records* that the
 //! model should be written ([`ModelCache::take_pending_spills`] hands the work out as
 //! [`SpillTask`]s); whoever owns the cache executes the tasks wherever it likes — the
-//! [`crate::BatchEngine`] runs them *after releasing its cache lock*, so a slow or hung
+//! `BatchEngine` runs them *after releasing its cache lock*, so a slow or hung
 //! disk never blocks concurrent cache hits. The standalone conveniences
 //! ([`ModelCache::get`], [`ModelCache::get_or_fit`], [`ModelCache::flush_spills`])
 //! execute pending spills synchronously, preserving the simple single-owner behaviour.
@@ -198,7 +198,7 @@ pub struct CacheStats {
     /// Entries dropped because they outlived the TTL.
     pub expirations: u64,
     /// Duplicate in-flight fits coalesced onto another request's computation. The cache
-    /// itself never fits, so this stays zero here; [`crate::BatchEngine`] — which owns
+    /// itself never fits, so this stays zero here; `BatchEngine` — which owns
     /// the single-flight registry — fills it in when reporting merged stats.
     pub coalesced_fits: u64,
     /// Evicted entries successfully written to the attached store.
@@ -207,7 +207,7 @@ pub struct CacheStats {
     pub store_errors: u64,
     /// Total microseconds spent inside cold-fit EM runs. Like `coalesced_fits` this is
     /// engine-owned — the cache itself never fits, so it stays zero here and
-    /// [`crate::BatchEngine`] fills it in when reporting merged stats. Cache hits, disk
+    /// `BatchEngine` fills it in when reporting merged stats. Cache hits, disk
     /// warm starts and incremental `fit_update`s add nothing: the counter is exactly
     /// the time the fused EM kernels ran.
     pub fit_micros: u64,
@@ -362,7 +362,7 @@ impl ModelCache {
     }
 
     /// Hand out the queued store writes as self-contained [`SpillTask`]s. Callers that
-    /// guard the cache with a lock (the [`crate::BatchEngine`]) call this *inside* the
+    /// guard the cache with a lock (the `BatchEngine`) call this *inside* the
     /// critical section and execute the tasks *after* releasing it, so store I/O —
     /// including the serialisation of the snapshot — happens off-lock and a slow disk
     /// never blocks concurrent lookups. Task outcomes flow back into [`CacheStats`]
@@ -560,7 +560,7 @@ impl ModelCache {
 
     /// Stats-free, recency-free lookup of the resident entries and the spill pipeline
     /// (queued and in-flight spills; **not** the store tier, and TTL is not enforced).
-    /// This is the single-flight re-check path in [`crate::BatchEngine`]: a second
+    /// This is the single-flight re-check path in `BatchEngine`: a second
     /// would-be fit leader must see a fit the first leader just published, without
     /// perturbing the hit/miss counters that the stat-conservation tests pin down.
     pub fn peek(&self, key: ModelKey) -> Option<Arc<GemModel>> {

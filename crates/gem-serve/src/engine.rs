@@ -1,11 +1,12 @@
-//! The batch engine: group incoming embed requests by the model they need, fit each
-//! distinct model at most once, and fan the transforms out across threads.
+//! The model engine: resolve a model through both cache tiers and, on a miss, fit it
+//! once.
 //!
-//! A naive server would fit one model per request; under real traffic most requests in a
-//! batch share a corpus (the data lake being searched), so the engine pays one EM fit per
-//! *distinct* (corpus, configuration) pair per cache miss — the amortise-by-caching move
-//! that makes repeated serving tractable. Distinct cold models are themselves fitted in
-//! parallel, and every transform in the batch runs in parallel, both via `gem-parallel`.
+//! Gem fits one shared GMM over a corpus and embeds every column against that frozen
+//! model, so a request needs one model lookup and one transform; nothing couples two
+//! requests. [`BatchEngine`] owns the two-tier [`ModelCache`] and answers the lookup:
+//! [`BatchEngine::resolve`] never fits (the embed-by-handle path), while
+//! [`BatchEngine::get_or_fit`] falls back to one EM fit per (corpus, configuration)
+//! key — the amortise-by-caching move that makes repeated serving tractable.
 //!
 //! **Fits are single-flight across concurrent callers.** With many executor threads
 //! serving one engine (the worker-pool server), N simultaneous requests for the same
@@ -18,62 +19,16 @@
 
 use crate::cache::{CachePolicy, CacheStats, CacheTier, ModelCache};
 use crate::fingerprint::ModelKey;
-use gem_core::{FeatureSet, GemColumn, GemConfig, GemEmbedding, GemError, GemModel};
+use gem_core::{FeatureSet, GemColumn, GemConfig, GemError, GemModel};
 use gem_store::ModelStore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// One embed request: embed `queries` against the model fitted on `corpus` (or embed the
-/// corpus itself when `queries` is `None`). The corpus is shared behind an [`Arc`] so
-/// many requests against the same corpus don't duplicate it.
-#[derive(Debug, Clone)]
-pub struct EngineRequest {
-    /// Pipeline configuration of the model to fit (or reuse).
-    pub config: GemConfig,
-    /// Feature set of the model to fit (or reuse).
-    pub features: FeatureSet,
-    /// The corpus defining the model.
-    pub corpus: Arc<Vec<GemColumn>>,
-    /// Columns to embed against the model; `None` embeds the corpus itself.
-    pub queries: Option<Vec<GemColumn>>,
-}
-
-impl EngineRequest {
-    /// A request that embeds the corpus itself.
-    pub fn corpus_only(
-        config: GemConfig,
-        features: FeatureSet,
-        corpus: Arc<Vec<GemColumn>>,
-    ) -> Self {
-        EngineRequest {
-            config,
-            features,
-            corpus,
-            queries: None,
-        }
-    }
-
-    /// A request that embeds `queries` against the model fitted on `corpus`.
-    pub fn with_queries(
-        config: GemConfig,
-        features: FeatureSet,
-        corpus: Arc<Vec<GemColumn>>,
-        queries: Vec<GemColumn>,
-    ) -> Self {
-        EngineRequest {
-            config,
-            features,
-            corpus,
-            queries: Some(queries),
-        }
-    }
-}
-
 /// Where the model that served a request came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedFrom {
-    /// This batch fitted the model (or the fit failed).
+    /// This request fitted the model (or the fit failed).
     ColdFit,
     /// The model was resident in the in-memory cache.
     MemoryCache,
@@ -112,33 +67,6 @@ impl From<CacheTier> for ServedFrom {
     }
 }
 
-/// One fit-only job for [`BatchEngine::fit_models`]: materialise (or reuse) the model
-/// `key` addresses, without transforming anything — the request shape behind the
-/// protocol's fit-once/embed-by-handle split.
-#[derive(Debug, Clone)]
-pub struct FitJob {
-    /// The model key (callers compute it once so it can double as the returned handle).
-    pub key: ModelKey,
-    /// The corpus defining the model.
-    pub corpus: Arc<Vec<GemColumn>>,
-    /// Pipeline configuration of the model.
-    pub config: GemConfig,
-    /// Feature set of the model.
-    pub features: FeatureSet,
-}
-
-/// The outcome of one request.
-#[derive(Debug)]
-pub struct EngineResponse {
-    /// The embedding (or the fit/transform error).
-    pub embedding: Result<GemEmbedding, GemError>,
-    /// Whether a fit was avoided — the model came from either cache tier (`false` when
-    /// this batch fitted it, or when the fit failed).
-    pub cache_hit: bool,
-    /// Which tier (or cold fit) produced the model.
-    pub served_from: ServedFrom,
-}
-
 /// One in-flight fit: the leader computes, concurrent duplicates block on the condvar
 /// until the outcome is published and then share it.
 #[derive(Debug, Default)]
@@ -155,19 +83,20 @@ impl InFlightFit {
 
     fn wait(&self) -> Result<Arc<GemModel>, GemError> {
         let mut outcome = crate::sync::lock_or_recover(&self.outcome);
-        while outcome.is_none() {
+        loop {
+            if let Some(result) = outcome.as_ref() {
+                return result.clone();
+            }
             outcome = crate::sync::wait_or_recover(&self.done, outcome);
         }
-        outcome.clone().expect("loop guard ensures an outcome")
     }
 }
 
-/// Groups requests per model, fits each distinct cold model once (in parallel), caches
-/// the fits, and fans all transforms out across threads.
+/// Owns the two-tier model cache and the single-flight fit registry: resolves models by
+/// key and fits each missing one at most once across concurrent callers.
 #[derive(Debug)]
 pub struct BatchEngine {
     cache: Mutex<ModelCache>,
-    parallel: bool,
     /// Single-flight registry: keys whose fit is currently being computed, shared so
     /// concurrent callers coalesce instead of re-fitting (see the module docs).
     in_flight_fits: Mutex<HashMap<ModelKey, Arc<InFlightFit>>>,
@@ -184,14 +113,6 @@ pub struct BatchEngine {
 }
 
 impl BatchEngine {
-    /// An engine whose cache holds at most `cache_capacity` fitted models.
-    ///
-    /// # Panics
-    /// Panics when `cache_capacity` is zero.
-    pub fn new(cache_capacity: usize) -> Self {
-        Self::with_policy(CachePolicy::with_capacity(cache_capacity))
-    }
-
     /// An engine with a full cache eviction policy (capacity, TTL, memory bound).
     ///
     /// # Panics
@@ -199,7 +120,6 @@ impl BatchEngine {
     pub fn with_policy(policy: CachePolicy) -> Self {
         BatchEngine {
             cache: Mutex::new(ModelCache::with_policy(policy)),
-            parallel: true,
             in_flight_fits: Mutex::new(HashMap::new()),
             coalesced_fits: AtomicU64::new(0),
             fit_micros: AtomicU64::new(0),
@@ -218,19 +138,12 @@ impl BatchEngine {
             .with_store(store);
         BatchEngine {
             cache: Mutex::new(cache),
-            parallel: self.parallel,
             in_flight_fits: self.in_flight_fits,
             coalesced_fits: self.coalesced_fits,
             fit_micros: self.fit_micros,
             em_iterations: self.em_iterations,
             update_store_errors: self.update_store_errors,
         }
-    }
-
-    /// Disable (or re-enable) the thread fan-out; results are identical either way.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = parallel;
-        self
     }
 
     /// Insert an externally produced model (a `PushModel` snapshot) under `key`, making
@@ -332,119 +245,6 @@ impl BatchEngine {
         crate::sync::lock_or_recover(&self.in_flight_fits).remove(&key);
     }
 
-    /// Process a batch of requests, returning one response per request in input order.
-    ///
-    /// Phases:
-    /// 1. key every request and look the keys up in the cache (one short lock),
-    /// 2. fit each *distinct* missing model, fanning distinct fits out across threads,
-    /// 3. publish successful fits to the cache (second short lock),
-    /// 4. fan every transform out across threads against the shared frozen models.
-    ///
-    /// The cache lock is never held while fitting or transforming.
-    pub fn run(&self, requests: &[EngineRequest]) -> Vec<EngineResponse> {
-        // Corpus fingerprints cost O(total values); requests in a batch usually share
-        // their corpus behind one Arc, so hash each distinct allocation once and reuse
-        // the digest for every aliasing request.
-        let mut corpus_fps: Vec<u64> = Vec::with_capacity(requests.len());
-        for (i, request) in requests.iter().enumerate() {
-            let fp = match requests[..i]
-                .iter()
-                .position(|earlier| Arc::ptr_eq(&earlier.corpus, &request.corpus))
-            {
-                Some(j) => corpus_fps[j],
-                None => crate::fingerprint::corpus_fingerprint(&request.corpus),
-            };
-            corpus_fps.push(fp);
-        }
-        let keys: Vec<ModelKey> = requests
-            .iter()
-            .zip(&corpus_fps)
-            .map(|(r, &corpus)| ModelKey {
-                corpus,
-                config: crate::fingerprint::config_fingerprint(&r.config, r.features),
-            })
-            .collect();
-
-        // Phase 1: cache lookups, both tiers (a disk warm-start is a deserialisation,
-        // far cheaper than the EM fit it replaces, so it stays inside the lock). Spill
-        // *writes* queued by warm-start evictions run after the lock drops.
-        let mut resolved: Vec<Option<(Arc<GemModel>, CacheTier)>> =
-            Vec::with_capacity(requests.len());
-        let spills = {
-            let mut cache = crate::sync::lock_or_recover(&self.cache);
-            for &key in &keys {
-                resolved.push(cache.get_with_tier(key));
-            }
-            cache.take_pending_spills()
-        };
-        for task in spills {
-            task.execute();
-        }
-
-        // Phase 2+3: one representative request per distinct missing key, each run
-        // through the single-flight protocol (the leader fits and publishes to the
-        // cache; duplicates racing in from other threads coalesce), distinct keys
-        // fanned out across threads.
-        let mut missing: Vec<(ModelKey, &EngineRequest)> = Vec::new();
-        for (i, request) in requests.iter().enumerate() {
-            if resolved[i].is_none() && !missing.iter().any(|(k, _)| *k == keys[i]) {
-                missing.push((keys[i], request));
-            }
-        }
-        let fitted: Vec<(ModelKey, Result<Arc<GemModel>, GemError>, ServedFrom)> =
-            gem_parallel::par_map(&missing, self.parallel, |(key, request)| {
-                let (result, served_from) = self.fit_single_flight(
-                    *key,
-                    &request.corpus,
-                    &request.config,
-                    request.features,
-                );
-                (*key, result, served_from)
-            });
-
-        // Phase 4: transforms, fanned out over the whole batch.
-        let jobs: Vec<(usize, Result<Arc<GemModel>, GemError>, ServedFrom)> = resolved
-            .into_iter()
-            .enumerate()
-            .map(|(i, cached)| match cached {
-                Some((model, CacheTier::Memory)) => (i, Ok(model), ServedFrom::MemoryCache),
-                Some((model, CacheTier::Disk)) => (i, Ok(model), ServedFrom::DiskStore),
-                None => {
-                    let (fit, served_from) = fitted
-                        .iter()
-                        .find(|(k, _, _)| *k == keys[i])
-                        .map(|(_, r, sf)| (r.clone(), *sf))
-                        .expect("every missing key was fitted");
-                    (i, fit, served_from)
-                }
-            })
-            .collect();
-        gem_parallel::par_map(&jobs, self.parallel, |(i, model, served_from)| {
-            let request = &requests[*i];
-            let embedding =
-                model
-                    .as_ref()
-                    .map_err(GemError::clone)
-                    .and_then(|m| match &request.queries {
-                        Some(queries) => m.transform(queries),
-                        None => m.transform(&request.corpus),
-                    });
-            EngineResponse {
-                embedding,
-                cache_hit: !matches!(served_from, ServedFrom::ColdFit),
-                served_from: *served_from,
-            }
-        })
-    }
-
-    /// Convenience: run a single request.
-    pub fn run_one(&self, request: EngineRequest) -> EngineResponse {
-        self.run(std::slice::from_ref(&request))
-            .into_iter()
-            .next()
-            .expect("one response per request")
-    }
-
     /// Resolve `key` through both cache tiers — memory, then the attached store — and
     /// report which tier satisfied it. **Never fits**: a model that exists in neither
     /// tier is `None`, which the serving layer surfaces as its typed `UnknownModel`
@@ -461,53 +261,21 @@ impl BatchEngine {
         found
     }
 
-    /// Materialise the model behind every job: cache hit, disk warm-start, or — for keys
-    /// in neither tier — one fit per *distinct* key, distinct fits fanned out across
-    /// threads. Returns one `(model, provenance)` result per job, in input order.
-    /// Successful fits are published to the cache; eviction spill writes run off-lock.
-    pub fn fit_models(
+    /// The model `key` names: resolved through both cache tiers like
+    /// [`BatchEngine::resolve`], or — on a miss in both — fitted from `corpus`
+    /// single-flight and published to the cache. Returns the model (or the fit error)
+    /// and its provenance.
+    pub fn get_or_fit(
         &self,
-        jobs: &[FitJob],
-    ) -> Vec<(Result<Arc<GemModel>, GemError>, ServedFrom)> {
-        // Lookup pass (one lock).
-        let mut resolved: Vec<Option<(Arc<GemModel>, CacheTier)>> = Vec::with_capacity(jobs.len());
-        let spills = {
-            let mut cache = crate::sync::lock_or_recover(&self.cache);
-            for job in jobs {
-                resolved.push(cache.get_with_tier(job.key));
-            }
-            cache.take_pending_spills()
-        };
-        for task in spills {
-            task.execute();
+        key: ModelKey,
+        corpus: &[GemColumn],
+        config: &GemConfig,
+        features: FeatureSet,
+    ) -> (Result<Arc<GemModel>, GemError>, ServedFrom) {
+        match self.resolve(key) {
+            Some((model, tier)) => (Ok(model), ServedFrom::from(tier)),
+            None => self.fit_single_flight(key, corpus, config, features),
         }
-        // One representative job per distinct missing key; each runs the single-flight
-        // protocol (leader fits and publishes, concurrent duplicates — typically the
-        // same Fit arriving on many executor threads — coalesce), distinct keys in
-        // parallel.
-        let mut missing: Vec<&FitJob> = Vec::new();
-        for (i, job) in jobs.iter().enumerate() {
-            if resolved[i].is_none() && !missing.iter().any(|m| m.key == job.key) {
-                missing.push(job);
-            }
-        }
-        let fitted: Vec<(ModelKey, Result<Arc<GemModel>, GemError>, ServedFrom)> =
-            gem_parallel::par_map(&missing, self.parallel, |job| {
-                let (result, served_from) =
-                    self.fit_single_flight(job.key, &job.corpus, &job.config, job.features);
-                (job.key, result, served_from)
-            });
-        jobs.iter()
-            .zip(resolved)
-            .map(|(job, cached)| match cached {
-                Some((model, tier)) => (Ok(model), ServedFrom::from(tier)),
-                None => fitted
-                    .iter()
-                    .find(|(k, _, _)| *k == job.key)
-                    .map(|(_, r, sf)| (r.clone(), *sf))
-                    .expect("every missing key was fitted"),
-            })
-            .collect()
     }
 
     /// Fold `new_columns` into the fitted model `parent` names: resolve the parent
@@ -600,11 +368,6 @@ impl BatchEngine {
         let stats = crate::sync::lock_or_recover(&self.cache).stats();
         self.merge_engine_stats(stats)
     }
-
-    /// Number of models currently cached.
-    pub fn cached_models(&self) -> usize {
-        crate::sync::lock_or_recover(&self.cache).len()
-    }
 }
 
 #[cfg(test)]
@@ -626,103 +389,41 @@ mod tests {
         )
     }
 
-    fn queries() -> Vec<GemColumn> {
-        vec![GemColumn::new(
-            (0..30).map(|i| 40.0 + (i % 9) as f64).collect(),
-            "query",
-        )]
+    fn with_capacity(capacity: usize) -> BatchEngine {
+        BatchEngine::with_policy(CachePolicy::with_capacity(capacity))
     }
 
-    #[test]
-    fn one_fit_serves_a_whole_batch_against_the_same_corpus() {
-        let engine = BatchEngine::new(4);
-        let cfg = GemConfig::fast();
-        let shared = corpus(1);
-        let requests: Vec<EngineRequest> = (0..6)
-            .map(|_| {
-                EngineRequest::with_queries(
-                    cfg.clone(),
-                    FeatureSet::ds(),
-                    Arc::clone(&shared),
-                    queries(),
-                )
-            })
-            .collect();
-        let responses = engine.run(&requests);
-        assert_eq!(responses.len(), 6);
-        for r in &responses {
-            assert!(r.embedding.is_ok());
-        }
-        // All six requests shared one fit: one model cached, zero hits yet (the batch
-        // grouped them before the cache ever saw the key).
-        assert_eq!(engine.cached_models(), 1);
-        assert_eq!(engine.cache_stats().hits, 0);
-        // A follow-up batch is a pure cache hit.
-        let again = engine.run_one(EngineRequest::corpus_only(cfg, FeatureSet::ds(), shared));
-        assert!(again.cache_hit);
-        assert!(again.embedding.is_ok());
-        assert_eq!(engine.cache_stats().hits, 1);
+    /// Fetch (or fit) the D+S model of `corpus` under `cfg`, the way `EmbedCorpus` does.
+    fn get_or_fit(
+        engine: &BatchEngine,
+        cfg: &GemConfig,
+        corpus: &[GemColumn],
+    ) -> (Result<Arc<GemModel>, GemError>, ServedFrom) {
+        let key = crate::fingerprint::model_key(corpus, cfg, FeatureSet::ds());
+        engine.get_or_fit(key, corpus, cfg, FeatureSet::ds())
     }
 
     #[test]
     fn warm_transform_matches_one_shot_embed_exactly() {
-        let engine = BatchEngine::new(2);
+        let engine = with_capacity(2);
         let cfg = GemConfig::fast();
         let shared = corpus(2);
-        let cold = engine.run_one(EngineRequest::corpus_only(
-            cfg.clone(),
-            FeatureSet::ds(),
-            Arc::clone(&shared),
-        ));
-        assert!(!cold.cache_hit);
-        let warm = engine.run_one(EngineRequest::corpus_only(
-            cfg.clone(),
-            FeatureSet::ds(),
-            Arc::clone(&shared),
-        ));
-        assert!(warm.cache_hit);
+        let (cold, cold_from) = get_or_fit(&engine, &cfg, &shared);
+        assert_eq!(cold_from, ServedFrom::ColdFit);
+        let (warm, warm_from) = get_or_fit(&engine, &cfg, &shared);
+        assert_eq!(warm_from, ServedFrom::MemoryCache);
+        assert_eq!(engine.cache_stats().hits, 1);
         let direct = gem_core::GemEmbedder::new(cfg)
             .embed(&shared, FeatureSet::ds())
             .unwrap();
-        assert_eq!(cold.embedding.unwrap().matrix, direct.matrix);
-        assert_eq!(warm.embedding.unwrap().matrix, direct.matrix);
-    }
-
-    #[test]
-    fn distinct_corpora_get_distinct_models() {
-        let engine = BatchEngine::new(4).with_parallel(false);
-        let cfg = GemConfig::fast();
-        let requests = vec![
-            EngineRequest::corpus_only(cfg.clone(), FeatureSet::ds(), corpus(1)),
-            EngineRequest::corpus_only(cfg.clone(), FeatureSet::ds(), corpus(2)),
-            EngineRequest::corpus_only(cfg, FeatureSet::ds(), corpus(1)),
-        ];
-        let responses = engine.run(&requests);
-        assert!(responses.iter().all(|r| r.embedding.is_ok()));
-        assert_eq!(engine.cached_models(), 2);
-        // Requests 0 and 2 shared a fit within the batch.
-        let (a, c) = (&responses[0], &responses[2]);
         assert_eq!(
-            a.embedding.as_ref().unwrap().matrix,
-            c.embedding.as_ref().unwrap().matrix
+            cold.unwrap().transform(&shared).unwrap().matrix,
+            direct.matrix
         );
-    }
-
-    #[test]
-    fn failed_fits_propagate_to_every_request_in_the_group() {
-        let engine = BatchEngine::new(2);
-        let cfg = GemConfig::fast();
-        let broken: Arc<Vec<GemColumn>> = Arc::new(vec![GemColumn::values_only(vec![])]);
-        let requests = vec![
-            EngineRequest::corpus_only(cfg.clone(), FeatureSet::ds(), Arc::clone(&broken)),
-            EngineRequest::with_queries(cfg, FeatureSet::ds(), broken, queries()),
-        ];
-        let responses = engine.run(&requests);
-        for r in responses {
-            assert_eq!(r.embedding.unwrap_err(), GemError::NoValues);
-            assert!(!r.cache_hit);
-        }
-        assert_eq!(engine.cached_models(), 0);
+        assert_eq!(
+            warm.unwrap().transform(&shared).unwrap().matrix,
+            direct.matrix
+        );
     }
 
     /// Removes the wrapped directory even when the test's assertions fail.
@@ -747,35 +448,22 @@ mod tests {
         let shared = corpus(7);
 
         // Process 1: fit, then force a spill by overflowing the capacity-1 cache.
-        let engine = BatchEngine::new(1).with_store(Arc::clone(&store));
-        let first = engine.run_one(EngineRequest::corpus_only(
-            cfg.clone(),
-            FeatureSet::ds(),
-            Arc::clone(&shared),
-        ));
-        assert_eq!(first.served_from, ServedFrom::ColdFit);
-        engine.run_one(EngineRequest::corpus_only(
-            cfg.clone(),
-            FeatureSet::ds(),
-            corpus(8),
-        ));
+        let engine = with_capacity(1).with_store(Arc::clone(&store));
+        let (first, first_from) = get_or_fit(&engine, &cfg, &shared);
+        assert_eq!(first_from, ServedFrom::ColdFit);
+        assert!(get_or_fit(&engine, &cfg, &corpus(8)).0.is_ok());
         assert_eq!(engine.cache_stats().spills, 1);
 
         // "Process 2": a fresh engine over the same store directory. The lookup
         // warm-starts from disk — no EM fit — and the output is bit-identical.
-        let restarted = BatchEngine::new(4).with_store(store);
-        let warm = restarted.run_one(EngineRequest::corpus_only(
-            cfg,
-            FeatureSet::ds(),
-            Arc::clone(&shared),
-        ));
-        assert_eq!(warm.served_from, ServedFrom::DiskStore);
-        assert!(warm.cache_hit);
+        let restarted = with_capacity(4).with_store(store);
+        let (warm, warm_from) = get_or_fit(&restarted, &cfg, &shared);
+        assert_eq!(warm_from, ServedFrom::DiskStore);
         assert_eq!(restarted.cache_stats().warm_starts, 1);
         assert_eq!(restarted.cache_stats().misses, 0);
         assert_eq!(
-            warm.embedding.unwrap().matrix,
-            first.embedding.unwrap().matrix
+            warm.unwrap().transform(&shared).unwrap().matrix,
+            first.unwrap().transform(&shared).unwrap().matrix
         );
     }
 
@@ -788,7 +476,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let _guard = DirGuard(dir.clone());
         let store = Arc::new(ModelStore::open(&dir).unwrap());
-        let engine = BatchEngine::new(4).with_store(Arc::clone(&store));
+        let engine = with_capacity(4).with_store(Arc::clone(&store));
         let cfg = GemConfig::fast();
         let shared = corpus(11);
         let parent = crate::fingerprint::model_key(&shared, &cfg, FeatureSet::ds());
@@ -800,13 +488,10 @@ mod tests {
         // An unknown parent is a typed miss, never a fabricated model.
         assert!(engine.fit_update(parent, &growth).is_none());
 
-        let fitted = engine.fit_models(&[FitJob {
-            key: parent,
-            corpus: Arc::clone(&shared),
-            config: cfg,
-            features: FeatureSet::ds(),
-        }]);
-        assert!(fitted[0].0.is_ok());
+        assert!(engine
+            .get_or_fit(parent, &shared, &cfg, FeatureSet::ds())
+            .0
+            .is_ok());
         let after_fit = engine.cache_stats();
         assert!(after_fit.fit_micros > 0);
         assert!(after_fit.em_iterations > 0);
@@ -838,14 +523,10 @@ mod tests {
             BatchEngine::with_policy(crate::CachePolicy::with_capacity(4).ttl(Duration::ZERO));
         let cfg = GemConfig::fast();
         let shared = corpus(1);
-        engine.run_one(EngineRequest::corpus_only(
-            cfg.clone(),
-            FeatureSet::ds(),
-            Arc::clone(&shared),
-        ));
+        assert!(get_or_fit(&engine, &cfg, &shared).0.is_ok());
         // Zero TTL: the follow-up request finds an expired entry and re-fits.
-        let again = engine.run_one(EngineRequest::corpus_only(cfg, FeatureSet::ds(), shared));
-        assert_eq!(again.served_from, ServedFrom::ColdFit);
+        let (_, again) = get_or_fit(&engine, &cfg, &shared);
+        assert_eq!(again, ServedFrom::ColdFit);
         assert_eq!(engine.cache_stats().expirations, 1);
     }
 
@@ -857,23 +538,18 @@ mod tests {
         // published) or coalesced onto the in-flight computation — and the accounting
         // is exact: duplicates = hits + coalesced_fits.
         const THREADS: usize = 8;
-        let engine = BatchEngine::new(4);
+        let engine = with_capacity(4);
         let cfg = GemConfig::fast();
         let shared = corpus(5);
         let barrier = std::sync::Barrier::new(THREADS);
-        let outcomes: Vec<ServedFrom> = std::thread::scope(|scope| {
+        let outcomes: Vec<(Arc<GemModel>, ServedFrom)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     let (engine, cfg, shared, barrier) = (&engine, &cfg, &shared, &barrier);
                     scope.spawn(move || {
                         barrier.wait();
-                        let response = engine.run_one(EngineRequest::corpus_only(
-                            cfg.clone(),
-                            FeatureSet::ds(),
-                            Arc::clone(shared),
-                        ));
-                        assert!(response.embedding.is_ok());
-                        response.served_from
+                        let (model, served_from) = get_or_fit(engine, cfg, shared);
+                        (model.unwrap(), served_from)
                     })
                 })
                 .collect();
@@ -881,26 +557,27 @@ mod tests {
         });
         let cold = outcomes
             .iter()
-            .filter(|sf| **sf == ServedFrom::ColdFit)
+            .filter(|(_, sf)| *sf == ServedFrom::ColdFit)
             .count();
-        assert_eq!(cold, 1, "exactly one EM fit across {THREADS}: {outcomes:?}");
+        assert_eq!(cold, 1, "exactly one EM fit across {THREADS}");
         let stats = engine.cache_stats();
         assert_eq!(
             stats.coalesced_fits + stats.hits,
             (THREADS - 1) as u64,
             "every duplicate was a hit or coalesced: {stats:?}"
         );
-        assert_eq!(engine.cached_models(), 1);
-        // All eight callers hold the same fitted model, bit for bit (same Arc even).
-        let again = engine.run_one(EngineRequest::corpus_only(cfg, FeatureSet::ds(), shared));
-        assert!(again.cache_hit);
+        assert_eq!(engine.resident_models().len(), 1);
+        // All eight callers hold the same fitted model: the very same Arc.
+        assert!(outcomes.iter().all(|(m, _)| Arc::ptr_eq(m, &outcomes[0].0)));
+        let (_, again) = get_or_fit(&engine, &cfg, &shared);
+        assert_eq!(again, ServedFrom::MemoryCache);
     }
 
     #[test]
     fn published_models_resolve_like_fitted_ones() {
         // The PushModel path: an externally produced model enters via publish() and
         // the handle resolves without this engine ever fitting.
-        let engine = BatchEngine::new(4);
+        let engine = with_capacity(4);
         let cfg = GemConfig::fast();
         let cols = corpus(6);
         let key = crate::fingerprint::model_key(&cols, &cfg, FeatureSet::ds());
@@ -910,27 +587,5 @@ mod tests {
         let (resolved, tier) = engine.resolve(key).expect("published model resolves");
         assert_eq!(tier, CacheTier::Memory);
         assert!(Arc::ptr_eq(&resolved, &model));
-    }
-
-    #[test]
-    fn parallel_and_serial_batches_agree() {
-        let cfg = GemConfig::fast();
-        let make_requests = || {
-            vec![
-                EngineRequest::corpus_only(cfg.clone(), FeatureSet::ds(), corpus(1)),
-                EngineRequest::with_queries(cfg.clone(), FeatureSet::ds(), corpus(1), queries()),
-                EngineRequest::corpus_only(cfg.clone(), FeatureSet::d(), corpus(2)),
-            ]
-        };
-        let serial = BatchEngine::new(4)
-            .with_parallel(false)
-            .run(&make_requests());
-        let parallel = BatchEngine::new(4).run(&make_requests());
-        for (s, p) in serial.iter().zip(parallel.iter()) {
-            assert_eq!(
-                s.embedding.as_ref().unwrap().matrix,
-                p.embedding.as_ref().unwrap().matrix
-            );
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! # gem-serve
 //!
-//! The batch serving layer over the Gem pipeline's fit/transform split
+//! The serving layer over the Gem pipeline's fit/transform split
 //! ([`gem_core::GemModel`]): the subsystem that turns the reproduction into a system that
 //! can answer embedding traffic instead of re-running experiments.
 //!
@@ -17,17 +17,15 @@
 //!   cache becomes two-tiered: models evicted for capacity/memory **spill** to disk, and
 //!   a lookup that misses memory **warm-starts** from disk — deserialisation instead of
 //!   an EM re-fit, with bit-identical transforms.
-//! * [`BatchEngine`] — groups a batch of embed requests per model, fits each distinct
-//!   cold model once (distinct fits in parallel), publishes the fits to the cache, and
-//!   fans every transform out across threads via `gem-parallel`. Store writes queued by
-//!   evictions execute **after the cache lock is released**, so a slow disk never blocks
-//!   concurrent lookups.
 //! * [`EmbedService`] — the front-end: the typed, handle-based [`ServeRequest`] protocol
 //!   (`Fit` → [`ModelHandle`] → `Embed`/`Evict`, the one-shot `EmbedCorpus` path for
 //!   any [`gem_core::MethodRegistry`] method by name, and `PushModel`/`PullModel`
 //!   snapshot shipping between replicas) with the stable-coded [`ServeError`] taxonomy.
-//!   Duplicate in-flight fits are **single-flight**: N concurrent requests for one
-//!   missing handle pay one EM fit ([`CacheStats::coalesced_fits`]).
+//!   Each request is one model lookup (or fit) and one transform, served on the calling
+//!   thread. Duplicate in-flight fits are **single-flight**: N concurrent requests for
+//!   one missing handle pay one EM fit ([`CacheStats::coalesced_fits`]). Store writes
+//!   queued by evictions execute **after the cache lock is released**, so a slow disk
+//!   never blocks concurrent lookups.
 //! * [`net::GemServer`] / [`client::GemClient`] — the same protocol over TCP (the
 //!   `gem-served` and `gem-client` binaries wrap them). Connections start as
 //!   newline-delimited `gem-proto` JSON envelopes; the client negotiates the binary
@@ -84,7 +82,7 @@ pub use client::{
     ClientError, EmbedOutcome, FitOutcome, GemClient, HealthOutcome, HealthState, PipelinedReply,
     PushOutcome, SnapshotOutcome,
 };
-pub use engine::{BatchEngine, EngineRequest, EngineResponse, FitJob, ServedFrom};
+pub use engine::ServedFrom;
 pub use error::ServeError;
 pub use gem_store::fingerprint;
 pub use gem_store::{

@@ -678,13 +678,14 @@ fn encode_body_bytes(codec: Codec, id: u64, body: ResponseBody) -> Vec<u8> {
     }
 }
 
-/// Serve a binary-codec `Embed` as a row stream: transform the query columns in
-/// batches and flush each batch's rows as an `embed_rows` frame the moment it
-/// completes, closing with `embed_done` — the client starts receiving rows while
-/// later batches are still computing. A failure mid-stream becomes the typed error
-/// frame; the client discards the partial rows it accumulated for this id. Returns
-/// the closing frame (`embed_done` or the typed error) for the executor to send
-/// after the accounting gauges drop; only intermediate row frames are sent here.
+/// Serve a binary-codec `Embed` as a row stream: resolve the handle once, transform the
+/// query columns in batches against that model and flush each batch's rows as an
+/// `embed_rows` frame the moment it completes, closing with `embed_done` — the client
+/// starts receiving rows while later batches are still computing. A failure mid-stream
+/// becomes the typed error frame; the client discards the partial rows it accumulated
+/// for this id. Returns the closing frame (`embed_done` or the typed error) for the
+/// executor to send after the accounting gauges drop; only intermediate row frames are
+/// sent here.
 #[allow(clippy::too_many_arguments)]
 fn stream_embed(
     service: &EmbedService,
@@ -697,96 +698,76 @@ fn stream_embed(
     metrics: &ServerMetrics,
 ) -> Option<Vec<u8>> {
     let execute_started = Instant::now();
+    let observe = |encode_time: Duration| {
+        metrics.observe(
+            RequestShape::Embed,
+            queue_wait,
+            decode,
+            execute_started.elapsed().saturating_sub(encode_time),
+            encode_time,
+        );
+    };
+    let error_frame = |error: &ServeError| {
+        Some(encode_error_bytes(
+            Codec::Binary,
+            Some(id),
+            error_body(error),
+        ))
+    };
+    // One request, one resolve: the stream's batches all transform against this model.
+    let (model, served_from) = match service.resolve_embed(handle) {
+        Ok(resolved) => resolved,
+        Err(error) => {
+            observe(Duration::ZERO);
+            return error_frame(&error);
+        }
+    };
+    let served_from = served_from.wire_name();
     let mut encode_time = Duration::ZERO;
     let mut sent_rows = 0usize;
     let mut cols = 0usize;
-    let mut served_from = String::new();
-    // Zero queries still resolve the handle (and surface unknown_model) through one
-    // empty serve call, exactly like the JSON path. Each batch's columns move out of
-    // `queries`; none of their values are copied.
+    // Zero queries still run one empty transform, so they answer exactly as on the
+    // JSON path. Each batch's columns move out of `queries`; none of their values are
+    // copied.
     let batches = queries.len().div_ceil(EMBED_STREAM_BATCH).max(1);
     let mut queries = queries.into_iter();
     for _ in 0..batches {
-        match service.serve_one(ServeRequest::Embed {
-            handle,
-            queries: queries.by_ref().take(EMBED_STREAM_BATCH).collect(),
-        }) {
-            Ok(ServeResponse::Embedded {
-                matrix,
-                served_from: from,
-            }) => {
-                cols = matrix.cols();
-                sent_rows = sent_rows.saturating_add(matrix.rows());
-                served_from = from.wire_name().to_string();
-                let encode_started = Instant::now();
-                let frame = if cols > 0 || matrix.rows() == 0 {
-                    binary::embed_rows_frame(id, &served_from, cols, matrix.as_slice())
-                } else {
-                    Err(proto::ProtoError::Parse {
-                        message: "embed produced rows without columns".to_string(),
-                    })
-                };
-                let sent = match frame {
-                    Ok(bytes) => reply.send(bytes).is_ok(),
-                    Err(_) => false,
-                };
-                encode_time += encode_started.elapsed();
-                if !sent {
-                    // The connection is gone (or the frame was unencodable); stop
-                    // transforming for a peer that cannot receive the rows.
-                    metrics.observe(
-                        RequestShape::Embed,
-                        queue_wait,
-                        decode,
-                        execute_started.elapsed().saturating_sub(encode_time),
-                        encode_time,
-                    );
-                    return None;
-                }
-            }
-            Ok(_) => {
-                let body = ResponseBody::Error {
-                    code: "invalid_request".to_string(),
-                    message: "embed produced a non-embedding response".to_string(),
-                    retry_after_ms: None,
-                };
-                metrics.observe(
-                    RequestShape::Embed,
-                    queue_wait,
-                    decode,
-                    execute_started.elapsed().saturating_sub(encode_time),
-                    encode_time,
-                );
-                return Some(encode_error_bytes(Codec::Binary, Some(id), body));
-            }
+        let batch: Vec<gem_core::GemColumn> = queries.by_ref().take(EMBED_STREAM_BATCH).collect();
+        let matrix = match model.transform(&batch) {
+            Ok(embedding) => embedding.matrix,
             Err(error) => {
                 // The error frame supersedes any rows already streamed: the client
                 // drops its partial accumulation for this id on seeing it.
-                metrics.observe(
-                    RequestShape::Embed,
-                    queue_wait,
-                    decode,
-                    execute_started.elapsed().saturating_sub(encode_time),
-                    encode_time,
-                );
-                return Some(encode_error_bytes(
-                    Codec::Binary,
-                    Some(id),
-                    error_body(&error),
-                ));
+                observe(encode_time);
+                return error_frame(&ServeError::Transform(error));
             }
+        };
+        cols = matrix.cols();
+        sent_rows = sent_rows.saturating_add(matrix.rows());
+        let encode_started = Instant::now();
+        let frame = if cols > 0 || matrix.rows() == 0 {
+            binary::embed_rows_frame(id, served_from, cols, matrix.as_slice())
+        } else {
+            Err(proto::ProtoError::Parse {
+                message: "embed produced rows without columns".to_string(),
+            })
+        };
+        let sent = match frame {
+            Ok(bytes) => reply.send(bytes).is_ok(),
+            Err(_) => false,
+        };
+        encode_time += encode_started.elapsed();
+        if !sent {
+            // The connection is gone (or the frame was unencodable); stop
+            // transforming for a peer that cannot receive the rows.
+            observe(encode_time);
+            return None;
         }
     }
     let encode_started = Instant::now();
-    let done = binary::embed_done_frame(id, &served_from, cols, sent_rows).ok();
+    let done = binary::embed_done_frame(id, served_from, cols, sent_rows).ok();
     encode_time += encode_started.elapsed();
-    metrics.observe(
-        RequestShape::Embed,
-        queue_wait,
-        decode,
-        execute_started.elapsed().saturating_sub(encode_time),
-        encode_time,
-    );
+    observe(encode_time);
     done
 }
 
@@ -1605,6 +1586,9 @@ mod tests {
             other => panic!("expected a server error, got {other:?}"),
         }
         assert_eq!(err.code(), Some("unknown_model"));
+        // Zero queries still resolve the handle, so they surface the same code.
+        let empty = client.embed(bogus, &[]).unwrap_err();
+        assert_eq!(empty.code(), Some("unknown_model"));
         server.shutdown();
         join.join().unwrap().unwrap();
     }
@@ -1772,8 +1756,14 @@ mod tests {
                 GemColumn::new(values.collect(), format!("q{i}"))
             })
             .collect();
+        let before = client.stats().unwrap();
         let streamed = client.embed(fitted.handle, &many).unwrap();
+        let after = client.stats().unwrap();
         assert_eq!(streamed.matrix, model.transform(&many).unwrap().matrix);
+        // A streamed embed is one request and one handle resolve however many batches
+        // its rows travel in; the `after` stats call counts itself.
+        assert_eq!(after.hits, before.hits + 1);
+        assert_eq!(after.requests, before.requests + 2);
 
         // The wire-bytes telemetry saw both directions, and the fairness gauge saw
         // this connection's in-flight frames.

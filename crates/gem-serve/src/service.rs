@@ -1,7 +1,7 @@
 //! The serving front-end: a typed, handle-based request protocol over the model cache.
 //!
-//! [`EmbedService`] wraps a [`MethodRegistry`] and a [`BatchEngine`] and answers
-//! [`ServeRequest`]s — the same six-shape protocol `gem-proto` carries over a wire:
+//! [`EmbedService`] wraps a [`MethodRegistry`] and the model cache and answers
+//! [`ServeRequest`]s — the same protocol `gem-proto` carries over a wire:
 //!
 //! * [`ServeRequest::Fit`] — fit (or reuse) the model for a corpus and return its
 //!   [`ModelHandle`]. Fitting is idempotent: an identical corpus + configuration yields
@@ -22,18 +22,18 @@
 //!   introspection and lifecycle control.
 //!
 //! Every outcome is a [`ServeResult`]: a typed [`ServeResponse`] or a [`ServeError`]
-//! from the stable-coded taxonomy. Within one batch, control requests (including
-//! push/pull) are applied first (in request order), then all fits, then all embeds — so
-//! a `Fit` (or a `PushModel`) and an `Embed` of the resulting handle can share a batch.
+//! from the stable-coded taxonomy. Each request is served on its own, on the calling
+//! thread: a model lookup (or fit) and a transform.
 
 use crate::cache::CachePolicy;
-use crate::engine::{BatchEngine, EngineRequest, FitJob, ServedFrom};
+use crate::engine::{BatchEngine, ServedFrom};
 use crate::error::ServeError;
 use crate::fingerprint::model_key;
 use crate::handle::ModelHandle;
 use crate::CacheTier;
 use gem_core::{
-    gem_family_variants, Composition, FeatureSet, GemColumn, GemConfig, GemVariant, MethodRegistry,
+    gem_family_variants, Composition, FeatureSet, GemColumn, GemConfig, GemModel, GemVariant,
+    MethodRegistry,
 };
 use gem_numeric::Matrix;
 use gem_store::ModelStore;
@@ -314,7 +314,6 @@ pub struct EmbedService {
     registry: MethodRegistry,
     engine: BatchEngine,
     variants: Vec<GemVariant>,
-    parallel: bool,
     requests: AtomicU64,
 }
 
@@ -338,7 +337,6 @@ impl EmbedService {
             registry,
             engine: BatchEngine::with_policy(policy),
             variants: Vec::new(),
-            parallel: true,
             requests: AtomicU64::new(0),
         }
     }
@@ -348,13 +346,6 @@ impl EmbedService {
     /// it — so a handle survives both eviction and a process restart.
     pub fn with_store(mut self, store: Arc<ModelStore>) -> Self {
         self.engine = self.engine.with_store(store);
-        self
-    }
-
-    /// Disable (or re-enable) thread fan-out; results are identical either way.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.engine = self.engine.with_parallel(parallel);
-        self.parallel = parallel;
         self
     }
 
@@ -462,262 +453,125 @@ impl EmbedService {
         Ok(infos)
     }
 
-    /// Process a batch of requests, returning one result per request in input order.
-    ///
-    /// Execution order within a batch: control requests (`Stats`, `ListModels`,
-    /// `Evict`) apply first, in request order; then every `Fit` (one EM fit per
-    /// *distinct* key, distinct fits in parallel); then every `FitUpdate` in request
-    /// order (so a batch can fit a model and grow it, or chain two updates); then
-    /// every embed — so an `Embed` may use a handle `Fit` or `FitUpdate` earlier in
-    /// the same batch. Engine-served and one-shot embeds run side by side, each fanned
-    /// out across threads.
-    pub fn serve(&self, requests: Vec<ServeRequest>) -> Vec<ServeResult> {
-        self.requests
-            .fetch_add(requests.len() as u64, Ordering::Relaxed);
-        let n = requests.len();
-        let mut results: Vec<Option<ServeResult>> = (0..n).map(|_| None).collect();
-
-        // Side jobs: one-shot registry methods and embed-by-handle transforms, fanned
-        // out together opposite the engine batch.
-        enum SideJob {
-            Registry {
-                index: usize,
-                method: String,
-                corpus: Arc<Vec<GemColumn>>,
-                queries: Option<Vec<GemColumn>>,
-                labels: Option<Vec<String>>,
-            },
-            Transform {
-                index: usize,
-                model: Arc<gem_core::GemModel>,
-                served_from: ServedFrom,
-                queries: Vec<GemColumn>,
-            },
-        }
-
-        // Pass 1: plan. Control requests answer immediately; fit and embed work is
-        // collected for the batched passes below.
-        let mut fit_slots: Vec<usize> = Vec::new();
-        let mut fit_jobs: Vec<FitJob> = Vec::new();
-        let mut update_jobs: Vec<(usize, ModelHandle, Arc<Vec<GemColumn>>)> = Vec::new();
-        let mut embed_jobs: Vec<(usize, ModelHandle, Vec<GemColumn>)> = Vec::new();
-        let mut engine_slots: Vec<usize> = Vec::new();
-        let mut engine_requests: Vec<EngineRequest> = Vec::new();
-        let mut side_jobs: Vec<SideJob> = Vec::new();
-        for (i, request) in requests.into_iter().enumerate() {
-            match request {
-                ServeRequest::Fit {
-                    corpus,
-                    mut config,
-                    features,
-                    composition,
-                } => {
-                    if let Some(composition) = composition {
-                        config.composition = composition;
-                    }
-                    let key = model_key(&corpus, &config, features);
-                    fit_slots.push(i);
-                    fit_jobs.push(FitJob {
-                        key,
-                        corpus,
-                        config,
-                        features,
-                    });
-                }
-                ServeRequest::FitUpdate { handle, corpus } => {
-                    update_jobs.push((i, handle, corpus));
-                }
-                ServeRequest::Embed { handle, queries } => embed_jobs.push((i, handle, queries)),
-                ServeRequest::EmbedCorpus {
-                    method,
-                    corpus,
-                    queries,
-                    labels,
-                } => {
-                    if let Some(variant) = self.variants.iter().find(|v| v.name == method) {
-                        engine_slots.push(i);
-                        engine_requests.push(EngineRequest {
-                            config: variant.config.clone(),
-                            features: variant.features,
-                            corpus,
-                            queries,
-                        });
-                    } else if self.registry.get(&method).is_some() {
-                        side_jobs.push(SideJob::Registry {
-                            index: i,
-                            method,
-                            corpus,
-                            queries,
-                            labels,
-                        });
-                    } else {
-                        results[i] = Some(Err(ServeError::UnknownMethod { method }));
-                    }
-                }
-                ServeRequest::PushModel { handle, model } => {
-                    let dim = model.dim();
-                    self.engine.publish(handle.key(), model);
-                    results[i] = Some(Ok(ServeResponse::Pushed { handle, dim }));
-                }
-                ServeRequest::PullModel { handle } => {
-                    results[i] = Some(match self.engine.resolve(handle.key()) {
-                        Some((model, tier)) => Ok(ServeResponse::Snapshot {
-                            handle,
-                            snapshot: gem_store::encode_snapshot(handle.key(), &model),
-                            served_from: ServedFrom::from(tier),
-                        }),
-                        None => Err(ServeError::UnknownModel { handle }),
-                    });
-                }
-                ServeRequest::Stats => {
-                    results[i] = Some(Ok(ServeResponse::Stats(self.stats())));
-                }
-                ServeRequest::ListModels => {
-                    results[i] = Some(self.models().map(ServeResponse::Models));
-                }
-                ServeRequest::Evict { handle } => {
-                    results[i] = Some(Ok(ServeResponse::Evicted {
-                        existed: self.engine.evict(handle.key()),
-                    }));
-                }
-            }
-        }
-
-        // Pass 2: fits (before embeds, so a batch can fit and embed the same handle).
-        for ((slot, job), (outcome, served_from)) in fit_slots
-            .iter()
-            .zip(&fit_jobs)
-            .zip(self.engine.fit_models(&fit_jobs))
-        {
-            results[*slot] = Some(match outcome {
-                Ok(model) => Ok(ServeResponse::Fitted {
-                    handle: ModelHandle::from(job.key),
-                    dim: model.dim(),
-                    served_from,
-                }),
-                Err(e) => Err(ServeError::Fit(e)),
-            });
-        }
-
-        // Pass 2.5: incremental updates, after the fits so a batch can fit a model and
-        // grow it in one round trip. Sequential in request order: chained updates
-        // (grow, then grow again) within a batch each see the handle the previous one
-        // derived.
-        for (index, handle, new_columns) in update_jobs {
-            results[index] = Some(match self.engine.fit_update(handle.key(), &new_columns) {
-                None => Err(ServeError::UnknownModel { handle }),
-                Some((key, Ok(model), served_from)) => Ok(ServeResponse::Fitted {
-                    handle: ModelHandle::from(key),
-                    dim: model.dim(),
-                    served_from,
-                }),
-                Some((_, Err(e), _)) => Err(ServeError::Fit(e)),
-            });
-        }
-
-        // Pass 3: resolve embed handles (never fitting — a miss is UnknownModel).
-        for (index, handle, queries) in embed_jobs {
-            match self.engine.resolve(handle.key()) {
-                Some((model, tier)) => side_jobs.push(SideJob::Transform {
-                    index,
-                    model,
-                    served_from: ServedFrom::from(tier),
-                    queries,
-                }),
-                None => results[index] = Some(Err(ServeError::UnknownModel { handle })),
-            }
-        }
-
-        // Pass 4: the engine batch (grouped fits + transforms) and the side jobs are
-        // independent, so a mixed batch pays max(engine, side), not their sum. A batch
-        // with work on one side only — every wire request, which is a batch of one —
-        // runs it on this thread: forking costs more than a small request's transform.
-        let run_side = || -> Vec<(usize, ServeResult)> {
-            gem_parallel::par_map(&side_jobs, self.parallel, |job| match job {
-                SideJob::Registry {
-                    index,
-                    method,
-                    corpus,
-                    queries,
-                    labels,
-                } => {
-                    let columns: &[GemColumn] = match queries {
-                        Some(queries) => queries,
-                        None => corpus,
-                    };
-                    let result = self
-                        .registry
-                        .require(method)
-                        .and_then(|m| m.embed(columns, labels.as_deref()))
-                        .map(|matrix| ServeResponse::Embedded {
-                            matrix,
-                            served_from: ServedFrom::ColdFit,
-                        })
-                        .map_err(ServeError::from_method_error);
-                    (*index, result)
-                }
-                SideJob::Transform {
-                    index,
-                    model,
-                    served_from,
-                    queries,
-                } => {
-                    let result = model
-                        .transform(queries)
-                        .map(|embedding| ServeResponse::Embedded {
-                            matrix: embedding.matrix,
-                            served_from: *served_from,
-                        })
-                        .map_err(ServeError::Transform);
-                    (*index, result)
-                }
-            })
-        };
-        let (engine_out, side_out) = if engine_requests.is_empty() {
-            (Vec::new(), run_side())
-        } else if side_jobs.is_empty() {
-            (self.engine.run(&engine_requests), Vec::new())
-        } else {
-            gem_parallel::join(|| self.engine.run(&engine_requests), run_side)
-        };
-        for (slot, response) in engine_slots.iter().zip(engine_out) {
-            let served_from = response.served_from;
-            results[*slot] = Some(match response.embedding {
-                Ok(embedding) => Ok(ServeResponse::Embedded {
-                    matrix: embedding.matrix,
-                    served_from,
-                }),
-                // The engine conflates fit and transform failures; a cold model means
-                // the fit itself (or the fused pipeline) failed.
-                Err(e) => Err(match served_from {
-                    ServedFrom::ColdFit => ServeError::Fit(e),
-                    _ => ServeError::Transform(e),
-                }),
-            });
-        }
-        for (index, result) in side_out {
-            results[index] = Some(result);
-        }
-
-        results
-            .into_iter()
-            .map(|r| r.expect("every request slot was answered"))
-            .collect()
-    }
-
-    /// Convenience: serve a single request.
+    /// Serve one request. Every call counts one request in [`ServiceStats::requests`].
     pub fn serve_one(&self, request: ServeRequest) -> ServeResult {
-        self.serve(vec![request])
-            .into_iter()
-            .next()
-            .expect("one response per request")
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        match request {
+            ServeRequest::Fit {
+                corpus,
+                mut config,
+                features,
+                composition,
+            } => {
+                if let Some(composition) = composition {
+                    config.composition = composition;
+                }
+                let key = model_key(&corpus, &config, features);
+                let (model, served_from) = self.engine.get_or_fit(key, &corpus, &config, features);
+                Ok(ServeResponse::Fitted {
+                    handle: ModelHandle::from(key),
+                    dim: model.map_err(ServeError::Fit)?.dim(),
+                    served_from,
+                })
+            }
+            ServeRequest::FitUpdate { handle, corpus } => {
+                let Some((key, model, served_from)) = self.engine.fit_update(handle.key(), &corpus)
+                else {
+                    return Err(ServeError::UnknownModel { handle });
+                };
+                Ok(ServeResponse::Fitted {
+                    handle: ModelHandle::from(key),
+                    dim: model.map_err(ServeError::Fit)?.dim(),
+                    served_from,
+                })
+            }
+            ServeRequest::Embed { handle, queries } => {
+                let (model, served_from) = self.resolve(handle)?;
+                transform(&model, &queries, served_from)
+            }
+            ServeRequest::EmbedCorpus {
+                method,
+                corpus,
+                queries,
+                labels,
+            } => {
+                let columns = queries.as_deref().unwrap_or(corpus.as_slice());
+                if let Some(variant) = self.variants.iter().find(|v| v.name == method) {
+                    let (config, features) = (&variant.config, variant.features);
+                    let key = model_key(&corpus, config, features);
+                    let (model, served_from) =
+                        self.engine.get_or_fit(key, &corpus, config, features);
+                    let model = model.map_err(ServeError::Fit)?;
+                    return transform(&model, columns, served_from);
+                }
+                let Some(registered) = self.registry.get(&method) else {
+                    return Err(ServeError::UnknownMethod { method });
+                };
+                registered
+                    .embed(columns, labels.as_deref())
+                    .map(|matrix| ServeResponse::Embedded {
+                        matrix,
+                        served_from: ServedFrom::ColdFit,
+                    })
+                    .map_err(ServeError::from_method_error)
+            }
+            ServeRequest::PushModel { handle, model } => {
+                let dim = model.dim();
+                self.engine.publish(handle.key(), model);
+                Ok(ServeResponse::Pushed { handle, dim })
+            }
+            ServeRequest::PullModel { handle } => {
+                let (model, served_from) = self.resolve(handle)?;
+                Ok(ServeResponse::Snapshot {
+                    handle,
+                    snapshot: gem_store::encode_snapshot(handle.key(), &model),
+                    served_from,
+                })
+            }
+            ServeRequest::Stats => Ok(ServeResponse::Stats(self.stats())),
+            ServeRequest::ListModels => self.models().map(ServeResponse::Models),
+            ServeRequest::Evict { handle } => Ok(ServeResponse::Evicted {
+                existed: self.engine.evict(handle.key()),
+            }),
+        }
     }
+
+    /// Count one `Embed` request and resolve its handle, for a caller that transforms
+    /// the queries itself: the binary codec streams them in batches against the one
+    /// model this returns.
+    pub(crate) fn resolve_embed(
+        &self,
+        handle: ModelHandle,
+    ) -> Result<(Arc<GemModel>, ServedFrom), ServeError> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.resolve(handle)
+    }
+
+    /// The model `handle` names, from either cache tier. **Never fits**: a miss is the
+    /// typed [`ServeError::UnknownModel`] — the request carries no corpus to fit from.
+    fn resolve(&self, handle: ModelHandle) -> Result<(Arc<GemModel>, ServedFrom), ServeError> {
+        self.engine
+            .resolve(handle.key())
+            .map(|(model, tier)| (model, ServedFrom::from(tier)))
+            .ok_or(ServeError::UnknownModel { handle })
+    }
+}
+
+/// Embed `columns` against `model`, reporting where the model came from.
+fn transform(model: &GemModel, columns: &[GemColumn], served_from: ServedFrom) -> ServeResult {
+    model
+        .transform(columns)
+        .map(|embedding| ServeResponse::Embedded {
+            matrix: embedding.matrix,
+            served_from,
+        })
+        .map_err(ServeError::Transform)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gem_core::{ColumnEmbedder, GemEmbedder, GemError, GemModel};
+    use gem_core::{ColumnEmbedder, GemEmbedder, GemError};
 
     fn corpus() -> Arc<Vec<GemColumn>> {
         Arc::new(
@@ -881,27 +735,6 @@ mod tests {
     }
 
     #[test]
-    fn fit_and_embed_compose_within_one_batch() {
-        let service = service();
-        let cols = corpus();
-        // The handle is deterministic, so a client that knows the fingerprint can pair
-        // a Fit and an Embed in a single batch.
-        let handle = ModelHandle::from(model_key(&cols, &GemConfig::fast(), FeatureSet::ds()));
-        let results = service.serve(vec![
-            ServeRequest::fit(Arc::clone(&cols), GemConfig::fast(), FeatureSet::ds()),
-            ServeRequest::embed(handle, cols.to_vec()),
-        ]);
-        assert_eq!(results[0].as_ref().unwrap().handle(), Some(handle));
-        let direct = GemEmbedder::new(GemConfig::fast())
-            .embed(&cols, FeatureSet::ds())
-            .unwrap();
-        assert_eq!(
-            results[1].as_ref().unwrap().matrix().unwrap(),
-            &direct.matrix
-        );
-    }
-
-    #[test]
     fn evict_invalidates_a_handle() {
         let service = service();
         let cols = corpus();
@@ -959,8 +792,8 @@ mod tests {
 
     #[test]
     fn a_single_request_runs_on_the_callers_thread() {
-        // A wire request is a batch of one; forking a thread for it costs more than a
-        // small transform, so its work must run where `serve_one` was called.
+        // Forking a thread for a request costs more than a small transform, so its
+        // work must run where `serve_one` was called.
         struct ThreadProbe(Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>);
         impl ColumnEmbedder for ThreadProbe {
             fn name(&self) -> &str {
@@ -983,17 +816,34 @@ mod tests {
     }
 
     #[test]
-    fn unknown_methods_error_without_disturbing_the_batch() {
+    fn unknown_methods_error_without_disturbing_other_methods() {
         let service = service();
-        let results = service.serve(vec![
-            ServeRequest::embed_corpus("Gem (D+S)", corpus()),
-            ServeRequest::embed_corpus("no-such-method", corpus()),
-            ServeRequest::embed_corpus("Identity", corpus()),
-        ]);
-        assert!(results[0].is_ok());
-        let err = results[1].as_ref().unwrap_err();
+        assert!(service
+            .serve_one(ServeRequest::embed_corpus("Gem (D+S)", corpus()))
+            .is_ok());
+        let err = service
+            .serve_one(ServeRequest::embed_corpus("no-such-method", corpus()))
+            .unwrap_err();
         assert_eq!(err.code(), "unknown_method");
-        assert!(results[2].is_ok());
+        assert!(service
+            .serve_one(ServeRequest::embed_corpus("Identity", corpus()))
+            .is_ok());
+    }
+
+    #[test]
+    fn failed_fits_answer_fit_failed_and_leave_nothing_resident() {
+        let service = service();
+        let broken = Arc::new(vec![GemColumn::values_only(vec![])]);
+        let err = service
+            .serve_one(ServeRequest::fit(
+                broken,
+                GemConfig::fast(),
+                FeatureSet::ds(),
+            ))
+            .unwrap_err();
+        assert_eq!(err.code(), "fit_failed");
+        assert!(matches!(err, ServeError::Fit(GemError::NoValues)));
+        assert_eq!(service.stats().resident_models, 0);
     }
 
     #[test]

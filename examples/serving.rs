@@ -122,26 +122,19 @@ fn main() {
         );
     }
 
-    // A mixed batch: Gem variants share the cached models; a batch of mixed methods runs
-    // in one engine pass.
+    // Mixed methods, one request each: Gem variants resolve through the model cache
+    // (`Gem (D+S)` and `D+S` name the same pipeline and share one model).
     let methods = ["Gem (D+S)", "Gem", "D+S", "SBERT (headers only)"];
-    let batch: Vec<ServeRequest> = methods
-        .iter()
-        .map(|m| ServeRequest::embed_corpus(*m, Arc::clone(&corpus)))
-        .collect();
-    let start = Instant::now();
-    let responses = service.serve(batch);
-    let batch_s = start.elapsed().as_secs_f64();
-    println!(
-        "\nmixed batch of {} methods in {:.2} ms:",
-        responses.len(),
-        batch_s * 1e3
-    );
-    for (method, r) in methods.iter().zip(&responses) {
-        let r = r.as_ref().expect("batch method embeds");
+    println!("\nmixed methods:");
+    for method in methods {
+        let start = Instant::now();
+        let r = service
+            .serve_one(ServeRequest::embed_corpus(method, Arc::clone(&corpus)))
+            .expect("method embeds");
         println!(
-            "  {:<22} cache_hit: {:<5} dims: {}",
+            "  {:<22} {:>8.2} ms  cache_hit: {:<5} dims: {}",
             method,
+            start.elapsed().as_secs_f64() * 1e3,
             r.cache_hit(),
             r.matrix().map(gem::numeric::Matrix::cols).unwrap_or(0)
         );

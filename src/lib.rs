@@ -13,7 +13,7 @@
 //! * [`data`] — the column data model and the four synthetic corpus simulators,
 //! * [`eval`] — precision@k, ARI, ACC and experiment reporting,
 //! * [`serve`] — the serving layer: fingerprint-keyed LRU model cache over the
-//!   fit/transform split, per-model request batching, and the handle-based
+//!   fit/transform split, single-flight fits, and the handle-based
 //!   [`serve::EmbedService`] protocol (`Fit` → [`serve::ModelHandle`] → `Embed`) with
 //!   its TCP front-end ([`serve::GemServer`] / [`serve::GemClient`], the `gem-served`
 //!   and `gem-client` binaries),

@@ -103,9 +103,9 @@ fn concurrent_mixed_fit_embed_evict_is_bit_identical_and_conserves_stats() {
     const CORPORA: u64 = 3;
 
     let config = GemConfig::fast();
-    // The serial reference path: one thread, fan-out disabled. Every concurrent embed
-    // must reproduce these matrices bit for bit.
-    let serial = service(CORPORA as usize).with_parallel(false);
+    // The serial reference path: one thread (`GemConfig::fast()` fits and transforms
+    // without fan-out). Every concurrent embed must reproduce these matrices bit for bit.
+    let serial = service(CORPORA as usize);
     let mut reference = Vec::new();
     let mut handles = Vec::new();
     for j in 0..CORPORA {
@@ -228,32 +228,6 @@ fn concurrent_mixed_fit_embed_evict_is_bit_identical_and_conserves_stats() {
             .unwrap();
         assert_eq!(settled.into_matrix().unwrap(), reference[j as usize]);
     }
-}
-
-#[test]
-fn parallel_and_serial_services_agree_on_a_mixed_batch() {
-    let config = GemConfig::fast();
-    let batch = |service: &EmbedService| {
-        let handle = ModelHandle::from(model_key(&corpus(1), &config, FeatureSet::ds()));
-        service.serve(vec![
-            ServeRequest::fit(corpus(1), config.clone(), FeatureSet::ds()),
-            ServeRequest::embed(handle, queries(1)),
-            ServeRequest::embed_corpus("Gem (D+S)", corpus(2)),
-            ServeRequest::embed_corpus("PLE-like?", corpus(2)), // unknown method
-            ServeRequest::embed_corpus("D+S", corpus(1)).with_queries(queries(3)),
-        ])
-    };
-    let serial_out = batch(&service(4).with_parallel(false));
-    let parallel_out = batch(&service(4));
-    assert_eq!(serial_out.len(), parallel_out.len());
-    for (s, p) in serial_out.iter().zip(&parallel_out) {
-        match (s, p) {
-            (Ok(a), Ok(b)) => assert_eq!(a.matrix(), b.matrix()),
-            (Err(a), Err(b)) => assert_eq!(a.code(), b.code()),
-            other => panic!("serial and parallel disagree: {other:?}"),
-        }
-    }
-    assert_eq!(serial_out[3].as_ref().unwrap_err().code(), "unknown_method");
 }
 
 #[test]
