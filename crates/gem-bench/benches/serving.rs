@@ -14,13 +14,10 @@
 //!   re-fit) and transforms — the cost of the first request after a process restart.
 //! * `remote_round_trip` — one embed-by-handle request over a real loopback TCP
 //!   connection to a `GemServer` (16 query columns): the serving protocol's wire
-//!   overhead (JSON-line encode/decode, bit-pattern payloads, socket hop) on top of
-//!   the warm transform.
-//! * `binary_round_trip` / `json_round_trip` — the same warm embed at a 10× payload
-//!   (160 query columns) over the negotiated binary codec (raw little-endian IEEE-754
-//!   value bytes, streamed response rows) versus forced JSON (hex-string bit patterns,
-//!   one response line). The gap is what the negotiated wire format buys; the binary
-//!   number should sit within 2× of the in-process `warm_hit` even at this payload.
+//!   overhead (frame encode/decode of raw IEEE-754 value bytes, streamed response
+//!   rows, socket hop) on top of the warm transform.
+//! * `binary_round_trip` — the same warm embed at a 10× payload (160 query columns);
+//!   it should sit within 2× of the in-process `warm_hit` even at this payload.
 //! * `lockstep_round_trip` — a 16-query *mixed* batch (one slow cold fit + sixteen
 //!   cheap single-query embeds) driven the only way the PR 4 client could: one request
 //!   in flight at a time, so the embeds queue behind the fit (head-of-line blocking).
@@ -139,7 +136,6 @@ fn bench_serving(criterion: &mut Criterion) {
         .fit(&corpus, &bench_config(), FeatureSet::ds())
         .expect("remote fit");
     let remote_queries: Vec<GemColumn> = corpus[..16].to_vec();
-    assert_eq!(client.codec_name(), "binary", "client negotiates binary");
     group.bench_function(BenchmarkId::new("remote_round_trip", 16), |b| {
         b.iter(|| {
             let outcome = client
@@ -150,11 +146,7 @@ fn bench_serving(criterion: &mut Criterion) {
         })
     });
 
-    // Codec face-off at a 10× payload: the same warm embed with 160 query columns,
-    // once over the negotiated binary codec (raw value bytes, streamed rows) and once
-    // over a connection forced to JSON (hex-string bit patterns, one line per
-    // response). Same server, same model, same queries — the difference is pure
-    // encode/decode and framing cost.
+    // The same warm embed at a 10× payload: 160 query columns.
     let big_queries: Vec<GemColumn> = corpus[..160].to_vec();
     group.bench_function(BenchmarkId::new("binary_round_trip", 160), |b| {
         b.iter(|| {
@@ -165,18 +157,6 @@ fn bench_serving(criterion: &mut Criterion) {
             outcome
         })
     });
-    let mut json_client = GemClient::connect_json(server_handle.addr()).expect("connect json");
-    assert_eq!(json_client.codec_name(), "json", "forced-JSON client");
-    group.bench_function(BenchmarkId::new("json_round_trip", 160), |b| {
-        b.iter(|| {
-            let outcome = json_client
-                .embed(fitted.handle, &big_queries)
-                .expect("json embed");
-            assert_eq!(outcome.matrix.rows(), 160);
-            outcome
-        })
-    });
-    drop(json_client);
 
     // Lockstep vs pipelined on a 16-query MIXED batch: one deliberately slow cold Fit
     // (a heavier configuration, evicted after every iteration so it never becomes a

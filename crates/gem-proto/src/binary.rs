@@ -1,17 +1,17 @@
-//! The negotiated binary codec: length-prefixed frames carrying f64 payloads as raw
-//! little-endian IEEE-754 bytes — bit-exact by construction, no hex strings, no
-//! per-value allocation — plus the chunked-upload and streamed-embed state machines.
+//! The wire codec: length-prefixed frames carrying f64 payloads as raw little-endian
+//! IEEE-754 bytes — bit-exact by construction, no hex strings, no per-value
+//! allocation — plus the chunked-upload and streamed-embed state machines.
 //!
 //! ## Negotiation
 //!
-//! A connection starts in JSON-line mode. A client that wants the binary codec sends
-//! one plain text line before anything else: [`hello_line`] (`gem-wire-binary <v>`).
-//! A binary-capable server answers [`accept_line`] (`gem-wire-binary ok <v>`) and both
-//! ends switch to frames; a JSON-only server answers the hello like any malformed
-//! request — an uncorrelated `protocol_error` line — which the client takes as
-//! "negotiate down", staying on JSON over the **same, still-healthy connection**.
-//! The version in the hello is [`PROTOCOL_VERSION`]: codec framing and envelope
-//! semantics version together.
+//! Every connection opens with one plain text line each way. The client sends
+//! [`hello_line`] (`gem-wire-binary <v>`) before anything else; a server at the same
+//! version answers [`accept_line`] (`gem-wire-binary ok <v>`) and both ends switch to
+//! frames for the rest of the connection. Any other first line — a hello at another
+//! version, a JSON envelope, bytes with no newline in reach — is answered with one
+//! uncorrelated typed error line (`version_mismatch` or `protocol_error`), and the
+//! server closes the connection. The version in the hello is [`PROTOCOL_VERSION`]:
+//! codec framing and envelope semantics version together.
 //!
 //! ## Frame layout
 //!
@@ -23,11 +23,10 @@
 //! `len` counts the kind byte plus the payload and is bounded by [`MAX_FRAME_LEN`];
 //! an oversized length is a framing error (the stream cannot be resynchronized, so
 //! the connection closes after a typed error). The 9-byte correlation header sits at
-//! a fixed offset in **every** kind, so a router — or an error path — can salvage the
-//! id ([`Frame::correlation_id`]) without decoding the payload, mirroring
-//! [`crate::salvage_request_id`] on the JSON side. Errors *inside* a well-framed
-//! payload (truncated field, bad counts) are recoverable: the connection survives and
-//! the error response correlates via the header id.
+//! a fixed offset in **every** kind, so a router — or an error path — can read the id
+//! ([`Frame::correlation_id`]) without decoding the payload. Errors *inside* a
+//! well-framed payload (truncated field, bad counts) are recoverable: the connection
+//! survives and the error response correlates via the header id.
 //!
 //! Scalar encodings are little-endian throughout: strings are `u32` length + UTF-8
 //! bytes; f64 runs are a count followed by raw `f64::to_le_bytes` values.
@@ -53,9 +52,9 @@
 //!
 //! ## Streamed embed responses
 //!
-//! An `Embed` answered over the binary codec streams as [`KIND_EMBED_ROWS`] frames
-//! (rows flushed as the server's batches complete) closed by one [`KIND_EMBED_DONE`]
-//! carrying the expected totals. The client side ([`EmbedPartials`] +
+//! An `Embed` answer streams as [`KIND_EMBED_ROWS`] frames (rows flushed as the
+//! server's batches complete) closed by one [`KIND_EMBED_DONE`] carrying the
+//! expected totals. The client side ([`EmbedPartials`] +
 //! [`decode_response_frame`]) accumulates rows per id and synthesizes the final
 //! `Embedded` body when the totals check out.
 
@@ -112,7 +111,7 @@ pub fn hello_line() -> String {
 }
 
 /// Parse a [`hello_line`], returning the version it carries. `None` when the line is
-/// not a hello at all (it is then an ordinary — probably malformed — JSON request).
+/// not a hello at all.
 pub fn parse_hello(line: &str) -> Option<u64> {
     let rest = line
         .trim_end_matches(['\r', '\n'])
@@ -126,7 +125,7 @@ pub fn accept_line() -> String {
 }
 
 /// Parse an [`accept_line`], returning the version. `None` for anything else (the
-/// client then inspects the line as a JSON response and negotiates down).
+/// client then decodes the line as the server's typed error).
 pub fn parse_accept(line: &str) -> Option<u64> {
     let rest = line
         .trim_end_matches(['\r', '\n'])
@@ -157,8 +156,8 @@ pub struct Frame {
 
 impl Frame {
     /// The correlation id from the fixed-offset payload header, without decoding the
-    /// rest — the binary analogue of [`crate::salvage_request_id`]. `None` when the
-    /// header says the frame is uncorrelated or the payload is too short to carry one.
+    /// rest. `None` when the header says the frame is uncorrelated or the payload is
+    /// too short to carry one.
     pub fn correlation_id(&self) -> Option<u64> {
         if self.payload.first().copied() != Some(1) {
             return None;
@@ -888,13 +887,13 @@ pub fn embed_done_frame(
     frame_bytes(KIND_EMBED_DONE, &payload)
 }
 
+/// How many result rows ride one [`KIND_EMBED_ROWS`] frame when a materialized matrix
+/// is encoded.
+const EMBED_ROWS_PER_FRAME: usize = 512;
+
 /// Wrap a complete JSON response line (trailing newline optional) in a
-/// [`KIND_RESP_JSON`] frame — how a router forwards a JSON replica's responses to a
-/// binary client verbatim, without transcoding the body.
-///
-/// # Errors
-/// [`ProtoError::Parse`] when the line exceeds [`MAX_FRAME_LEN`].
-pub fn wrap_response_line(id: Option<u64>, line: &str) -> Result<Vec<u8>, ProtoError> {
+/// [`KIND_RESP_JSON`] frame.
+fn wrap_response_line(id: Option<u64>, line: &str) -> Result<Vec<u8>, ProtoError> {
     let mut payload = Vec::new();
     put_header(&mut payload, id);
     payload.extend_from_slice(line.trim_end_matches(['\r', '\n']).as_bytes());
@@ -902,8 +901,9 @@ pub fn wrap_response_line(id: Option<u64>, line: &str) -> Result<Vec<u8>, ProtoE
 }
 
 /// Encode one response envelope as wire bytes — possibly several concatenated frames:
-/// an `Embedded` body becomes one [`KIND_EMBED_ROWS`] plus the [`KIND_EMBED_DONE`]
-/// (the one-shot degenerate of streaming), everything else one [`KIND_RESP_JSON`].
+/// a correlated `Embedded` body becomes [`KIND_EMBED_ROWS`] frames of up to 512 rows
+/// each (none when the matrix has no columns) closed by one [`KIND_EMBED_DONE`],
+/// everything else one [`KIND_RESP_JSON`].
 ///
 /// # Errors
 /// [`ProtoError::Parse`] when a frame would exceed the format's bounds.
@@ -916,13 +916,17 @@ pub fn encode_response_frames(envelope: &ResponseEnvelope) -> Result<Vec<u8>, Pr
         },
     ) = (envelope.in_reply_to, &envelope.body)
     {
-        let mut out = embed_rows_frame(id, served_from, matrix.cols(), matrix.as_slice())?;
-        out.extend_from_slice(&embed_done_frame(
-            id,
-            served_from,
-            matrix.cols(),
-            matrix.rows(),
-        )?);
+        let cols = matrix.cols();
+        let mut out = Vec::new();
+        if cols > 0 {
+            for rows in matrix
+                .as_slice()
+                .chunks(EMBED_ROWS_PER_FRAME.saturating_mul(cols))
+            {
+                out.extend_from_slice(&embed_rows_frame(id, served_from, cols, rows)?);
+            }
+        }
+        out.extend_from_slice(&embed_done_frame(id, served_from, cols, matrix.rows())?);
         return Ok(out);
     }
     wrap_response_line(envelope.in_reply_to, &encode_response(envelope))
@@ -1321,6 +1325,32 @@ mod tests {
     }
 
     #[test]
+    fn materialized_matrices_slice_into_512_row_frames() {
+        let encode = |rows: usize, cols: usize| {
+            let matrix =
+                Matrix::from_vec(rows, cols, (0..rows * cols).map(|v| v as f64).collect()).unwrap();
+            let envelope = ResponseEnvelope::new(
+                4,
+                ResponseBody::Embedded {
+                    matrix: matrix.clone(),
+                    served_from: "cold_fit".into(),
+                },
+            );
+            let frames = reassemble(&encode_response_frames(&envelope).unwrap());
+            let mut partials = EmbedPartials::new();
+            let back = frames
+                .iter()
+                .filter_map(|frame| decode_response_frame(frame, &mut partials).unwrap())
+                .collect::<Vec<_>>();
+            assert_eq!(back, vec![envelope]);
+            frames.len()
+        };
+        assert_eq!(encode(1025, 2), 4, "three row frames and the done");
+        assert_eq!(encode(3, 0), 1, "no row frame without columns");
+        assert_eq!(encode(0, 5), 1, "no row frame without rows");
+    }
+
+    #[test]
     fn multi_slice_streams_accumulate_and_totals_are_verified() {
         let id = 77;
         let a = embed_rows_frame(id, "cold_fit", 2, &[1.0, 2.0, 3.0, 4.0]).unwrap();
@@ -1361,17 +1391,14 @@ mod tests {
         let mut partials = EmbedPartials::new();
         let _ = decode_response_frame(&reassemble(&rows).remove(0), &mut partials).unwrap();
         assert_eq!(partials.in_progress(), 1);
-        let error = wrap_response_line(
-            Some(id),
-            &encode_response(&ResponseEnvelope::new(
-                id,
-                ResponseBody::Error {
-                    code: "transform_failed".into(),
-                    message: "batch 2 failed".into(),
-                    retry_after_ms: None,
-                },
-            )),
-        )
+        let error = encode_response_frames(&ResponseEnvelope::new(
+            id,
+            ResponseBody::Error {
+                code: "transform_failed".into(),
+                message: "batch 2 failed".into(),
+                retry_after_ms: None,
+            },
+        ))
         .unwrap();
         let envelope = decode_response_frame(&reassemble(&error).remove(0), &mut partials)
             .unwrap()

@@ -1,19 +1,16 @@
 //! # gem-proto
 //!
 //! The serving wire protocol: what `gem-served` speaks on a socket and `GemClient`
-//! drives from the other end. Two codecs share one envelope model:
+//! drives from the other end.
 //!
-//! * **JSON lines** (the debug/compat codec, and every connection's starting state):
-//!   one protocol message per line — a compact JSON envelope terminated by `\n`
-//!   (newline-delimited JSON), so framing needs nothing beyond `BufRead::read_line`
-//!   and any language with a JSON parser can interoperate. A single line is capped at
-//!   [`MAX_JSON_LINE_BYTES`]; corpora beyond that must use the binary codec's chunked
-//!   upload.
-//! * **Negotiated binary frames** ([`binary`]): a client may open with the
-//!   [`binary::hello_line`] handshake; once accepted, messages become
-//!   `[u32 len][u8 kind][payload]` frames with f64 payloads as raw little-endian
-//!   IEEE-754 bytes, plus chunked corpus upload and streamed embed responses. JSON
-//!   stays available on every server; binary is the fast path.
+//! * **The envelope model** (this module): versioned, id-correlated request and
+//!   response envelopes with a compact JSON encoding ([`encode_request`],
+//!   [`decode_response`], …) and bit-exact column and matrix payloads.
+//! * **The wire** ([`binary`]): every connection opens with the
+//!   [`binary::hello_line`] handshake; once accepted, messages are
+//!   `[u32 len][u8 kind][payload]` frames. The f64-heavy shapes have binary layouts
+//!   with raw little-endian IEEE-754 values, plus chunked corpus upload and streamed
+//!   embed responses; every other shape rides a frame wrapping its JSON envelope.
 //!
 //! Shapes:
 //!
@@ -39,11 +36,12 @@
 //! `in_reply_to`; ids should be unique among a connection's in-flight requests, or
 //! replies to duplicates are indistinguishable.
 //!
-//! Error responses follow the same contract: a line that fails to decode is answered
-//! with an `Error` body whose `in_reply_to` is the id salvaged from the malformed line
-//! ([`salvage_request_id`]) when one is recoverable, and **JSON `null` otherwise** — a
-//! pipelined client can therefore never mis-correlate an unattributable framing error
-//! with a real request (`id: 0` is a valid request id, not an error sentinel).
+//! Error responses follow the same contract: a frame that fails to decode is answered
+//! with an `Error` body whose `in_reply_to` is the id from the frame's correlation
+//! header ([`binary::Frame::correlation_id`]) when it carries one, and **JSON `null`
+//! otherwise** — a pipelined client can therefore never mis-correlate an
+//! unattributable framing error with a real request (`id: 0` is a valid request id,
+//! not an error sentinel).
 //!
 //! ## Snapshot shipping: `PushModel` / `PullModel`
 //!
@@ -84,13 +82,10 @@ use std::fmt;
 /// 5 — the negotiated binary codec ([`binary`]): `gem-wire-binary` handshake lines,
 /// length-prefixed frames with raw-IEEE-754 f64 payloads, chunked corpus upload
 /// (`begin_fit`/`corpus_chunk`/`end_fit`), streamed embed responses
-/// (`embed_rows`/`embed_done`), and the [`MAX_JSON_LINE_BYTES`] cap on the JSON codec.
+/// (`embed_rows`/`embed_done`). Version 5 servers later stopped answering JSON lines:
+/// after the hello every message is a frame, and a first line that is not a hello is
+/// refused with one typed error line, then the connection closes.
 pub const PROTOCOL_VERSION: u64 = 5;
-
-/// Upper bound on one JSON-codec protocol line. Lines beyond this are answered with a
-/// typed `protocol_error` instead of being buffered without limit — corpora too large
-/// to fit use the [`binary`] codec's chunked upload, which has no such ceiling.
-pub const MAX_JSON_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 pub mod binary;
 
@@ -396,8 +391,9 @@ impl RequestEnvelope {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResponseEnvelope {
     /// The correlation id of the request this answers — `None` (JSON `null` on the
-    /// wire) only for protocol-level errors about a line so malformed that no id could
-    /// be salvaged from it. Never `None` for a successfully decoded request, so a
+    /// wire) only for protocol-level errors about input that carried no id: a refused
+    /// handshake, or a frame without a correlation header. Never `None` for a
+    /// successfully decoded request, so a
     /// pipelined client cannot mis-correlate a framing error with a real request
     /// (including a request that legitimately chose id 0).
     pub in_reply_to: Option<u64>,
@@ -418,7 +414,7 @@ impl ResponseEnvelope {
     }
 
     /// An envelope for a protocol-level error that cannot be attributed to any request
-    /// (no id was salvageable from the offending line): `in_reply_to` is `null`.
+    /// (the offending input carried no id): `in_reply_to` is `null`.
     pub fn uncorrelated(body: ResponseBody) -> Self {
         ResponseEnvelope {
             in_reply_to: None,
@@ -942,29 +938,6 @@ pub fn decode_response(line: &str) -> Result<ResponseEnvelope, ProtoError> {
     })
 }
 
-/// Best-effort extraction of the `id` of a line that failed to decode, so error
-/// responses can still correlate. Returns `None` when no id is recoverable — the
-/// response then goes out with `in_reply_to: null` ([`ResponseEnvelope::uncorrelated`]),
-/// never a sentinel a real request id could collide with.
-pub fn salvage_request_id(line: &str) -> Option<u64> {
-    Json::parse(line.trim_end_matches(['\r', '\n']))
-        .ok()
-        .and_then(|v| v.u64_field("id").ok())
-}
-
-/// Best-effort extraction of the correlation id from a response line, without
-/// decoding the body. A routing tier forwarding replica responses verbatim uses this
-/// to correlate each line against its per-replica in-flight map before deciding
-/// whether the body needs decoding at all (fan-out merges do, plain forwards do not).
-/// On the wire both directions carry the id under the `id` key —
-/// [`ResponseEnvelope::in_reply_to`] is only the Rust-side field name. Returns `None`
-/// for unparseable lines and for `id: null` (uncorrelatable framing errors).
-pub fn salvage_reply_id(line: &str) -> Option<u64> {
-    Json::parse(line.trim_end_matches(['\r', '\n']))
-        .ok()
-        .and_then(|v| v.u64_field("id").ok())
-}
-
 /// Merge per-replica [`WireStats`] into one cluster-wide view, the shape a routing
 /// tier answers a fanned-out `Stats` request with. Counters and sizes sum across
 /// replicas; the optional store-tier sizes sum over the replicas that have a store
@@ -1279,7 +1252,7 @@ mod tests {
     }
 
     #[test]
-    fn malformed_lines_are_parse_errors_with_salvageable_ids() {
+    fn malformed_lines_are_parse_errors() {
         for bad in [
             "",
             "not json",
@@ -1291,11 +1264,6 @@ mod tests {
             let err = decode_request(bad).unwrap_err();
             assert_eq!(err.code(), "protocol_error", "{bad}");
         }
-        assert_eq!(
-            salvage_request_id(r#"{"id":42,"version":5,"body":{"type":"no-such"}}"#),
-            Some(42)
-        );
-        assert_eq!(salvage_request_id("garbage"), None);
     }
 
     #[test]
@@ -1414,21 +1382,5 @@ mod merge_tests {
         assert_eq!(merged[0].tier, "memory", "memory copy wins over disk");
         assert_eq!(merged[1].handle, "b");
         assert_eq!(merged[1].tier, "memory");
-    }
-
-    #[test]
-    fn reply_id_salvage_reads_the_wire_id_and_rejects_null() {
-        let line = encode_response(&ResponseEnvelope::new(
-            7,
-            ResponseBody::Evicted { existed: true },
-        ));
-        assert_eq!(salvage_reply_id(&line), Some(7));
-        let uncorrelated = encode_response(&ResponseEnvelope::uncorrelated(ResponseBody::Error {
-            code: "protocol_error".to_string(),
-            message: "bad line".to_string(),
-            retry_after_ms: None,
-        }));
-        assert_eq!(salvage_reply_id(&uncorrelated), None);
-        assert_eq!(salvage_reply_id("not json"), None);
     }
 }

@@ -7,30 +7,29 @@
 //! Each client connection owns its **own** upstream connection to every replica it
 //! talks to. Client envelope ids are therefore unique per upstream connection by
 //! construction (a client already may not reuse an id it has in flight, exactly as
-//! against `gem-served` directly), so request lines are forwarded **verbatim** — no id
-//! rewriting, no re-encoding — and response lines come back the same way. The router
-//! decodes a request once, to route it; it never re-serializes what it forwards, so a
-//! byte-exact round trip through the router is structural, not incidental.
+//! against `gem-served` directly), so request frames are forwarded **verbatim** — no
+//! id rewriting, no re-encoding — and response frames come back the same way. The
+//! router decodes a request once, to route it; it never re-serializes what it forwards,
+//! so a byte-exact round trip through the router is structural, not incidental.
 //!
 //! Routing is key-aware without extra round trips: the router computes `Fit` model
 //! keys itself with the same [`gem_store::model_key`] the replica will use, derives
 //! `FitUpdate` keys with [`gem_store::updated_model_key`], and peeks the `key` header
 //! of `PushModel` snapshots — so it knows every handle *before* any replica answers.
 //!
-//! ## Codecs
+//! ## The wire
 //!
-//! The router speaks both wire codecs. A client may negotiate the `gem_proto::binary`
-//! codec exactly as against `gem-served`; each of that connection's upstreams then
-//! negotiates binary toward its replica too, so matching codecs forward **frames
-//! verbatim** — streamed `embed_rows` frames pass through without retiring the
+//! Both sides speak what `gem-served` speaks, through [`gem_serve::framing`]:
+//! a client opens with the `gem_proto::binary` hello exactly as against `gem-served`
+//! (any other first line is refused with one typed error line), and each of that
+//! connection's upstreams offers the same hello to its replica. Frames then forward
+//! **verbatim** — streamed `embed_rows` frames pass through without retiring the
 //! in-flight entry (the closing `embed_done` does), and chunked corpus uploads are
 //! reassembled here once, **fingerprinted incrementally while the chunks arrive**
 //! ([`gem_store::CorpusHasher`] — the routing key is ready the moment the upload
 //! completes, no second pass over megabytes of corpus), then re-chunked toward the
-//! owning replica. A replica that declines the hello (an older build, or
-//! `--json-only`) gets JSON on that upstream and the router converts: requests are
-//! re-encoded from the decoded envelope, response lines are wrapped into binary
-//! frames for the client.
+//! owning replica. A replica that declines the hello is treated like one that refuses
+//! the connection: it is marked down and the request retries on the next ring node.
 //!
 //! `Stats`, `ListModels`, and `Evict` fan out to every live replica and answer once
 //! with a merged body. `Health` is answered by the router itself from the last probe
@@ -47,7 +46,7 @@
 //! re-routes.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -55,9 +54,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gem_proto::{
-    binary, decode_request, decode_response, encode_request, encode_response, merge_models,
-    merge_stats, salvage_reply_id, salvage_request_id, RequestBody, RequestEnvelope, ResponseBody,
-    ResponseEnvelope, WireModelInfo, WireStats, PROTOCOL_VERSION,
+    binary, merge_models, merge_stats, RequestBody, RequestEnvelope, ResponseBody, WireModelInfo,
+    WireStats,
+};
+use gem_serve::framing::{
+    accept_hello, encode_reply, offer_hello, pump_frames, write_responses, ReadStep,
 };
 use gem_serve::sync::lock_or_recover;
 use gem_serve::ModelHandle;
@@ -178,7 +179,7 @@ struct PendingMap {
 
 /// What an in-flight forwarded request is waiting for.
 enum Pending {
-    /// Forward the response line to the client verbatim.
+    /// Forward the response frames to the client verbatim.
     Forward { started: Instant },
     /// Like `Forward`, but on success first record placement and write-through
     /// replicate `handle` to its ring successor (fit / fit-update / push).
@@ -210,10 +211,8 @@ struct FanGroup {
 
 /// State shared between the client reader and this connection's upstream readers.
 ///
-/// `reply_tx` carries **exact wire blobs**: newline-terminated JSON lines toward a
-/// JSON client, complete binary frames toward one that negotiated the binary codec.
-/// The writer thread never edits what it is handed — the codec decision is made
-/// here, once, by whoever builds the reply.
+/// `reply_tx` carries **complete frames**; the writer thread never edits what it is
+/// handed.
 struct ConnShared {
     cluster: Arc<Cluster>,
     reply_tx: mpsc::Sender<Vec<u8>>,
@@ -221,58 +220,14 @@ struct ConnShared {
     /// Set during orderly teardown so upstream EOFs stop being treated as replica
     /// deaths.
     closing: AtomicBool,
-    /// Whether this client negotiated the binary codec (its hello was the first
-    /// line, so the flag is stable before any request can be forwarded).
-    client_binary: AtomicBool,
 }
 
 impl ConnShared {
-    fn client_is_binary(&self) -> bool {
-        self.client_binary.load(Ordering::SeqCst)
-    }
-
     fn send_response(&self, in_reply_to: Option<u64>, body: ResponseBody) {
-        let envelope = match in_reply_to {
-            Some(id) => ResponseEnvelope::new(id, body),
-            None => ResponseEnvelope::uncorrelated(body),
-        };
-        let line = encode_response(&envelope);
-        if self.client_is_binary() {
-            if let Ok(frame) = binary::wrap_response_line(in_reply_to, &line) {
-                let _ = self.reply_tx.send(frame);
-            }
-        } else {
-            let mut bytes = line.into_bytes();
-            if !bytes.ends_with(b"\n") {
-                bytes.push(b'\n');
-            }
-            let _ = self.reply_tx.send(bytes);
-        }
+        let _ = self.reply_tx.send(encode_reply(in_reply_to, body));
     }
 
-    /// Forward a replica's JSON response line to the client in the client's codec:
-    /// verbatim toward a JSON client, wrapped into a `resp_json` frame toward a
-    /// binary one (the id is salvaged from the line so the wrap stays correlated).
-    fn forward_json_line(&self, line: &str) {
-        if self.client_is_binary() {
-            let id = salvage_reply_id(line);
-            match binary::wrap_response_line(id, line) {
-                Ok(frame) => {
-                    let _ = self.reply_tx.send(frame);
-                }
-                Err(e) => self.send_error(id, e.code(), e.to_string()),
-            }
-        } else {
-            let mut bytes = line.as_bytes().to_vec();
-            if !bytes.ends_with(b"\n") {
-                bytes.push(b'\n');
-            }
-            let _ = self.reply_tx.send(bytes);
-        }
-    }
-
-    /// Forward a replica's binary response frame to the client verbatim (only ever
-    /// called when the client negotiated binary — upstreams mirror the client codec).
+    /// Forward a replica's response frame to the client verbatim.
     fn forward_frame(&self, frame: &binary::Frame) {
         if let Ok(bytes) = binary::frame_bytes(frame.kind, &frame.payload) {
             let _ = self.reply_tx.send(bytes);
@@ -357,52 +312,34 @@ impl ConnShared {
     }
 }
 
-/// Which codec one upstream connection negotiated with its replica.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum UpstreamCodec {
-    Json,
-    Binary,
-}
-
-/// What the router has in hand for one request when it forwards it. Matching codecs
-/// forward the verbatim bytes; a mismatch (or a reassembled chunked upload, which has
-/// no single verbatim form) re-encodes from the decoded envelope.
+/// What the router has in hand for one request when it forwards it: the verbatim
+/// frame, or — for a reassembled chunked upload, which has no single verbatim form —
+/// only the decoded envelope to re-encode from.
 enum ForwardPayload<'a> {
-    /// The client's original newline-delimited JSON request line.
-    JsonLine(&'a [u8]),
-    /// The client's original binary frame, re-serialized byte-for-byte.
+    /// The client's original frame, re-serialized byte-for-byte.
     Frame(&'a [u8]),
-    /// No verbatim bytes exist: always re-encode from the envelope (re-chunking the
-    /// corpus toward binary replicas).
+    /// No verbatim bytes exist: re-encode from the envelope (re-chunking the corpus).
     Reencode,
 }
 
 /// One upstream connection owned by a client connection.
 struct Upstream {
     write: TcpStream,
-    codec: UpstreamCodec,
     pending: Arc<Mutex<PendingMap>>,
     reader: Option<JoinHandle<()>>,
     instruments: ReplicaInstruments,
 }
 
 impl Upstream {
-    /// Send one request on this upstream in its negotiated codec.
+    /// Send one request on this upstream.
     fn send(
         &mut self,
         payload: &ForwardPayload<'_>,
         envelope: &RequestEnvelope,
     ) -> std::io::Result<()> {
-        match (payload, self.codec) {
-            (ForwardPayload::JsonLine(raw), UpstreamCodec::Json) => {
-                write_line(&mut self.write, raw)
-            }
-            (ForwardPayload::Frame(bytes), UpstreamCodec::Binary) => {
-                self.write.write_all(bytes)?;
-                self.write.flush()
-            }
-            (_, UpstreamCodec::Binary) => {
-                // Re-encode (and re-chunk a large corpus) toward the binary replica.
+        match payload {
+            ForwardPayload::Frame(bytes) => self.write.write_all(bytes)?,
+            ForwardPayload::Reencode => {
                 let frames = binary::encode_request_frames(envelope, binary::DEFAULT_CHUNK_BYTES)
                     .map_err(|e| {
                     std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
@@ -410,16 +347,9 @@ impl Upstream {
                 for frame in &frames {
                     self.write.write_all(frame)?;
                 }
-                self.write.flush()
-            }
-            (_, UpstreamCodec::Json) => {
-                // A JSON replica gets one line; if the corpus outgrows the replica's
-                // line cap it answers the typed over-cap error, which forwards back —
-                // the client's remedy is a replica set that accepts binary.
-                let line = encode_request(envelope);
-                write_line(&mut self.write, line.as_bytes())
             }
         }
+        self.write.flush()
     }
 
     /// Register `entry` under `id` unless the reader already drained and closed this
@@ -451,23 +381,22 @@ impl Forwarder {
         &self.shared.cluster
     }
 
-    /// Get (or open) this connection's upstream to `addr`, spawning its reader.
-    ///
-    /// When the client negotiated binary the new upstream offers the replica the same
-    /// hello before anything else crosses it; a declined offer (an older replica, or
-    /// one running `--json-only`) leaves that upstream on JSON and the forwarding
-    /// layer converts per request.
+    /// Get (or open) this connection's upstream to `addr`, spawning its reader. A new
+    /// upstream offers the replica the hello before anything else crosses it; a
+    /// declined hello fails like a refused connect.
     fn upstream(&mut self, addr: &str) -> Result<&mut Upstream, ()> {
         if !self.upstreams.contains_key(addr) {
             let timeout = self.cluster().connect_timeout();
             let mut stream = connect_stream(addr, timeout).map_err(|_| ())?;
-            let read_half = stream.try_clone().map_err(|_| ())?;
-            let mut buffered = BufReader::new(read_half);
-            let codec = if self.shared.client_is_binary() {
-                negotiate_upstream_codec(&mut stream, &mut buffered, timeout).map_err(|_| ())?
-            } else {
-                UpstreamCodec::Json
-            };
+            let mut buffered = BufReader::new(stream.try_clone().map_err(|_| ())?);
+            // The verdict read is the one upstream read this thread performs itself;
+            // bound it so a stalled replica cannot wedge the client's request.
+            buffered
+                .get_ref()
+                .set_read_timeout(Some(timeout))
+                .map_err(|_| ())?;
+            offer_hello(&mut stream, &mut buffered).map_err(|_| ())?;
+            buffered.get_ref().set_read_timeout(None).map_err(|_| ())?;
             let pending = Arc::new(Mutex::new(PendingMap::default()));
             let instruments = self.cluster().metrics().replica(addr);
             let reader = {
@@ -476,14 +405,13 @@ impl Forwarder {
                 let instruments = instruments.clone();
                 let addr = addr.to_string();
                 std::thread::spawn(move || {
-                    read_upstream(buffered, codec, &addr, &shared, &pending, &instruments);
+                    read_upstream(buffered, &addr, &shared, &pending, &instruments);
                 })
             };
             self.upstreams.insert(
                 addr.to_string(),
                 Upstream {
                     write: stream,
-                    codec,
                     pending,
                     reader: Some(reader),
                     instruments,
@@ -625,31 +553,7 @@ impl Forwarder {
         }
     }
 
-    /// Decode, route, and forward one client JSON line.
-    fn handle_line(&mut self, raw: &[u8]) {
-        let text = match std::str::from_utf8(raw) {
-            Ok(text) => text,
-            Err(_) => {
-                self.shared.send_error(
-                    None,
-                    "protocol_error",
-                    "request line is not valid UTF-8".to_string(),
-                );
-                return;
-            }
-        };
-        let envelope = match decode_request(text.trim_end_matches(['\r', '\n'])) {
-            Ok(envelope) => envelope,
-            Err(e) => {
-                self.shared
-                    .send_error(salvage_request_id(text), e.code(), e.to_string());
-                return;
-            }
-        };
-        self.dispatch(envelope, ForwardPayload::JsonLine(raw), None);
-    }
-
-    /// Route and forward one decoded request, whatever codec it arrived in.
+    /// Route and forward one decoded request.
     ///
     /// `corpus_fp` is the incremental corpus fingerprint a chunked upload computed
     /// while its chunks streamed in — passing it here is what makes chunked routing
@@ -844,59 +748,17 @@ fn connect_stream(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
     }))
 }
 
-/// Write one request line, guaranteeing the trailing newline.
-fn write_line(stream: &mut TcpStream, raw: &[u8]) -> std::io::Result<()> {
-    stream.write_all(raw)?;
-    if !raw.ends_with(b"\n") {
-        stream.write_all(b"\n")?;
-    }
-    stream.flush()
-}
-
-/// Offer the binary hello on a fresh upstream and read the replica's one-line
-/// verdict. Anything other than a version-matched accept (a typed decline from a
-/// `--json-only` or older replica) leaves the upstream on JSON; the verdict line is
-/// consumed either way, so the upstream reader starts on a clean stream.
-fn negotiate_upstream_codec(
-    write: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    timeout: Duration,
-) -> std::io::Result<UpstreamCodec> {
-    write.write_all(binary::hello_line().as_bytes())?;
-    write.flush()?;
-    // The verdict read is the one upstream read this thread performs itself; bound it
-    // so a stalled replica cannot wedge the client's request.
-    reader.get_ref().set_read_timeout(Some(timeout))?;
-    let mut verdict = String::new();
-    let n = reader.read_line(&mut verdict)?;
-    reader.get_ref().set_read_timeout(None)?;
-    if n == 0 {
-        return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof));
-    }
-    Ok(
-        if binary::parse_accept(&verdict) == Some(PROTOCOL_VERSION) {
-            UpstreamCodec::Binary
-        } else {
-            UpstreamCodec::Json
-        },
-    )
-}
-
 /// One upstream connection's reader: correlate responses with pending requests, run
 /// write-through replication for tracked handles, fold fan-out legs, and — if the
 /// replica dies with requests in flight — drain them to `replica_unavailable`.
 fn read_upstream(
     reader: BufReader<TcpStream>,
-    codec: UpstreamCodec,
     addr: &str,
     shared: &Arc<ConnShared>,
     pending: &Arc<Mutex<PendingMap>>,
     instruments: &ReplicaInstruments,
 ) {
-    match codec {
-        UpstreamCodec::Json => read_upstream_lines(reader, addr, shared, pending, instruments),
-        UpstreamCodec::Binary => read_upstream_frames(reader, addr, shared, pending, instruments),
-    }
+    read_upstream_frames(reader, addr, shared, pending, instruments);
     if shared.closing.load(Ordering::SeqCst) {
         return;
     }
@@ -931,67 +793,9 @@ fn read_upstream(
     }
 }
 
-/// The JSON upstream reader loop: newline-delimited response lines, forwarded in the
-/// client's codec. Returns when the upstream EOFs or fails.
-fn read_upstream_lines(
-    mut reader: BufReader<TcpStream>,
-    addr: &str,
-    shared: &Arc<ConnShared>,
-    pending: &Arc<Mutex<PendingMap>>,
-    instruments: &ReplicaInstruments,
-) {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {
-                let Some(id) = salvage_reply_id(&line) else {
-                    continue; // uncorrelated noise; nothing to answer
-                };
-                let entry = lock_or_recover(pending).entries.remove(&id);
-                match entry {
-                    None => {}
-                    Some(Pending::Forward { started }) => {
-                        instruments.latency.record(started.elapsed());
-                        shared.forward_json_line(&line);
-                    }
-                    Some(Pending::Tracked { started, handle }) => {
-                        instruments.latency.record(started.elapsed());
-                        let trimmed = line.trim_end_matches(['\r', '\n']);
-                        let succeeded = matches!(
-                            decode_response(trimmed),
-                            Ok(envelope) if !matches!(envelope.body, ResponseBody::Error { .. })
-                        );
-                        if succeeded {
-                            // Write-through BEFORE the client sees success: once the
-                            // response is out, fail-over must already be covered.
-                            shared.cluster.record_placement(&handle, addr);
-                            let _ = shared.cluster.replicate(&handle, addr);
-                        }
-                        shared.forward_json_line(&line);
-                    }
-                    Some(Pending::Fan { started, group }) => {
-                        instruments.latency.record(started.elapsed());
-                        let trimmed = line.trim_end_matches(['\r', '\n']);
-                        let body = match decode_response(trimmed) {
-                            Ok(envelope) => match envelope.body {
-                                ResponseBody::Error { .. } => None,
-                                body => Some(body),
-                            },
-                            Err(_) => None,
-                        };
-                        shared.fold_fan_leg(group, body);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The binary upstream reader loop: length-prefixed frames. Streamed `embed_rows`
-/// frames pass through to the client **without retiring** the in-flight entry — the
-/// closing `embed_done` (or a wrapped JSON response) does that. Returns when the
+/// The upstream reader loop. Streamed `embed_rows` frames pass through to the client
+/// **without retiring** the in-flight entry — the closing `embed_done` (or a wrapped
+/// JSON response) does that. Returns when the
 /// upstream EOFs, fails, or violates framing (indistinguishable from corruption, so
 /// it is treated as a replica death and everything in flight drains to the retryable
 /// error).
@@ -1007,18 +811,10 @@ fn read_upstream_frames(
     loop {
         let frame = match assembler.next_frame() {
             Ok(Some(frame)) => frame,
-            Ok(None) => {
-                match reader.fill_buf() {
-                    Ok([]) => return,
-                    Ok(buf) => {
-                        let n = buf.len();
-                        assembler.push(buf);
-                        reader.consume(n);
-                    }
-                    Err(_) => return,
-                }
-                continue;
-            }
+            Ok(None) => match pump_frames(&mut reader, &mut assembler) {
+                ReadStep::Bytes(_) | ReadStep::Tick => continue,
+                ReadStep::Eof | ReadStep::Failed => return,
+            },
             Err(_) => return,
         };
         match frame.kind {
@@ -1098,12 +894,9 @@ fn read_upstream_frames(
 }
 
 /// Serve one client connection: reader loop here, writer on its own thread, upstream
-/// readers spawned on demand.
-///
-/// A connection starts in JSON line mode. If the **first** line is a version-matched
-/// binary hello the router accepts it (it always speaks binary; upstream replicas may
-/// still individually negotiate down) and the connection switches to frame mode for
-/// its whole remaining life.
+/// readers spawned on demand. The connection's first line must be the hello; after
+/// the accept line it is frames for the rest of its life, and any other first line is
+/// refused with one typed error line before the connection closes.
 fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<AtomicBool>) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
@@ -1113,82 +906,30 @@ fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<Atom
         return;
     };
     let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer = std::thread::spawn(move || write_replies(write_half, &reply_rx));
-    let shared = Arc::new(ConnShared {
-        cluster,
-        reply_tx,
-        groups: Mutex::new(HashMap::new()),
-        closing: AtomicBool::new(false),
-        client_binary: AtomicBool::new(false),
-    });
-    let mut forwarder = Forwarder {
-        shared: Arc::clone(&shared),
-        upstreams: HashMap::new(),
-        next_group: 0,
-    };
-
+    let writer = std::thread::spawn(move || write_responses(write_half, &reply_rx, None));
     let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
-    let mut awaiting_first_line = true;
-    while !shutdown.load(Ordering::SeqCst) {
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break, // client hung up
-            Ok(_) => {
-                if line.iter().all(u8::is_ascii_whitespace) {
-                    line.clear();
-                    continue;
-                }
-                if awaiting_first_line {
-                    awaiting_first_line = false;
-                    let offer = std::str::from_utf8(&line)
-                        .ok()
-                        .and_then(binary::parse_hello);
-                    match offer {
-                        Some(version) if version == PROTOCOL_VERSION => {
-                            shared.client_binary.store(true, Ordering::SeqCst);
-                            let _ = shared.reply_tx.send(binary::accept_line().into_bytes());
-                            serve_binary_client(reader, &mut forwarder, &shutdown);
-                            break;
-                        }
-                        Some(version) => {
-                            shared.send_error(
-                                None,
-                                "version_mismatch",
-                                format!(
-                                    "binary codec hello names protocol version \
-                                     {version}; this router speaks {PROTOCOL_VERSION} \
-                                     — continuing in JSON"
-                                ),
-                            );
-                            line.clear();
-                            continue;
-                        }
-                        None => {} // an ordinary request line; fall through
-                    }
-                }
-                forwarder.handle_line(&line);
-                line.clear();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue; // shutdown tick; keep any partial line
-            }
-            Err(_) => break,
-        }
+    if let Ok(true) = accept_hello(&mut reader, &reply_tx, &shutdown) {
+        let mut forwarder = Forwarder {
+            shared: Arc::new(ConnShared {
+                cluster,
+                reply_tx,
+                groups: Mutex::new(HashMap::new()),
+                closing: AtomicBool::new(false),
+            }),
+            upstreams: HashMap::new(),
+            next_group: 0,
+        };
+        serve_binary_client(reader, &mut forwarder, &shutdown);
+        forwarder.close();
+    } else {
+        drop(reply_tx);
     }
-    forwarder.close();
-    // Every holder of a reply sender (forwarder's shared clone, ours, and the
-    // upstream readers joined in `close`) must be gone before the writer can exit.
-    drop(forwarder);
-    drop(shared);
+    // Every reply sender (the forwarder's, and the upstream readers' joined in
+    // `close`) is gone by now, so the writer drains and exits.
     let _ = writer.join();
 }
 
-/// The frame-mode client reader loop, entered after an accepted binary hello.
+/// The client reader loop, entered after an accepted hello.
 ///
 /// Chunked uploads are reassembled here exactly once, and — the routing win — the
 /// corpus fingerprint is computed **incrementally from the chunk events**, so by the
@@ -1206,26 +947,10 @@ fn serve_binary_client(
     while !shutdown.load(Ordering::SeqCst) {
         let frame = match assembler.next_frame() {
             Ok(Some(frame)) => frame,
-            Ok(None) => {
-                match reader.fill_buf() {
-                    Ok([]) => return, // client hung up
-                    Ok(buf) => {
-                        let n = buf.len();
-                        assembler.push(buf);
-                        reader.consume(n);
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        continue; // shutdown tick
-                    }
-                    Err(_) => return,
-                }
-                continue;
-            }
+            Ok(None) => match pump_frames(&mut reader, &mut assembler) {
+                ReadStep::Bytes(_) | ReadStep::Tick => continue,
+                ReadStep::Eof | ReadStep::Failed => return, // client hung up
+            },
             Err(e) => {
                 // A framing violation has no resynchronisation point on a byte
                 // stream: answer the typed error uncorrelated and drop the link.
@@ -1280,27 +1005,16 @@ fn serve_binary_client(
     }
 }
 
-/// The client connection's writer: every queued reply is a complete wire blob in the
-/// client's codec (newline-terminated JSON line or binary frame) and is written
-/// byte-for-byte — editing here would corrupt binary frames.
-fn write_replies(mut stream: TcpStream, replies: &mpsc::Receiver<Vec<u8>>) {
-    for reply in replies {
-        if stream.write_all(&reply).is_err() {
-            return;
-        }
-        if stream.flush().is_err() {
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ReplicaState;
     use crate::metrics::RouterMetrics;
     use gem_core::{FeatureSet, GemColumn, GemConfig, MethodRegistry};
+    use gem_proto::ResponseEnvelope;
     use gem_serve::client::{ClientError, GemClient};
     use gem_serve::{model_key, EmbedService, GemServer, ServerHandle};
+    use std::io::{BufRead, Read};
 
     fn empty_router() -> (RouterHandle, SocketAddr, JoinHandle<std::io::Result<()>>) {
         let metrics = Arc::new(RouterMetrics::new());
@@ -1356,16 +1070,13 @@ mod tests {
         let _ = thread.join();
     }
 
-    fn real_replica(json_only: bool) -> (ServerHandle, JoinHandle<std::io::Result<()>>) {
+    fn real_replica() -> (ServerHandle, JoinHandle<std::io::Result<()>>) {
         let config = GemConfig::fast();
         let mut service = EmbedService::new(MethodRegistry::with_gem(&config), 8);
         service.register_gem_family(&config);
-        let mut server = GemServer::bind(Arc::new(service), ("127.0.0.1", 0))
+        let server = GemServer::bind(Arc::new(service), ("127.0.0.1", 0))
             .expect("bind replica")
             .with_workers(2);
-        if json_only {
-            server = server.with_json_only();
-        }
         let handle = server.handle().expect("replica handle");
         let join = std::thread::spawn(move || server.run());
         (handle, join)
@@ -1411,7 +1122,7 @@ mod tests {
 
     #[test]
     fn binary_clients_chunk_fits_through_the_router_with_incremental_keys() {
-        let (replica, replica_join) = real_replica(false);
+        let (replica, replica_join) = real_replica();
         let (cluster, handle, addr, thread) = router_over(replica.addr());
         let config = GemConfig::fast();
         let corpus = test_corpus();
@@ -1421,7 +1132,6 @@ mod tests {
         let mut client = GemClient::connect(addr)
             .expect("connect")
             .with_chunk_bytes(1);
-        assert_eq!(client.codec_name(), "binary");
         let fitted = client
             .fit(&corpus, &config, FeatureSet::ds())
             .expect("chunked fit through the router");
@@ -1440,7 +1150,7 @@ mod tests {
         // replica serves directly.
         let embedded = client.embed(fitted.handle, &corpus).expect("embed");
         assert_eq!(embedded.matrix.rows(), corpus.len());
-        let mut direct = GemClient::connect_json(replica.addr()).expect("direct connect");
+        let mut direct = GemClient::connect(replica.addr()).expect("direct connect");
         let via_direct = direct.embed(fitted.handle, &corpus).expect("direct embed");
         assert_eq!(embedded.matrix, via_direct.matrix);
 
@@ -1451,34 +1161,83 @@ mod tests {
     }
 
     #[test]
-    fn json_only_replicas_still_serve_binary_clients_through_the_router() {
-        let (replica, replica_join) = real_replica(true);
-        let (_cluster, handle, addr, thread) = router_over(replica.addr());
-        let config = GemConfig::fast();
-        let corpus = test_corpus();
+    fn replicas_that_decline_the_hello_are_marked_down() {
+        // A member that answers the router's hello with a typed protocol_error line,
+        // the way a server refuses a first line it does not accept.
+        let declining = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let member = declining.local_addr().expect("member addr");
+        let member_thread = std::thread::spawn(move || {
+            let (mut stream, _) = declining.accept().expect("the router dials once");
+            let mut hello = [0u8; 64];
+            let _ = stream.read(&mut hello);
+            let decline = ResponseEnvelope::uncorrelated(ResponseBody::Error {
+                code: "protocol_error".to_string(),
+                message: "no frames here".to_string(),
+                retry_after_ms: None,
+            });
+            let _ = stream.write_all(gem_proto::encode_response(&decline).as_bytes());
+        });
+        let (cluster, handle, addr, thread) = router_over(member);
 
-        // The client negotiates binary with the router; the replica declines the
-        // router's upstream hello, so every request is converted to JSON on the way
-        // up and every response wrapped into a frame on the way back.
         let mut client = GemClient::connect(addr).expect("connect");
-        assert_eq!(client.codec_name(), "binary");
-        let fitted = client
-            .fit(&corpus, &config, FeatureSet::ds())
-            .expect("fit through codec conversion");
-        assert_eq!(
-            fitted.handle,
-            ModelHandle::from(model_key(&corpus, &config, FeatureSet::ds()))
+        let started = Instant::now();
+        let err = client
+            .embed(
+                ModelHandle::parse("00000000000000aa-00000000000000bb").expect("hex"),
+                &[],
+            )
+            .expect_err("the only member declines");
+        assert_eq!(err.code(), Some(NO_REPLICA), "{err}");
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "answered promptly"
         );
-        let embedded = client.embed(fitted.handle, &corpus).expect("embed");
-        assert_eq!(embedded.matrix.rows(), corpus.len());
-        let mut direct = GemClient::connect_json(replica.addr()).expect("direct connect");
-        let via_direct = direct.embed(fitted.handle, &corpus).expect("direct embed");
-        assert_eq!(embedded.matrix, via_direct.matrix);
+        assert_eq!(
+            cluster.replica_states(),
+            vec![(member.to_string(), ReplicaState::Down)]
+        );
+        member_thread.join().expect("member thread");
 
         handle.shutdown();
         let _ = thread.join();
-        replica.shutdown();
-        let _ = replica_join.join();
+    }
+
+    #[test]
+    fn first_lines_that_are_not_a_hello_are_refused_at_a_fixed_cap() {
+        let (handle, addr, thread) = empty_router();
+        let over_cap = vec![b'x'; gem_serve::framing::HELLO_LINE_CAP + 1];
+        let cases: [(&[u8], &str); 3] = [
+            (b"gem-wire-binary 4\n", "version_mismatch"),
+            (
+                b"{\"id\":1,\"version\":5,\"body\":{\"type\":\"stats\"}}\n",
+                "protocol_error",
+            ),
+            (&over_cap, "protocol_error"),
+        ];
+        for (first, code) in cases {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("timeout");
+            stream.write_all(first).expect("write");
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("verdict");
+            let verdict = gem_proto::decode_response(&line).expect("decode");
+            assert_eq!(verdict.in_reply_to, None, "{line}");
+            assert!(
+                matches!(&verdict.body, ResponseBody::Error { code: got, .. } if got == code),
+                "{line}"
+            );
+            line.clear();
+            assert_eq!(
+                reader.read_line(&mut line).expect("eof"),
+                0,
+                "closed after: {line}"
+            );
+        }
+        handle.shutdown();
+        let _ = thread.join();
     }
 
     #[test]
@@ -1486,13 +1245,40 @@ mod tests {
         let (handle, addr, thread) = empty_router();
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream
-            .write_all(b"{\"id\": 42, \"version\": 999999, \"body\": {\"type\": \"stats\"}}\n")
-            .expect("write");
+            .write_all(binary::hello_line().as_bytes())
+            .expect("hello");
         let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        let envelope = decode_response(line.trim_end()).expect("decode");
-        assert_eq!(envelope.in_reply_to, Some(42), "id salvaged from bad line");
+        let mut accept = String::new();
+        reader.read_line(&mut accept).expect("accept");
+        assert_eq!(
+            binary::parse_accept(&accept),
+            Some(gem_proto::PROTOCOL_VERSION)
+        );
+        // A req_json frame with header id 42 whose envelope names a foreign version.
+        let mut payload = vec![1u8];
+        payload.extend_from_slice(&42u64.to_le_bytes());
+        payload.extend_from_slice(br#"{"id": 42, "version": 999999, "body": {"type": "stats"}}"#);
+        let frame = binary::frame_bytes(binary::KIND_REQ_JSON, &payload).expect("frame");
+        stream.write_all(&frame).expect("write");
+        let mut assembler = binary::FrameAssembler::new();
+        let frame = loop {
+            if let Some(frame) = assembler.next_frame().expect("framing") {
+                break frame;
+            }
+            let buffered = reader.fill_buf().expect("read");
+            assert!(!buffered.is_empty(), "the router must answer");
+            let read = buffered.len();
+            assembler.push(buffered);
+            reader.consume(read);
+        };
+        let envelope = binary::decode_response_frame(&frame, &mut binary::EmbedPartials::new())
+            .expect("decode")
+            .expect("a complete reply");
+        assert_eq!(
+            envelope.in_reply_to,
+            Some(42),
+            "correlated by the header id"
+        );
         assert!(
             matches!(envelope.body, ResponseBody::Error { ref code, .. } if code == "version_mismatch"),
             "{envelope:?}"

@@ -29,7 +29,7 @@
 //!   protocol end to end: every reply correlates to its request id, every embed is
 //!   bit-identical to the in-process serial path, the embeds overtake the fit, and
 //!   pipelining beats the same N embeds run lockstep (the speedup is printed).
-//! * `verify` runs the full remote round trip (fit + embed) *and* the same
+//! * `verify` fits and embeds the whole corpus remotely *and* runs the same
 //!   fit + transform in-process, and fails unless the matrices are bit-identical —
 //!   the end-to-end correctness gate CI runs against a live server.
 //! * `stats` prints the cache/service counters plus the per-shape latency quantile
@@ -47,15 +47,6 @@
 //! `overloaded` shed, or a router mid-fail-over (`replica_unavailable`, `no_replica`)
 //! — up to N times, sleeping the server's `retry_after_ms` hint (200 ms when the
 //! error carries none) between attempts, instead of exiting 2 on the first shed.
-//!
-//! `--codec binary|json` (also global) pins the wire codec. By default every
-//! connection *offers* the binary codec and falls back to newline-delimited JSON
-//! against servers that decline; `--codec binary` fails instead of falling back
-//! (asserting the fleet speaks binary), and `--codec json` skips the offer entirely
-//! (debugging with `tcpdump`/`nc`, or pinning behavior against mixed fleets).
-//! `verify` ignores the pin and always runs the round trip under **both** codecs,
-//! failing unless the two embed matrices are bit-identical to each other and to the
-//! in-process path.
 
 use gem_core::{Composition, FeatureSet, GemColumn, GemConfig, GemModel};
 use gem_json::{FromJson, Json, ToJson};
@@ -106,42 +97,6 @@ impl From<&str> for CliError {
 }
 
 type CliResult = Result<(), CliError>;
-
-/// How connections pick their wire codec (the global `--codec` flag).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CodecChoice {
-    /// Offer binary, accept whatever the server negotiates (the default).
-    Negotiate,
-    /// Offer binary and fail unless the server accepts.
-    Binary,
-    /// Never offer; speak newline-delimited JSON.
-    Json,
-}
-
-/// The parsed `--codec` choice, set once before any command runs.
-static CODEC: std::sync::OnceLock<CodecChoice> = std::sync::OnceLock::new();
-
-fn codec_choice() -> CodecChoice {
-    CODEC.get().copied().unwrap_or(CodecChoice::Negotiate)
-}
-
-/// Connect honoring the global codec choice.
-fn connect_to(addr: &str) -> Result<GemClient, CliError> {
-    match codec_choice() {
-        CodecChoice::Json => GemClient::connect_json(addr).map_err(CliError::from),
-        CodecChoice::Negotiate => GemClient::connect(addr).map_err(CliError::from),
-        CodecChoice::Binary => {
-            let client = GemClient::connect(addr).map_err(CliError::from)?;
-            if client.codec_name() != "binary" {
-                return Err(CliError::Usage(format!(
-                    "--codec binary: {addr} declined the binary codec (older server, \
-                     or one running --json-only)"
-                )));
-            }
-            Ok(client)
-        }
-    }
-}
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
@@ -283,7 +238,7 @@ fn fit(addr: &str, args: &[String]) -> CliResult {
     let composition = flag_value(args, "--composition")
         .map(|name| parse_composition(&name))
         .transpose()?;
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let outcome = client
         .fit_with_composition(&corpus, &config, features, composition)
         .map_err(CliError::from)?;
@@ -301,7 +256,7 @@ fn fit_update(addr: &str, args: &[String]) -> CliResult {
     let handle = handle_of(args)?;
     let new_columns =
         read_columns(&flag_value(args, "--corpus").ok_or("--corpus <file> is required")?)?;
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let outcome = client
         .fit_update(handle, &new_columns)
         .map_err(CliError::from)?;
@@ -319,7 +274,7 @@ fn embed(addr: &str, args: &[String]) -> CliResult {
     let handle = handle_of(args)?;
     let queries =
         read_columns(&flag_value(args, "--queries").ok_or("--queries <file> is required")?)?;
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let outcome = client.embed(handle, &queries).map_err(CliError::from)?;
     println!(
         "rows: {} cols: {} served_from: {} digest: {:016x}",
@@ -337,7 +292,7 @@ fn embed(addr: &str, args: &[String]) -> CliResult {
 }
 
 fn stats(addr: &str) -> CliResult {
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let stats = client.stats().map_err(CliError::from)?;
     println!(
         "requests: {} resident_models: {} resident_bytes: {}",
@@ -380,7 +335,7 @@ fn stats(addr: &str) -> CliResult {
 }
 
 fn health(addr: &str) -> CliResult {
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let health = client.health().map_err(CliError::from)?;
     println!(
         "state: {} queue: {}/{} busy_workers: {}/{}",
@@ -400,7 +355,7 @@ fn health(addr: &str) -> CliResult {
 }
 
 fn list(addr: &str) -> CliResult {
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let models = client.list_models().map_err(CliError::from)?;
     println!(
         "{:<33} {:>6} {:>6} {:>10}",
@@ -425,7 +380,7 @@ fn list(addr: &str) -> CliResult {
 fn evict(addr: &str, args: &[String]) -> CliResult {
     check_flags(args, &["--handle"])?;
     let handle = handle_of(args)?;
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let existed = client.evict(handle).map_err(CliError::from)?;
     println!(
         "{}: {}",
@@ -439,7 +394,7 @@ fn pull(addr: &str, args: &[String]) -> CliResult {
     check_flags(args, &["--handle", "--out"])?;
     let handle = handle_of(args)?;
     let out = flag_value(args, "--out").ok_or("--out <file> is required")?;
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let pulled = client.pull_model(handle).map_err(CliError::from)?;
     let text = pulled.snapshot.to_compact_string();
     std::fs::write(&out, &text).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -458,7 +413,7 @@ fn push(addr: &str, args: &[String]) -> CliResult {
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("cannot read snapshot {path}: {e}"))?;
     let snapshot = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     let pushed = client.push_model(&snapshot).map_err(CliError::from)?;
     println!("pushed: {} dim: {}", pushed.handle, pushed.dim);
     Ok(())
@@ -484,7 +439,7 @@ fn pipeline(addr: &str, args: &[String]) -> CliResult {
         .map(|i| corpus[i % corpus.len()].clone())
         .collect();
 
-    let mut client = connect_to(addr)?;
+    let mut client = GemClient::connect(addr)?;
     // Warm the embed handle, and compute the serial reference in-process.
     let fitted = client
         .fit(&corpus, &config, features)
@@ -616,68 +571,27 @@ fn verify(addr: &str, args: &[String]) -> CliResult {
     let config = config_of(args)?;
     let features = features_of(args)?;
 
-    // The embed queries must round-trip over BOTH codecs, and a JSON embed request is
-    // one MAX_JSON_LINE_BYTES-capped line (fit uploads chunk over binary; embeds do
-    // not). Bound the query set to the leading columns whose JSON rendering (~20
-    // bytes per bit-pattern value) comfortably fits, so `verify` works on corpora the
-    // fit path can only move chunked.
-    let mut queries: Vec<GemColumn> = Vec::new();
-    let mut est_bytes = 1024usize;
-    for column in &corpus {
-        let cost = 20 * column.values.len() + column.header.len() + 64;
-        if !queries.is_empty() && est_bytes + cost > gem_proto::MAX_JSON_LINE_BYTES / 2 {
-            break;
-        }
-        est_bytes += cost;
-        queries.push(column.clone());
-    }
-
-    // The negotiated connection (binary against a current server, JSON against one
-    // that declines) fits and embeds; a second, deliberately JSON connection embeds
-    // the same handle. The codecs must agree bit-for-bit with each other AND with the
-    // in-process path — the gate that keeps the binary encoding honest.
-    let mut negotiated = GemClient::connect(addr).map_err(CliError::from)?;
-    let fitted = negotiated
-        .fit(&corpus, &config, features)
-        .map_err(CliError::from)?;
-    let remote = negotiated
-        .embed(fitted.handle, &queries)
-        .map_err(CliError::from)?;
-    let mut json_client = GemClient::connect_json(addr).map_err(CliError::from)?;
-    let via_json = json_client
-        .embed(fitted.handle, &queries)
-        .map_err(CliError::from)?;
-
+    // The whole corpus goes up (chunked when it is large) and comes back embedded;
+    // the frames must agree bit-for-bit with the in-process path.
+    let mut client = GemClient::connect(addr)?;
+    let fitted = client.fit(&corpus, &config, features)?;
+    let remote = client.embed(fitted.handle, &corpus)?;
     let local = GemModel::fit(&corpus, &config, features)
-        .and_then(|model| model.transform(&queries))
+        .and_then(|model| model.transform(&corpus))
         .map_err(|e| format!("in-process fit/transform failed: {e}"))?;
     if remote.matrix != local.matrix {
         return Err(CliError::Usage(format!(
-            "MISMATCH: remote embedding over the {} codec (digest {:016x}) differs \
-             from in-process GemModel::fit+transform (digest {:016x})",
-            negotiated.codec_name(),
+            "MISMATCH: remote embedding (digest {:016x}) differs from in-process \
+             GemModel::fit+transform (digest {:016x})",
             matrix_digest(&remote.matrix),
             matrix_digest(&local.matrix)
         )));
     }
-    if via_json.matrix != remote.matrix {
-        return Err(CliError::Usage(format!(
-            "MISMATCH: the json codec (digest {:016x}) and the {} codec (digest \
-             {:016x}) disagree about the same handle",
-            matrix_digest(&via_json.matrix),
-            negotiated.codec_name(),
-            matrix_digest(&remote.matrix)
-        )));
-    }
     println!(
-        "verify: OK — remote round trip over the {} and json codecs bit-identical to \
-         in-process fit+transform ({} x {}, {} of {} columns queried, handle {}, \
-         digest {:016x})",
-        negotiated.codec_name(),
+        "verify: OK — remote fit + embed bit-identical to in-process fit+transform \
+         ({} x {}, handle {}, digest {:016x})",
         remote.matrix.rows(),
         remote.matrix.cols(),
-        queries.len(),
-        corpus.len(),
         fitted.handle,
         matrix_digest(&remote.matrix)
     );
@@ -709,32 +623,12 @@ fn take_retry_flag(args: &mut Vec<String>) -> Result<u32, String> {
     Ok(retries)
 }
 
-/// Remove a global `--codec binary|json` pair from `args` and record the choice.
-fn take_codec_flag(args: &mut Vec<String>) -> Result<(), String> {
-    let Some(at) = args.iter().position(|a| a == "--codec") else {
-        return Ok(());
-    };
-    let value = args
-        .get(at + 1)
-        .ok_or("--codec needs `binary` or `json`")?
-        .clone();
-    let choice = match value.as_str() {
-        "binary" => CodecChoice::Binary,
-        "json" => CodecChoice::Json,
-        other => return Err(format!("--codec needs `binary` or `json`, got `{other}`")),
-    };
-    args.drain(at..at + 2);
-    let _ = CODEC.set(choice);
-    Ok(())
-}
-
 /// Default backoff when a retryable error carries no `retry_after_ms` hint.
 const DEFAULT_BACKOFF_MS: u64 = 200;
 
 fn run() -> CliResult {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let retries = take_retry_flag(&mut args)?;
-    take_codec_flag(&mut args)?;
     let mut attempt = 0u32;
     loop {
         match run_command(&args) {
@@ -756,7 +650,7 @@ fn run() -> CliResult {
 }
 
 fn run_command(args: &[String]) -> CliResult {
-    let usage = "usage: gem-client [--retry N] [--codec binary|json] \
+    let usage = "usage: gem-client [--retry N] \
                  <gen-corpus|fit|fit-update|embed|pull|push|pipeline|stats|health|list|evict|verify> ...\n  \
                  gem-client gen-corpus <file> [--columns N] [--rows N] [--seed N]\n  \
                  gem-client fit <addr> --corpus <file> [--components N] [--features D+S] [--composition NAME]\n  \

@@ -1,11 +1,10 @@
-//! The serving daemon: `EmbedService` behind a TCP socket speaking newline-delimited
-//! `gem-proto` JSON envelopes.
+//! The serving daemon: `EmbedService` behind a TCP socket speaking `gem-proto`
+//! length-prefixed frames after the hello handshake.
 //!
 //! ```sh
 //! gem-served [--addr 127.0.0.1:7878] [--workers N] [--queue-capacity N]
 //!            [--metrics-addr HOST:PORT] [--cache-capacity N] [--ttl-secs N]
-//!            [--max-bytes N] [--store DIR] [--components N] [--json-only]
-//!            [--ctl-stdin]
+//!            [--max-bytes N] [--store DIR] [--components N] [--ctl-stdin]
 //! ```
 //!
 //! * `--addr` — listen address; use port `0` for an ephemeral port. The resolved
@@ -28,10 +27,6 @@
 //!   and client handles survive restarts.
 //! * `--components` — GMM components of the registered `EmbedCorpus` method family
 //!   (`Fit` requests carry their own configuration and are unaffected).
-//! * `--json-only` — decline the binary-codec hello: every connection stays on
-//!   newline-delimited JSON envelopes. Negotiating clients fall back transparently.
-//!   For debugging with line tools and for exercising mixed-codec fleets; corpora
-//!   whose JSON rendering exceeds the line cap cannot fit through such a server.
 //! * `--ctl-stdin` — watch stdin for graceful shutdown: a `shutdown` line (or EOF)
 //!   stops accepting, drains in-flight work, and logs the one-line structured
 //!   `shutdown summary` (requests served, coalesced fits, worker high-water) before
@@ -89,7 +84,6 @@ struct Args {
     max_bytes: Option<u64>,
     store: Option<String>,
     components: usize,
-    json_only: bool,
     ctl_stdin: bool,
 }
 
@@ -104,7 +98,6 @@ fn parse_args() -> Result<Args, String> {
         max_bytes: None,
         store: None,
         components: GemConfig::default().gmm.n_components,
-        json_only: false,
         ctl_stdin: false,
     };
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -157,7 +150,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--components needs a positive integer".to_string())?;
             }
-            "--json-only" => args.json_only = true,
             "--ctl-stdin" => args.ctl_stdin = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -179,7 +171,7 @@ fn run() -> Result<(), String> {
         format!(
             "{e}\nusage: gem-served [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
              [--metrics-addr HOST:PORT] [--cache-capacity N] [--ttl-secs N] [--max-bytes N] \
-             [--store DIR] [--components N] [--json-only] [--ctl-stdin]"
+             [--store DIR] [--components N] [--ctl-stdin]"
         )
     })?;
 
@@ -207,9 +199,6 @@ fn run() -> Result<(), String> {
     }
     if let Some(capacity) = args.queue_capacity {
         server = server.with_queue_capacity(capacity);
-    }
-    if args.json_only {
-        server = server.with_json_only();
     }
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     let handle = server.handle().map_err(|e| e.to_string())?;

@@ -18,20 +18,17 @@
 //!   issued while pipelined requests are outstanding parks any foreign responses it
 //!   reads and [`GemClient::recv_any`] hands them out afterwards.
 //!
-//! ## Codec negotiation
+//! ## The handshake
 //!
-//! [`GemClient::connect`] opens the connection in JSON, sends the `gem_proto::binary`
-//! hello as its first line, and switches to the length-prefixed binary codec when the
-//! server accepts — f64 matrices cross the wire as raw little-endian IEEE-754 bytes
-//! (bit-exact both ways, no hex strings, no per-value allocation), oversized `Fit`
-//! corpora go up as chunked uploads ([`GemClient::with_chunk_bytes`]), and `Embed`
-//! responses stream back as row frames that are reassembled here. A server that
-//! declines the hello (a pre-v5 build, or `gem-served --json-only`) answers it with an
-//! uncorrelated error line, which this client consumes as "negotiate down": the *same*
-//! connection continues in JSON, no reconnect. [`GemClient::connect_json`] skips the
-//! hello for debugging with a wire dump; [`GemClient::codec_name`] reports what was
-//! negotiated.
+//! [`GemClient::connect`] sends the `gem_proto::binary` hello as the connection's first
+//! line and, once the server accepts, speaks length-prefixed frames — f64 matrices
+//! cross the wire as raw little-endian IEEE-754 bytes (bit-exact both ways, no hex
+//! strings, no per-value allocation), oversized `Fit` corpora go up as chunked uploads
+//! ([`GemClient::with_chunk_bytes`]), and `Embed` responses stream back as row frames
+//! that are reassembled here. A server that declines the hello answers one typed error
+//! line, which `connect` returns as [`ClientError::Server`].
 
+use crate::framing::offer_hello;
 use crate::handle::ModelHandle;
 use crate::net::served_from_of;
 use crate::ServedFrom;
@@ -49,7 +46,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 pub enum ClientError {
     /// The socket failed (connect, write, read, or the server closed mid-response).
     Io(std::io::Error),
-    /// The server's bytes were not a valid protocol line.
+    /// The server's bytes were not a valid protocol frame.
     Proto(proto::ProtoError),
     /// The server answered with a typed error body.
     Server {
@@ -249,41 +246,23 @@ pub struct GemClient {
     in_flight: HashSet<u64>,
     /// Correlated responses read while waiting for a different id, in arrival order.
     parked: VecDeque<(u64, ResponseBody)>,
-    /// The codec negotiated at connect time; never changes afterwards.
-    codec: WireCodec,
-    /// Binary-codec frame reassembly (unused in JSON mode).
+    /// Frame reassembly.
     assembler: binary::FrameAssembler,
-    /// Streamed embed rows accumulated per in-flight id (unused in JSON mode).
+    /// Streamed embed rows accumulated per in-flight id.
     partials: binary::EmbedPartials,
     /// Corpus payloads above this many wire bytes go up as chunked uploads.
     chunk_bytes: usize,
 }
 
-/// Which codec a [`GemClient`] connection settled on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WireCodec {
-    Json,
-    Binary,
-}
-
 impl GemClient {
-    /// Connect to a serving address (`host:port`), negotiating the binary codec and
-    /// falling back to JSON on the same connection when the server declines.
+    /// Connect to a serving address (`host:port`) and complete the hello handshake.
     ///
     /// # Errors
-    /// [`ClientError::Io`] when the connection cannot be established.
+    /// [`ClientError::Io`] when the connection cannot be established,
+    /// [`ClientError::Server`] when the server declines the hello (its typed error),
+    /// and [`ClientError::Unexpected`] when its verdict does not decode.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::from_stream(TcpStream::connect(addr)?, true)
-    }
-
-    /// Connect speaking newline-delimited JSON only — no binary hello is sent. For
-    /// debugging with a readable wire dump, and for byte-level compatibility checks
-    /// (`gem-client --codec json`).
-    ///
-    /// # Errors
-    /// [`ClientError::Io`] when the connection cannot be established.
-    pub fn connect_json(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::from_stream(TcpStream::connect(addr)?, false)
+        Self::from_stream(TcpStream::connect(addr)?)
     }
 
     /// [`GemClient::connect`] with a deadline on *every* socket operation: the connect
@@ -293,8 +272,9 @@ impl GemClient {
     /// it forever. Every resolved address is tried before giving up.
     ///
     /// # Errors
-    /// [`ClientError::Io`] when resolution yields nothing or no address accepts within
-    /// `timeout`.
+    /// [`ClientError::Io`] when resolution yields nothing, no address accepts within
+    /// `timeout`, or the handshake does not finish within it; otherwise as
+    /// [`GemClient::connect`].
     pub fn connect_timeout(
         addr: impl ToSocketAddrs,
         timeout: std::time::Duration,
@@ -305,7 +285,7 @@ impl GemClient {
                 Ok(stream) => {
                     stream.set_read_timeout(Some(timeout))?;
                     stream.set_write_timeout(Some(timeout))?;
-                    return Self::from_stream(stream, true);
+                    return Self::from_stream(stream);
                 }
                 Err(e) => last = Some(e),
             }
@@ -318,67 +298,30 @@ impl GemClient {
         })))
     }
 
-    fn from_stream(stream: TcpStream, negotiate: bool) -> Result<Self, ClientError> {
+    fn from_stream(stream: TcpStream) -> Result<Self, ClientError> {
         // Pipelining lives or dies on this: with Nagle's algorithm on, a burst of
-        // small request lines is held back waiting for ACKs (≈40ms of delayed-ACK
+        // small request frames is held back waiting for ACKs (≈40ms of delayed-ACK
         // stall per burst), which would serialize exactly the traffic pipelining
         // exists to overlap.
         stream.set_nodelay(true)?;
-        let writer = stream.try_clone()?;
-        let mut client = GemClient {
-            reader: BufReader::new(stream),
+        let mut writer = stream.try_clone()?;
+        let mut reader = BufReader::new(stream);
+        offer_hello(&mut writer, &mut reader)?;
+        Ok(GemClient {
+            reader,
             writer,
             next_id: 1,
             in_flight: HashSet::new(),
             parked: VecDeque::new(),
-            codec: WireCodec::Json,
             assembler: binary::FrameAssembler::new(),
             partials: binary::EmbedPartials::new(),
             chunk_bytes: binary::DEFAULT_CHUNK_BYTES,
-        };
-        if negotiate {
-            client.negotiate_binary()?;
-        }
-        Ok(client)
+        })
     }
 
-    /// Send the binary hello and read the server's one-line verdict. An accept at our
-    /// protocol version switches the connection to the binary codec; *any other
-    /// answer* — a `protocol_error` from a JSON-only or pre-v5 server that saw the
-    /// hello as a malformed request, a `version_mismatch` decline — downgrades to JSON
-    /// on the same connection. Only transport failures are errors.
-    fn negotiate_binary(&mut self) -> Result<(), ClientError> {
-        self.writer.write_all(binary::hello_line().as_bytes())?;
-        self.writer.flush()?;
-        let mut verdict = String::new();
-        if self.reader.read_line(&mut verdict)? == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection during codec negotiation",
-            )));
-        }
-        if binary::parse_accept(&verdict) == Some(proto::PROTOCOL_VERSION) {
-            self.codec = WireCodec::Binary;
-        }
-        // Any non-accept verdict (an uncorrelated error line from a server that
-        // cannot or will not speak binary) is consumed here; the connection simply
-        // stays in JSON. A garbled verdict line also lands here: JSON is the codec
-        // that makes no assumptions about the peer.
-        Ok(())
-    }
-
-    /// The wire codec this connection negotiated: `"binary"` or `"json"`.
-    pub fn codec_name(&self) -> &'static str {
-        match self.codec {
-            WireCodec::Json => "json",
-            WireCodec::Binary => "binary",
-        }
-    }
-
-    /// Set the chunk budget (in wire bytes) for corpus uploads on the binary codec:
-    /// a `Fit`/`FitUpdate` whose corpus exceeds it is sent as a
-    /// `begin_fit`/`corpus_chunk`/`end_fit` sequence instead of one giant frame.
-    /// Values below 1 KiB are clamped up. No effect on the JSON codec.
+    /// Set the chunk budget (in wire bytes) for corpus uploads: a `Fit`/`FitUpdate`
+    /// whose corpus exceeds it is sent as a `begin_fit`/`corpus_chunk`/`end_fit`
+    /// sequence instead of one giant frame. Values below 1 KiB are clamped up.
     pub fn with_chunk_bytes(mut self, chunk_bytes: usize) -> Self {
         self.chunk_bytes = chunk_bytes;
         self
@@ -394,19 +337,11 @@ impl GemClient {
         let id = self.next_id;
         self.next_id += 1;
         let envelope = proto::RequestEnvelope::new(id, body);
-        match self.codec {
-            WireCodec::Json => {
-                let line = proto::encode_request(&envelope);
-                self.writer.write_all(line.as_bytes())?;
-            }
-            WireCodec::Binary => {
-                // One frame normally; a corpus above the chunk budget becomes the
-                // begin/chunk/end upload sequence. The frames are written back to
-                // back and flushed once: one TCP push per request.
-                for frame in binary::encode_request_frames(&envelope, self.chunk_bytes)? {
-                    self.writer.write_all(&frame)?;
-                }
-            }
+        // One frame normally; a corpus above the chunk budget becomes the
+        // begin/chunk/end upload sequence. The frames are written back to back and
+        // flushed once: one TCP push per request.
+        for frame in binary::encode_request_frames(&envelope, self.chunk_bytes)? {
+            self.writer.write_all(&frame)?;
         }
         self.writer.flush()?;
         self.in_flight.insert(id);
@@ -420,7 +355,7 @@ impl GemClient {
     }
 
     /// Receive the next response in **server completion order**: a parked response if
-    /// one is waiting, otherwise the next line off the socket. The reply is correlated
+    /// one is waiting, otherwise the next reply off the socket. The reply is correlated
     /// to its request id; typed server error bodies surface per-reply in
     /// [`PipelinedReply::outcome`], so one failed request never poisons the others.
     ///
@@ -446,44 +381,33 @@ impl GemClient {
         })
     }
 
-    /// Read one complete response off the socket — a JSON line, or however many binary
-    /// frames it takes to finish one (streamed embed row frames accumulate in
-    /// [`binary::EmbedPartials`] until their `embed_done`) — and correlate it against
-    /// the in-flight set.
+    /// Read one complete response off the socket — however many frames it takes to
+    /// finish one (streamed embed row frames accumulate in [`binary::EmbedPartials`]
+    /// until their `embed_done`) — and correlate it against the in-flight set. The
+    /// loop is this client's own rather than the servers' read step, so a read
+    /// timeout (`connect_timeout`'s deadline) surfaces as the `io::Error` it is.
     fn read_correlated(&mut self) -> Result<(u64, ResponseBody), ClientError> {
-        let envelope = match self.codec {
-            WireCodec::Json => {
-                let mut response = String::new();
-                if self.reader.read_line(&mut response)? == 0 {
-                    return Err(ClientError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection before responding",
-                    )));
+        let envelope = loop {
+            if let Some(frame) = self.assembler.next_frame()? {
+                match binary::decode_response_frame(&frame, &mut self.partials)? {
+                    Some(envelope) => break envelope,
+                    None => continue, // a row frame; keep accumulating
                 }
-                proto::decode_response(&response)?
             }
-            WireCodec::Binary => loop {
-                if let Some(frame) = self.assembler.next_frame()? {
-                    match binary::decode_response_frame(&frame, &mut self.partials)? {
-                        Some(envelope) => break envelope,
-                        None => continue, // a row frame; keep accumulating
-                    }
-                }
-                let buffered = self.reader.fill_buf()?;
-                if buffered.is_empty() {
-                    return Err(ClientError::Io(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed the connection before responding",
-                    )));
-                }
-                let read = buffered.len();
-                self.assembler.push(buffered);
-                self.reader.consume(read);
-            },
+            let buffered = self.reader.fill_buf()?;
+            if buffered.is_empty() {
+                return Err(ClientError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection before responding",
+                )));
+            }
+            let read = buffered.len();
+            self.assembler.push(buffered);
+            self.reader.consume(read);
         };
         let Some(id) = envelope.in_reply_to else {
             // An uncorrelatable framing error: the server could not tell which request
-            // the offending line was. This client only writes well-formed lines, so
+            // the offending frame was. This client only writes well-formed frames, so
             // something corrupted the stream — fail loudly rather than guess.
             return Err(match envelope.body {
                 ResponseBody::Error {

@@ -27,14 +27,14 @@
 //!   queued by evictions execute **after the cache lock is released**, so a slow disk
 //!   never blocks concurrent lookups.
 //! * [`net::GemServer`] / [`client::GemClient`] — the same protocol over TCP (the
-//!   `gem-served` and `gem-client` binaries wrap them). Connections start as
-//!   newline-delimited `gem-proto` JSON envelopes; the client negotiates the binary
-//!   codec (`gem_proto::binary`: length-prefixed frames, raw-IEEE-754 f64 payloads,
-//!   chunked corpus upload, streamed embed rows) and falls back to JSON against
-//!   servers that decline. The server multiplexes every connection onto one bounded
-//!   executor pool and answers **out of order** (a cheap `Embed` overtakes a slow
-//!   `Fit`); the client's pipelined mode ([`GemClient::send`] /
-//!   [`GemClient::recv_any`]) correlates replies by envelope id.
+//!   `gem-served` and `gem-client` binaries wrap them). Each connection opens with the
+//!   `gem_proto::binary` hello and then speaks length-prefixed frames (raw-IEEE-754
+//!   f64 payloads, chunked corpus upload, streamed embed rows); [`framing`] holds the
+//!   handshake, read step, reply encoder and writer that `gem-router` shares. The
+//!   server multiplexes every connection onto one bounded executor pool and answers
+//!   **out of order** (a cheap `Embed` overtakes a slow `Fit`); the client's pipelined
+//!   mode ([`GemClient::send`] / [`GemClient::recv_any`]) correlates replies by
+//!   envelope id.
 //!
 //! ```
 //! use gem_core::{FeatureSet, GemColumn, GemConfig, MethodRegistry};
@@ -70,7 +70,7 @@ pub mod client;
 pub mod demo;
 mod engine;
 mod error;
-mod framing;
+pub mod framing;
 mod handle;
 pub mod metrics;
 pub mod net;

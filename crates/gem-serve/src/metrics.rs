@@ -180,11 +180,11 @@ impl ServerMetrics {
         );
         let wire_bytes_read = registry.counter(
             "gem_wire_bytes_read_total",
-            "bytes read off client sockets (both codecs, payload and framing)",
+            "frame bytes read off client sockets after the hello (payload and framing)",
         );
         let wire_bytes_written = registry.counter(
             "gem_wire_bytes_written_total",
-            "bytes written to client sockets (both codecs, payload and framing)",
+            "bytes written to client sockets (handshake verdicts and reply frames)",
         );
         let conn_inflight = registry.gauge(
             "gem_connection_inflight_depth",
@@ -266,12 +266,12 @@ impl ServerMetrics {
         &self.busy_gauge
     }
 
-    /// Count bytes read off a client socket (either codec).
+    /// Count frame bytes read off a client socket.
     pub(crate) fn count_wire_read(&self, bytes: u64) {
         self.wire_bytes_read.add(bytes);
     }
 
-    /// Count bytes written to a client socket (either codec).
+    /// Count bytes written to a client socket.
     pub(crate) fn count_wire_written(&self, bytes: u64) {
         self.wire_bytes_written.add(bytes);
     }

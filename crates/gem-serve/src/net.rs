@@ -1,25 +1,20 @@
 //! The socket front-end: [`GemServer`] serves the handle-based protocol over TCP with a
 //! **shared executor pool and out-of-order responses**.
 //!
-//! Every connection starts as newline-delimited `gem-proto` JSON (one
-//! [`gem_proto::RequestEnvelope`] per line in, one [`gem_proto::ResponseEnvelope`] per
-//! line out, lines capped at [`gem_proto::MAX_JSON_LINE_BYTES`]), so any language with
-//! sockets and JSON can speak to it. A client may negotiate the **binary codec** by
-//! sending the `gem_proto::binary` hello as its first line: the reader answers the
-//! accept line and the connection switches to `[u32 len][u8 kind][payload]` frames —
+//! Every connection opens with the `gem_proto::binary` hello line; the reader answers
+//! the accept line and everything after it is `[u32 len][u8 kind][payload]` frames —
 //! f64 payloads as raw little-endian IEEE-754 bytes, `Fit`/`FitUpdate` corpora too
 //! large for one frame streamed as chunked uploads (reassembled in the reader, in
 //! order), and `Embed` responses streamed as row slices while the transform batches
-//! complete. Servers built [`GemServer::with_json_only`] decline the hello exactly like
-//! a pre-v5 build (an uncorrelated `protocol_error` line), which is what clients treat
-//! as "negotiate down to JSON". The server is deliberately `std::net`-only — the
-//! expensive work (EM fits, transforms) is CPU-bound, so a bounded pool of OS threads
-//! *is* the right executor; an async reactor would add a dependency without adding
-//! throughput.
+//! complete. A first line that is not a hello at this protocol version is answered
+//! with one typed error line, and the connection closes. The server is deliberately
+//! `std::net`-only — the expensive work (EM fits, transforms) is CPU-bound, so a
+//! bounded pool of OS threads *is* the right executor; an async reactor would add a
+//! dependency without adding throughput.
 //!
 //! ## Architecture: reader → shared queue → executor pool → per-connection writer
 //!
-//! The PR 4 design ran one thread per connection in lockstep (read a line, execute it,
+//! The PR 4 design ran one thread per connection in lockstep (read a request, execute it,
 //! write the response, repeat), so one slow `Fit` stalled every queued request on that
 //! connection and N clients cost N service threads. Now each connection costs two
 //! *cheap* threads (a blocking reader and a blocking writer — both I/O-bound) while all
@@ -49,20 +44,19 @@
 //!   ([`ServerCounters`]), readable while running; [`shutdown_summary`] renders them as
 //!   the one-line structured record `gem-served` logs on graceful shutdown.
 //! * **Typed errors end-to-end** — serving failures travel as their stable
-//!   [`crate::ServeError::code`]s; malformed lines get `protocol_error` /
-//!   `version_mismatch` bodies — with the request id salvaged when possible and
-//!   `in_reply_to: null` when not — instead of a dropped connection.
+//!   [`crate::ServeError::code`]s; malformed frames get `protocol_error` /
+//!   `version_mismatch` bodies — correlated by the frame's header id when it carries
+//!   one and `in_reply_to: null` when not — instead of a dropped connection.
 
 use crate::error::ServeError;
-use crate::framing::{pump_frames, write_responses, ReadStep};
+use crate::framing::{accept_hello, encode_reply, pump_frames, write_responses, ReadStep};
 use crate::handle::ModelHandle;
 use crate::metrics::{RequestShape, ServerMetrics};
 use crate::service::{EmbedService, ModelInfo, ServeRequest, ServeResponse, ServiceStats};
 use crate::{CacheTier, ServedFrom};
-use gem_numeric::Matrix;
 use gem_proto::{self as proto, binary, RequestBody, ResponseBody};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -109,7 +103,7 @@ impl ServerCounters {
         self.connections.load(Ordering::Relaxed)
     }
 
-    /// Protocol lines answered so far (including error responses).
+    /// Request frames answered so far (including error responses).
     pub fn requests(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
     }
@@ -121,7 +115,8 @@ impl ServerCounters {
         self.requests_shed.load(Ordering::Relaxed)
     }
 
-    /// Lines that failed to decode (answered with `protocol_error`/`version_mismatch`).
+    /// Refused handshakes and frames that failed to decode (answered with
+    /// `protocol_error`/`version_mismatch`).
     pub fn protocol_errors(&self) -> u64 {
         self.protocol_errors.load(Ordering::Relaxed)
     }
@@ -172,48 +167,32 @@ pub fn shutdown_summary(counters: &ServerCounters, stats: &ServiceStats) -> Stri
     )
 }
 
-/// Which codec a connection (and therefore each of its frames) speaks. Selected once
-/// per connection by the hello negotiation; never changes mid-connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Codec {
-    /// Newline-delimited JSON envelopes — every connection's starting state.
-    Json,
-    /// Length-prefixed `gem_proto::binary` frames.
-    Binary,
-}
-
-/// The undecoded request a reader queued, in whichever shape the codec delivered it.
-/// Decoding stays on the executor (the reader never parses payloads) — except chunked
-/// uploads, which the reader must reassemble in arrival order.
+/// The undecoded request a reader queued. Decoding stays on the executor (the reader
+/// never parses payloads) — except chunked uploads, which the reader must reassemble
+/// in arrival order.
 enum FramePayload {
-    /// A JSON-codec line, raw bytes (UTF-8 validated by the executor).
-    JsonLine(Vec<u8>),
-    /// A binary-codec frame (split from the stream, payload not yet decoded).
+    /// A frame split from the stream, payload not yet decoded.
     Binary(binary::Frame),
     /// A request the reader already assembled from a chunked upload sequence.
     Assembled(Box<proto::RequestEnvelope>),
 }
 
 impl FramePayload {
-    /// Best-effort request id for correlating an error response without decoding.
-    fn salvage_id(&self) -> Option<u64> {
+    /// The request id for correlating an error response without decoding.
+    fn correlation_id(&self) -> Option<u64> {
         match self {
-            FramePayload::JsonLine(line) => std::str::from_utf8(line)
-                .ok()
-                .and_then(proto::salvage_request_id),
             FramePayload::Binary(frame) => frame.correlation_id(),
             FramePayload::Assembled(envelope) => Some(envelope.id),
         }
     }
 }
 
-/// One frame read off a connection, awaiting an executor: the undecoded payload, the
-/// connection's codec, and the sending half of the owning connection's writer channel
-/// (so the response lands on the right socket no matter which executor runs it, and no
-/// matter in which order it finishes).
+/// One frame read off a connection, awaiting an executor: the undecoded payload and
+/// the sending half of the owning connection's writer channel (so the response lands
+/// on the right socket no matter which executor runs it, and no matter in which order
+/// it finishes).
 struct Frame {
     payload: FramePayload,
-    codec: Codec,
     reply: mpsc::Sender<Vec<u8>>,
     /// When the reader queued the frame — the start of the queue-wait phase.
     enqueued_at: Instant,
@@ -223,32 +202,11 @@ struct Frame {
     depth: Arc<AtomicU64>,
 }
 
-impl Frame {
-    /// Mark the frame answered (or shed): drop it from its connection's in-flight
-    /// depth and surface the new depth.
-    fn retire(&self, metrics: &ServerMetrics) {
-        let before = self.depth.fetch_sub(1, Ordering::Relaxed);
-        metrics.observe_connection_depth(before.saturating_sub(1));
-    }
-}
-
-/// Encode an error (or any) response body as exact wire bytes for `codec` — JSON lines
-/// include their trailing newline; binary bodies become complete frames.
-fn encode_error_bytes(codec: Codec, id: Option<u64>, body: ResponseBody) -> Vec<u8> {
-    let envelope = match id {
-        Some(id) => proto::ResponseEnvelope::new(id, body),
-        None => proto::ResponseEnvelope::uncorrelated(body),
-    };
-    match codec {
-        Codec::Json => proto::encode_response(&envelope).into_bytes(),
-        // Error bodies always fit a frame; an encode failure here would mean the
-        // message itself exceeded the frame bound, in which case nothing useful can be
-        // said — send nothing rather than corrupt the stream.
-        Codec::Binary => {
-            binary::wrap_response_line(envelope.in_reply_to, &proto::encode_response(&envelope))
-                .unwrap_or_default()
-        }
-    }
+/// Mark a frame answered (or shed): drop it from its connection's in-flight `depth`
+/// and surface the new depth.
+fn retire(depth: &AtomicU64, metrics: &ServerMetrics) {
+    let before = depth.fetch_sub(1, Ordering::Relaxed);
+    metrics.observe_connection_depth(before.saturating_sub(1));
 }
 
 /// The shared MPMC work queue between readers and executors — **bounded**: a push
@@ -301,9 +259,8 @@ impl WorkQueue {
     }
 
     /// Answer a refused frame with the typed `overloaded` error — correlated to the
-    /// request's id when one is salvageable, encoded for the connection's codec — and
-    /// count the shed. The frame never reaches an executor: shedding is O(1) no matter
-    /// how expensive the request was.
+    /// request's id when the frame carries one — and count the shed. The frame never
+    /// reaches an executor: shedding is O(1) no matter how expensive the request was.
     fn shed(&self, frame: Frame) {
         self.counters.requests_shed.fetch_add(1, Ordering::Relaxed);
         let queue_depth = self.metrics.queue_depth();
@@ -311,11 +268,10 @@ impl WorkQueue {
             queue_depth,
             retry_after_ms: self.metrics.retry_hint_ms(queue_depth),
         };
-        let body = error_body(&error);
-        let bytes = encode_error_bytes(frame.codec, frame.payload.salvage_id(), body);
+        let bytes = encode_reply(frame.payload.correlation_id(), error_body(&error));
         // A send failure means the connection is already gone — nothing to shed to.
         let _ = frame.reply.send(bytes);
-        frame.retire(&self.metrics);
+        retire(&frame.depth, &self.metrics);
     }
 
     /// Pop the next frame, blocking until one arrives. Returns `None` only when
@@ -395,7 +351,6 @@ pub struct GemServer {
     metrics: Arc<ServerMetrics>,
     workers: usize,
     queue_capacity: usize,
-    json_only: bool,
 }
 
 impl GemServer {
@@ -414,22 +369,7 @@ impl GemServer {
             metrics: Arc::new(ServerMetrics::new()),
             workers: default_workers(),
             queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            json_only: false,
         })
-    }
-
-    /// Decline binary-codec negotiation: the hello line is answered like any malformed
-    /// request (an uncorrelated `protocol_error`), exactly as a pre-v5 build would, so
-    /// negotiating clients downgrade to JSON on the same connection. For debugging and
-    /// for testing the downgrade path (`gem-served --json-only`).
-    pub fn with_json_only(mut self) -> Self {
-        self.json_only = true;
-        self
-    }
-
-    /// Whether this server declines binary-codec negotiation.
-    pub fn json_only(&self) -> bool {
-        self.json_only
     }
 
     /// Set the executor-pool size: how many requests (across all connections) execute
@@ -546,9 +486,8 @@ impl GemServer {
             self.counters.connections.fetch_add(1, Ordering::Relaxed);
             let queue = Arc::clone(&queue);
             let shutdown = Arc::clone(&self.shutdown);
-            let json_only = self.json_only;
             readers.push(std::thread::spawn(move || {
-                read_connection(stream, &queue, &shutdown, json_only);
+                read_connection(stream, &queue, &shutdown);
             }));
             readers.retain(|r| !r.is_finished());
         }
@@ -571,8 +510,8 @@ impl GemServer {
 }
 
 /// One executor: pop frames (from any connection, in arrival order), decode + execute +
-/// encode, and hand the response line to the owning connection's writer. Responses
-/// therefore complete — and are written — in *finish* order, not request order.
+/// encode, and hand the reply to the owning connection's writer. Replies therefore
+/// complete — and are written — in *finish* order, not request order.
 fn executor_loop(
     queue: &WorkQueue,
     service: &EmbedService,
@@ -580,8 +519,14 @@ fn executor_loop(
     counters: &ServerCounters,
     metrics: &ServerMetrics,
 ) {
-    while let Some(frame) = queue.pop(inputs_closed) {
-        let queue_wait = frame.enqueued_at.elapsed();
+    while let Some(Frame {
+        payload,
+        reply,
+        enqueued_at,
+        depth,
+    }) = queue.pop(inputs_closed)
+    {
+        let queue_wait = enqueued_at.elapsed();
         counters.enter_work();
         metrics.busy_gauge().inc();
         counters.requests.fetch_add(1, Ordering::Relaxed);
@@ -592,93 +537,35 @@ fn executor_loop(
         // busy or in flight. A send failure means the connection (and its writer)
         // are gone; the work is simply dropped, like any response to a vanished
         // peer.
-        let final_frame = respond_frame(service, &frame, queue_wait, counters, metrics);
+        let final_frame = respond_frame(service, payload, &reply, queue_wait, counters, metrics);
         metrics.busy_gauge().dec();
-        frame.retire(metrics);
+        retire(&depth, metrics);
         counters.leave_work();
         if let Some(bytes) = final_frame {
-            let _ = frame.reply.send(bytes);
+            let _ = reply.send(bytes);
         }
     }
 }
 
-/// How many query columns a streamed binary embed transforms per flushed row frame:
+/// How many query columns a streamed embed transforms per flushed row frame:
 /// small enough that the first rows reach the client while later batches still
 /// compute, large enough that framing overhead stays negligible.
 const EMBED_STREAM_BATCH: usize = 32;
 
-/// How many result rows ride one `embed_rows` frame when a fully-materialized matrix
-/// (e.g. an `embed_corpus` response) is sliced for the binary codec.
-const EMBED_ROWS_PER_FRAME: usize = 512;
-
 /// Obtain the request envelope from whatever shape the reader queued, or the id to
-/// correlate the decode error with.
+/// correlate the decode error with. An assembled upload moves out, never cloned.
 fn decode_payload(
-    payload: &FramePayload,
+    payload: FramePayload,
 ) -> Result<proto::RequestEnvelope, (Option<u64>, proto::ProtoError)> {
     match payload {
-        FramePayload::JsonLine(line) => {
-            // Invalid UTF-8 is *rejected*, not lossily replaced: replacement
-            // characters inside a JSON string would parse fine and silently mutate a
-            // header that participates in the corpus fingerprint. Nothing
-            // correlatable survives, so the error is uncorrelated.
-            let Ok(text) = std::str::from_utf8(line) else {
-                return Err((
-                    None,
-                    proto::ProtoError::Parse {
-                        message: "request line is not valid UTF-8".to_string(),
-                    },
-                ));
-            };
-            proto::decode_request(text).map_err(|e| (proto::salvage_request_id(text), e))
-        }
         FramePayload::Binary(frame) => {
-            binary::decode_request_frame(frame).map_err(|e| (frame.correlation_id(), e))
+            binary::decode_request_frame(&frame).map_err(|e| (frame.correlation_id(), e))
         }
-        FramePayload::Assembled(envelope) => Ok((**envelope).clone()),
+        FramePayload::Assembled(envelope) => Ok(*envelope),
     }
 }
 
-/// Slice a fully-materialized embedding matrix into `embed_rows` frames plus the
-/// closing `embed_done` — the binary rendering of an `Embedded` body.
-fn matrix_frames(id: u64, served_from: &str, matrix: &Matrix) -> Vec<u8> {
-    let cols = matrix.cols();
-    let mut out = Vec::new();
-    if cols > 0 {
-        for rows in matrix
-            .as_slice()
-            .chunks(EMBED_ROWS_PER_FRAME.saturating_mul(cols))
-        {
-            match binary::embed_rows_frame(id, served_from, cols, rows) {
-                Ok(frame) => out.extend_from_slice(&frame),
-                Err(_) => return Vec::new(),
-            }
-        }
-    }
-    match binary::embed_done_frame(id, served_from, cols, matrix.rows()) {
-        Ok(frame) => {
-            out.extend_from_slice(&frame);
-            out
-        }
-        Err(_) => Vec::new(),
-    }
-}
-
-/// Encode a response body as exact wire bytes for `codec`.
-fn encode_body_bytes(codec: Codec, id: u64, body: ResponseBody) -> Vec<u8> {
-    match codec {
-        Codec::Json => proto::encode_response(&proto::ResponseEnvelope::new(id, body)).into_bytes(),
-        Codec::Binary => match &body {
-            ResponseBody::Embedded {
-                matrix,
-                served_from,
-            } => matrix_frames(id, served_from, matrix),
-            _ => encode_error_bytes(Codec::Binary, Some(id), body),
-        },
-    }
-}
-
-/// Serve a binary-codec `Embed` as a row stream: resolve the handle once, transform the
+/// Serve an `Embed` as a row stream: resolve the handle once, transform the
 /// query columns in batches against that model and flush each batch's rows as an
 /// `embed_rows` frame the moment it completes, closing with `embed_done` — the client
 /// starts receiving rows while later batches are still computing. A failure mid-stream
@@ -707,13 +594,7 @@ fn stream_embed(
             encode_time,
         );
     };
-    let error_frame = |error: &ServeError| {
-        Some(encode_error_bytes(
-            Codec::Binary,
-            Some(id),
-            error_body(error),
-        ))
-    };
+    let error_frame = |error: &ServeError| Some(encode_reply(Some(id), error_body(error)));
     // One request, one resolve: the stream's batches all transform against this model.
     let (model, served_from) = match service.resolve_embed(handle) {
         Ok(resolved) => resolved,
@@ -726,9 +607,9 @@ fn stream_embed(
     let mut encode_time = Duration::ZERO;
     let mut sent_rows = 0usize;
     let mut cols = 0usize;
-    // Zero queries still run one empty transform, so they answer exactly as on the
-    // JSON path. Each batch's columns move out of `queries`; none of their values are
-    // copied.
+    // Zero queries still run one empty transform, so they answer the same 0-row matrix
+    // an in-process transform returns. Each batch's columns move out of `queries`;
+    // none of their values are copied.
     let batches = queries.len().div_ceil(EMBED_STREAM_BATCH).max(1);
     let mut queries = queries.into_iter();
     for _ in 0..batches {
@@ -772,22 +653,23 @@ fn stream_embed(
 }
 
 /// Decode, execute and encode one frame, recording each phase's duration under the
-/// request's shape. Intermediate frames (streamed binary embed rows) go to the
-/// owning connection's writer directly; the *final* frame is returned so the
-/// executor can drop the accounting gauges before it leaves. Never panics on
-/// foreign input: every failure becomes an error response body with a stable code
-/// (malformed payloads are timed under the `protocol_error` shape), correlated when
-/// an id is salvageable and `in_reply_to: null` when not — never a sentinel a real
-/// id could collide with.
+/// request's shape. Intermediate frames (streamed embed rows) go to the owning
+/// connection's writer directly; the *final* frame is returned so the executor can
+/// drop the accounting gauges before it leaves. Never panics on foreign input: every
+/// failure becomes an error response body with a stable code (malformed payloads are
+/// timed under the `protocol_error` shape), correlated by the frame's header id when
+/// it carries one and `in_reply_to: null` when not — never a sentinel a real id could
+/// collide with.
 fn respond_frame(
     service: &EmbedService,
-    frame: &Frame,
+    payload: FramePayload,
+    reply: &mpsc::Sender<Vec<u8>>,
     queue_wait: Duration,
     counters: &ServerCounters,
     metrics: &ServerMetrics,
 ) -> Option<Vec<u8>> {
     let decode_started = Instant::now();
-    let envelope = match decode_payload(&frame.payload) {
+    let envelope = match decode_payload(payload) {
         Ok(envelope) => envelope,
         Err((id, error)) => {
             counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
@@ -798,7 +680,7 @@ fn respond_frame(
                 retry_after_ms: None,
             };
             let encode_started = Instant::now();
-            let bytes = encode_error_bytes(frame.codec, id, body);
+            let bytes = encode_reply(id, body);
             metrics.observe(
                 RequestShape::ProtocolError,
                 queue_wait,
@@ -811,36 +693,33 @@ fn respond_frame(
     };
     let decode = decode_started.elapsed();
     let shape = RequestShape::of_body(&envelope.body);
-    // Binary embeds stream: rows are flushed as transform batches complete instead of
+    // Embeds stream: rows are flushed as transform batches complete instead of
     // materializing the whole matrix before the first byte leaves.
-    if frame.codec == Codec::Binary {
-        if let RequestBody::Embed { handle, queries } = envelope.body {
-            return match parse_handle(&handle) {
-                Ok(handle) => stream_embed(
-                    service,
-                    envelope.id,
-                    handle,
-                    queries,
-                    &frame.reply,
+    if let RequestBody::Embed { handle, queries } = envelope.body {
+        return match parse_handle(&handle) {
+            Ok(handle) => stream_embed(
+                service,
+                envelope.id,
+                handle,
+                queries,
+                reply,
+                queue_wait,
+                decode,
+                metrics,
+            ),
+            Err(error) => {
+                let encode_started = Instant::now();
+                let bytes = encode_reply(Some(envelope.id), error_body(&error));
+                metrics.observe(
+                    shape,
                     queue_wait,
                     decode,
-                    metrics,
-                ),
-                Err(error) => {
-                    let encode_started = Instant::now();
-                    let bytes =
-                        encode_error_bytes(Codec::Binary, Some(envelope.id), error_body(&error));
-                    metrics.observe(
-                        shape,
-                        queue_wait,
-                        decode,
-                        Duration::ZERO,
-                        encode_started.elapsed(),
-                    );
-                    Some(bytes)
-                }
-            };
-        }
+                    Duration::ZERO,
+                    encode_started.elapsed(),
+                );
+                Some(bytes)
+            }
+        };
     }
     let execute_started = Instant::now();
     let mut body = if matches!(envelope.body, RequestBody::Health) {
@@ -863,7 +742,7 @@ fn respond_frame(
     }
     let execute = execute_started.elapsed();
     let encode_started = Instant::now();
-    let bytes = encode_body_bytes(frame.codec, envelope.id, body);
+    let bytes = encode_reply(Some(envelope.id), body);
     metrics.observe(shape, queue_wait, decode, execute, encode_started.elapsed());
     Some(bytes)
 }
@@ -895,21 +774,6 @@ fn health_body(metrics: &ServerMetrics) -> ResponseBody {
     }
 }
 
-/// Best-effort id salvage for a line too large to parse: the protocol's own encoder
-/// always emits `{"id":N,` first, so a prefix scan recovers the id from conforming
-/// clients in O(digits) instead of an O(line) JSON parse — an oversized line must
-/// never monopolize its reader just to be rejected. Foreign encodings that put `id`
-/// elsewhere salvage as `None`, which is the documented best-effort contract.
-fn salvage_oversized_id(line: &[u8]) -> Option<u64> {
-    let digits: Vec<u8> = line
-        .strip_prefix(b"{\"id\":")?
-        .iter()
-        .copied()
-        .take_while(u8::is_ascii_digit)
-        .collect();
-    std::str::from_utf8(&digits).ok()?.parse().ok()
-}
-
 /// Queue one frame (incrementing the connection's in-flight depth first, so the depth
 /// covers shed frames too); a full queue refuses it and it is shed with the typed
 /// `overloaded` error instead of blocking the reader (which would stall the connection
@@ -917,7 +781,6 @@ fn salvage_oversized_id(line: &[u8]) -> Option<u64> {
 fn enqueue(
     queue: &WorkQueue,
     payload: FramePayload,
-    codec: Codec,
     reply: &mpsc::Sender<Vec<u8>>,
     depth: &Arc<AtomicU64>,
 ) {
@@ -925,7 +788,6 @@ fn enqueue(
     queue.metrics.observe_connection_depth(now_in_flight);
     let frame = Frame {
         payload,
-        codec,
         reply: reply.clone(),
         enqueued_at: Instant::now(),
         depth: Arc::clone(depth),
@@ -935,21 +797,14 @@ fn enqueue(
     }
 }
 
-/// One connection's reader: split the byte stream into frames and queue them. Spawns
-/// the connection's writer immediately and joins it before exiting, so a reader
-/// finishing (EOF or shutdown) never abandons responses that are still in flight.
-///
-/// Every connection starts in the JSON codec. Unless the server is `json_only`, the
-/// *first* line may be the `gem_proto::binary` hello: the reader answers the accept
-/// line itself (no executor round-trip — the handshake must resolve before any queued
-/// response could interleave with it) and hands the rest of the stream to
-/// [`read_binary_frames`]. A version-mismatched hello is declined with an uncorrelated
-/// `version_mismatch` line and the connection stays JSON; under `json_only` the hello
-/// is not intercepted at all and fails as the malformed JSON line it is — exactly the
-/// pre-v5 behaviour clients treat as "negotiate down".
-fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool, json_only: bool) {
-    // The read timeout is a shutdown tick, not a deadline: on timeout the partial line
-    // is kept and reading resumes, so slow writers lose nothing.
+/// One connection's reader: answer the hello, then split the byte stream into frames
+/// and queue them. Spawns the connection's writer immediately and joins it before
+/// exiting, so a reader finishing (EOF, shutdown, or a refused hello) never abandons
+/// responses that are still in flight. A refused hello counts as a protocol error and
+/// closes the connection once its error line is written.
+fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) {
+    // The read timeout is a shutdown tick, not a deadline: on timeout partial input is
+    // kept and reading resumes, so slow writers lose nothing.
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
         return;
     }
@@ -961,119 +816,19 @@ fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool, 
     };
     let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
     let writer_metrics = Arc::clone(&queue.metrics);
-    let writer =
-        std::thread::spawn(move || write_responses(write_half, &reply_rx, &writer_metrics));
+    let writer = std::thread::spawn(move || {
+        write_responses(write_half, &reply_rx, Some(&writer_metrics));
+    });
     let mut reader = BufReader::new(stream);
-    // The connection's in-flight depth: shared with every frame this reader queues.
-    let depth = Arc::new(AtomicU64::new(0));
-    // Lines are accumulated as raw bytes, NOT via `read_line`: `read_line`'s built-in
-    // UTF-8 validation (a) turns any invalid byte into an error that would drop the
-    // connection without a response, and (b) *discards* bytes already consumed from the
-    // stream when a read-timeout tick fires mid-multibyte character — a slow writer
-    // would silently lose part of a valid request. `read_until` keeps every byte across
-    // ticks; UTF-8 is validated by the executor, where a failure can be answered
-    // properly.
-    let mut line: Vec<u8> = Vec::new();
-    let mut awaiting_first_line = !json_only;
-    // Set after an oversized line was answered: the rest of that line (still in
-    // flight on the socket) is discarded up to its newline, then parsing resumes.
-    let mut discarding = false;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
+    match accept_hello(&mut reader, &reply_tx, shutdown) {
+        Ok(true) => read_binary_frames(&mut reader, queue, shutdown, &reply_tx),
+        Ok(false) => {
+            queue
+                .counters
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
         }
-        match reader.read_until(b'\n', &mut line) {
-            Ok(0) => break, // EOF
-            Ok(n) => {
-                queue.metrics.count_wire_read(n as u64);
-                if discarding {
-                    if line.ends_with(b"\n") {
-                        discarding = false;
-                    }
-                    line.clear();
-                    continue;
-                }
-                if line.len() > proto::MAX_JSON_LINE_BYTES {
-                    // Answer directly (never queue a rejected line). The id is
-                    // salvaged with a prefix scan, NOT `salvage_request_id`: parsing
-                    // megabytes of JSON just to reject them would let an oversized
-                    // line monopolize this reader.
-                    queue
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let id = salvage_oversized_id(&line);
-                    let body = ResponseBody::Error {
-                        code: "protocol_error".to_string(),
-                        message: format!(
-                            "request line exceeds the {} byte JSON cap; negotiate the \
-                             binary codec and use a chunked corpus upload",
-                            proto::MAX_JSON_LINE_BYTES
-                        ),
-                        retry_after_ms: None,
-                    };
-                    let _ = reply_tx.send(encode_error_bytes(Codec::Json, id, body));
-                    discarding = !line.ends_with(b"\n");
-                    line.clear();
-                    awaiting_first_line = false;
-                    continue;
-                }
-                if awaiting_first_line {
-                    awaiting_first_line = false;
-                    if let Some(version) = std::str::from_utf8(&line)
-                        .ok()
-                        .and_then(binary::parse_hello)
-                    {
-                        if version == proto::PROTOCOL_VERSION {
-                            let _ = reply_tx.send(binary::accept_line().into_bytes());
-                            line.clear();
-                            read_binary_frames(&mut reader, queue, shutdown, &reply_tx, &depth);
-                            break;
-                        }
-                        // A hello from a different protocol generation: decline it
-                        // (typed, uncorrelated) and keep speaking JSON.
-                        queue
-                            .counters
-                            .protocol_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        let body = ResponseBody::Error {
-                            code: "version_mismatch".to_string(),
-                            message: format!(
-                                "binary hello speaks protocol version {version}, \
-                                 this server speaks {}",
-                                proto::PROTOCOL_VERSION
-                            ),
-                            retry_after_ms: None,
-                        };
-                        let _ = reply_tx.send(encode_error_bytes(Codec::Json, None, body));
-                        line.clear();
-                        continue;
-                    }
-                    // Not a hello: fall through and treat it as the JSON line it is.
-                }
-                // A line without a trailing newline means EOF-mid-line; it is answered
-                // best-effort like any other, and the next read will report EOF.
-                if !line.iter().all(u8::is_ascii_whitespace) {
-                    enqueue(
-                        queue,
-                        FramePayload::JsonLine(std::mem::take(&mut line)),
-                        Codec::Json,
-                        &reply_tx,
-                        &depth,
-                    );
-                }
-                line.clear();
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue; // shutdown tick; keep any partial line (bytes, not chars)
-            }
-            Err(_) => break,
-        }
+        Err(_) => {}
     }
     // Drop this reader's sender; the writer exits once every frame queued for this
     // connection has been answered (each frame holds a sender clone) — executors keep
@@ -1082,10 +837,10 @@ fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool, 
     let _ = writer.join();
 }
 
-/// The binary half of a negotiated connection: pump bytes into a
-/// [`binary::FrameAssembler`], queue complete frames, and reassemble chunked corpus
-/// uploads in arrival order (chunk sequencing is stateful, so it *must* happen here in
-/// the reader — executors see only complete requests).
+/// The frames after an accepted hello: pump bytes into a [`binary::FrameAssembler`],
+/// queue complete frames, and reassemble chunked corpus uploads in arrival order
+/// (chunk sequencing is stateful, so it *must* happen here in the reader — executors
+/// see only complete requests).
 ///
 /// Error discipline mirrors the codec's: a payload-level violation inside valid
 /// framing (a chunk out of sequence, an unknown upload id) is answered with a
@@ -1098,10 +853,23 @@ fn read_binary_frames(
     queue: &WorkQueue,
     shutdown: &AtomicBool,
     reply_tx: &mpsc::Sender<Vec<u8>>,
-    depth: &Arc<AtomicU64>,
 ) {
+    // The connection's in-flight depth: shared with every frame this reader queues.
+    let depth = Arc::new(AtomicU64::new(0));
     let mut assembler = binary::FrameAssembler::new();
     let mut chunks = binary::ChunkAssembler::new();
+    let protocol_error = |id: Option<u64>, error: proto::ProtoError| {
+        queue
+            .counters
+            .protocol_errors
+            .fetch_add(1, Ordering::Relaxed);
+        let body = ResponseBody::Error {
+            code: error.code().to_string(),
+            message: error.to_string(),
+            retry_after_ms: None,
+        };
+        let _ = reply_tx.send(encode_reply(id, body));
+    };
     loop {
         if shutdown.load(Ordering::SeqCst) {
             return;
@@ -1109,65 +877,32 @@ fn read_binary_frames(
         // Drain every complete frame the assembler holds before reading again.
         loop {
             match assembler.next_frame() {
-                Ok(Some(frame)) => {
-                    if binary::ChunkAssembler::is_chunk_kind(frame.kind) {
-                        match chunks.accept(&frame, |_| {}) {
-                            Ok(Some(envelope)) => enqueue(
-                                queue,
-                                FramePayload::Assembled(Box::new(envelope)),
-                                Codec::Binary,
-                                reply_tx,
-                                depth,
-                            ),
-                            Ok(None) => {}
-                            Err(error) => {
-                                // The violating upload's state is dropped, but the
-                                // framing is intact: answer and keep serving.
-                                queue
-                                    .counters
-                                    .protocol_errors
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let body = ResponseBody::Error {
-                                    code: error.code().to_string(),
-                                    message: error.to_string(),
-                                    retry_after_ms: None,
-                                };
-                                let _ = reply_tx.send(encode_error_bytes(
-                                    Codec::Binary,
-                                    frame.correlation_id(),
-                                    body,
-                                ));
-                            }
-                        }
-                    } else {
-                        enqueue(
+                Ok(Some(frame)) if binary::ChunkAssembler::is_chunk_kind(frame.kind) => {
+                    match chunks.accept(&frame, |_| {}) {
+                        Ok(Some(envelope)) => enqueue(
                             queue,
-                            FramePayload::Binary(frame),
-                            Codec::Binary,
+                            FramePayload::Assembled(Box::new(envelope)),
                             reply_tx,
-                            depth,
-                        );
+                            &depth,
+                        ),
+                        Ok(None) => {}
+                        // The violating upload's state is dropped, but the framing is
+                        // intact: answer and keep serving.
+                        Err(error) => protocol_error(frame.correlation_id(), error),
                     }
                 }
+                Ok(Some(frame)) => enqueue(queue, FramePayload::Binary(frame), reply_tx, &depth),
                 Ok(None) => break,
                 Err(error) => {
                     // Framing lost: nothing after this point can be trusted.
-                    queue
-                        .counters
-                        .protocol_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    let body = ResponseBody::Error {
-                        code: error.code().to_string(),
-                        message: error.to_string(),
-                        retry_after_ms: None,
-                    };
-                    let _ = reply_tx.send(encode_error_bytes(Codec::Binary, None, body));
+                    protocol_error(None, error);
                     return;
                 }
             }
         }
-        match pump_frames(reader, &mut assembler, &queue.metrics) {
-            ReadStep::Bytes | ReadStep::Tick => {}
+        match pump_frames(reader, &mut assembler) {
+            ReadStep::Bytes(read) => queue.metrics.count_wire_read(read as u64),
+            ReadStep::Tick => {}
             ReadStep::Eof | ReadStep::Failed => return,
         }
     }
@@ -1345,7 +1080,7 @@ mod tests {
     use super::*;
     use crate::client::{ClientError, GemClient};
     use gem_core::{FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry};
-    use std::io::Write;
+    use std::io::{BufRead, Write};
 
     fn corpus() -> Vec<GemColumn> {
         (0..5)
@@ -1372,6 +1107,90 @@ mod tests {
         (handle, join)
     }
 
+    /// A raw connection past the handshake.
+    fn raw_connection(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.write_all(binary::hello_line().as_bytes()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut accept = String::new();
+        reader.read_line(&mut accept).unwrap();
+        assert_eq!(binary::parse_accept(&accept), Some(proto::PROTOCOL_VERSION));
+        (stream, reader)
+    }
+
+    /// A `req_json` frame carrying `text`, with header id `id` (uncorrelated if `None`).
+    fn req_json_frame(id: Option<u64>, text: &str) -> binary::Frame {
+        let mut payload = vec![u8::from(id.is_some())];
+        payload.extend_from_slice(&id.unwrap_or(0).to_le_bytes());
+        payload.extend_from_slice(text.as_bytes());
+        binary::Frame {
+            kind: binary::KIND_REQ_JSON,
+            payload,
+        }
+    }
+
+    /// Read frames off `reader` until `n` complete replies have arrived.
+    fn read_replies(reader: &mut impl BufRead, n: usize) -> Vec<proto::ResponseEnvelope> {
+        let mut assembler = binary::FrameAssembler::new();
+        let mut partials = binary::EmbedPartials::new();
+        let mut replies = Vec::new();
+        while replies.len() < n {
+            if let Some(frame) = assembler.next_frame().unwrap() {
+                replies.extend(binary::decode_response_frame(&frame, &mut partials).unwrap());
+                continue;
+            }
+            let buffered = reader.fill_buf().unwrap();
+            assert!(!buffered.is_empty(), "server must answer, not hang up");
+            let read = buffered.len();
+            assembler.push(buffered);
+            reader.consume(read);
+        }
+        replies
+    }
+
+    fn error_code(envelope: &proto::ResponseEnvelope) -> &str {
+        match &envelope.body {
+            ResponseBody::Error { code, .. } => code,
+            other => panic!("expected an error body, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn first_lines_that_are_not_a_hello_are_refused_at_a_fixed_cap() {
+        let (server, join) = start_server();
+        let over_cap = vec![b'x'; crate::framing::HELLO_LINE_CAP + 1];
+        let cases: [(&[u8], &str); 3] = [
+            (b"gem-wire-binary 4\n", "version_mismatch"),
+            (
+                b"{\"id\":1,\"version\":5,\"body\":{\"type\":\"stats\"}}\n",
+                "protocol_error",
+            ),
+            (&over_cap, "protocol_error"),
+        ];
+        for (first, code) in cases {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(first).unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let verdict = proto::decode_response(&line).unwrap();
+            assert_eq!(verdict.in_reply_to, None, "{line}");
+            assert_eq!(error_code(&verdict), code, "{line}");
+            line.clear();
+            assert_eq!(
+                reader.read_line(&mut line).unwrap(),
+                0,
+                "closed after: {line}"
+            );
+        }
+        server.shutdown();
+        join.join().unwrap().unwrap();
+        assert_eq!(server.counters().protocol_errors(), 3);
+    }
+
     #[test]
     fn poisoned_work_queue_recovers_instead_of_wedging() {
         // Regression: a worker panicking while holding the queue mutex used to poison
@@ -1396,9 +1215,9 @@ mod tests {
         assert!(queue.frames.lock().is_err(), "the mutex must be poisoned");
 
         let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
+        let sent = req_json_frame(Some(1), "{}");
         let pushed = queue.push(Frame {
-            payload: FramePayload::JsonLine(b"{}".to_vec()),
-            codec: Codec::Json,
+            payload: FramePayload::Binary(sent.clone()),
             reply: reply_tx,
             enqueued_at: Instant::now(),
             depth: Arc::new(AtomicU64::new(1)),
@@ -1410,8 +1229,8 @@ mod tests {
             .pop(&inputs_closed)
             .expect("the pushed frame survives");
         match &frame.payload {
-            FramePayload::JsonLine(line) => assert_eq!(line, b"{}"),
-            _ => panic!("expected the JSON line back, got a different payload shape"),
+            FramePayload::Binary(popped) => assert_eq!(popped, &sent),
+            FramePayload::Assembled(_) => panic!("expected the frame back, got an upload"),
         }
         assert_eq!(metrics.queue_depth(), 0, "the depth gauge tracks the drain");
         assert!(counters.lock_recoveries() >= 1);
@@ -1429,11 +1248,10 @@ mod tests {
         let queue = WorkQueue::new(Arc::clone(&counters), Arc::clone(&metrics), 2);
         let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
         let frame = |id: u64| Frame {
-            payload: FramePayload::JsonLine(
-                format!("{{\"id\":{id},\"version\":5,\"body\":{{\"type\":\"stats\"}}}}")
-                    .into_bytes(),
-            ),
-            codec: Codec::Json,
+            payload: FramePayload::Binary(req_json_frame(
+                Some(id),
+                &format!("{{\"id\":{id},\"version\":5,\"body\":{{\"type\":\"stats\"}}}}"),
+            )),
             reply: reply_tx.clone(),
             enqueued_at: Instant::now(),
             depth: Arc::new(AtomicU64::new(1)),
@@ -1451,12 +1269,11 @@ mod tests {
         assert_eq!(counters.requests_shed(), 1);
         assert_eq!(counters.requests(), 0, "shed work is never executed");
         let bytes = reply_rx.try_recv().expect("the shed response is immediate");
-        let line = std::str::from_utf8(&bytes).unwrap();
-        let response = proto::decode_response(line).unwrap();
+        let response = read_replies(&mut &bytes[..], 1).remove(0);
         assert_eq!(
             response.in_reply_to,
             Some(7),
-            "correlated via the salvaged id"
+            "correlated via the header id"
         );
         match response.body {
             ResponseBody::Error {
@@ -1474,18 +1291,17 @@ mod tests {
             other => panic!("expected an overloaded error, got {other:?}"),
         }
 
-        // A garbage line sheds too, with `in_reply_to: null` (nothing salvageable).
+        // A garbage frame without a correlation header sheds too, with
+        // `in_reply_to: null`.
         let garbage = Frame {
-            payload: FramePayload::JsonLine(b"\xff\xfe not even utf-8".to_vec()),
-            codec: Codec::Json,
+            payload: FramePayload::Binary(req_json_frame(None, "\u{fffd} not even json")),
             reply: reply_tx.clone(),
             enqueued_at: Instant::now(),
             depth: Arc::new(AtomicU64::new(1)),
         };
         queue.shed(garbage);
         let bytes = reply_rx.try_recv().unwrap();
-        let line = std::str::from_utf8(&bytes).unwrap();
-        assert_eq!(proto::decode_response(line).unwrap().in_reply_to, None);
+        assert_eq!(read_replies(&mut &bytes[..], 1)[0].in_reply_to, None);
     }
 
     #[test]
@@ -1570,6 +1386,35 @@ mod tests {
     }
 
     #[test]
+    fn connect_fails_when_the_server_declines_the_hello() {
+        let declined = proto::encode_response(&proto::ResponseEnvelope::uncorrelated(error_body(
+            &ServeError::InvalidRequest {
+                reason: "declined".to_string(),
+            },
+        )));
+        for (verdict, code) in [
+            (declined, Some("invalid_request")),
+            ("nonsense\n".to_string(), None),
+        ] {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let peer = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut hello = String::new();
+                BufReader::new(stream.try_clone().unwrap())
+                    .read_line(&mut hello)
+                    .unwrap();
+                assert_eq!(hello, binary::hello_line());
+                stream.write_all(verdict.as_bytes()).unwrap();
+            });
+            let err = GemClient::connect_timeout(addr, Duration::from_secs(5)).unwrap_err();
+            peer.join().unwrap();
+            assert_eq!(err.code(), code, "{err}");
+            assert!(code.is_some() || matches!(err, ClientError::Unexpected { .. }));
+        }
+    }
+
+    #[test]
     fn unknown_handles_surface_their_stable_code_over_tcp() {
         let (server, join) = start_server();
         let mut client = GemClient::connect(server.addr()).unwrap();
@@ -1626,41 +1471,34 @@ mod tests {
     #[test]
     fn malformed_lines_get_protocol_error_responses_not_disconnects() {
         let (server, join) = start_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream
-            .write_all(
-                b"this is not json\n{\"id\":7,\"version\":99,\"body\":{\"type\":\"stats\"}}\n",
-            )
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let (mut stream, mut reader) = raw_connection(server.addr());
+        for frame in [
+            req_json_frame(Some(3), "this is not json"),
+            req_json_frame(
+                Some(7),
+                "{\"id\":7,\"version\":99,\"body\":{\"type\":\"stats\"}}",
+            ),
+        ] {
+            let bytes = binary::frame_bytes(frame.kind, &frame.payload).unwrap();
+            stream.write_all(&bytes).unwrap();
+        }
         // The two error responses may return in either order (shared executor pool);
         // collect both and match on correlation.
-        let mut replies = Vec::new();
-        let mut line = String::new();
-        for _ in 0..2 {
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            replies.push(gem_proto::decode_response(&line).unwrap());
-        }
-        let unsalvageable = replies
-            .iter()
-            .find(|r| r.in_reply_to.is_none())
-            .expect("the non-JSON line has no salvageable id");
-        assert!(matches!(
-            &unsalvageable.body,
-            ResponseBody::Error { code, .. } if code == "protocol_error"
-        ));
-        let salvaged = replies
-            .iter()
-            .find(|r| r.in_reply_to == Some(7))
-            .expect("the id is salvaged from version-mismatched lines");
-        assert!(matches!(
-            &salvaged.body,
-            ResponseBody::Error { code, .. } if code == "version_mismatch"
-        ));
-        // The connection survived both bad lines: a valid request still answers.
-        let mut client = GemClient::connect(server.addr()).unwrap();
-        assert!(client.stats().is_ok());
+        let replies = read_replies(&mut reader, 2);
+        let code_for = |id| {
+            let reply = replies.iter().find(|r| r.in_reply_to == Some(id));
+            error_code(reply.expect("correlated by the header id")).to_string()
+        };
+        assert_eq!(code_for(3), "protocol_error");
+        assert_eq!(code_for(7), "version_mismatch");
+        // The connection survived both bad frames: a valid request still answers.
+        let stats = proto::RequestEnvelope::new(8, RequestBody::Stats);
+        stream
+            .write_all(&binary::encode_request_frame(&stats).unwrap())
+            .unwrap();
+        let reply = read_replies(&mut reader, 1).remove(0);
+        assert_eq!(reply.in_reply_to, Some(8));
+        assert!(matches!(reply.body, ResponseBody::Stats(_)));
         assert_eq!(server.counters().protocol_errors(), 2);
         server.shutdown();
         join.join().unwrap().unwrap();
@@ -1740,7 +1578,6 @@ mod tests {
     fn connect_negotiates_binary_and_counts_wire_bytes() {
         let (server, join) = start_server();
         let mut client = GemClient::connect(server.addr()).unwrap();
-        assert_eq!(client.codec_name(), "binary");
         let cols = corpus();
         let config = GemConfig::fast();
         let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
@@ -1776,41 +1613,6 @@ mod tests {
     }
 
     #[test]
-    fn json_only_servers_downgrade_negotiating_clients_on_the_same_connection() {
-        let config = GemConfig::fast();
-        let mut service = EmbedService::new(MethodRegistry::with_gem(&config), 8);
-        service.register_gem_family(&config);
-        let server = GemServer::bind(Arc::new(service), ("127.0.0.1", 0))
-            .unwrap()
-            .with_workers(2)
-            .with_json_only();
-        let handle = server.handle().unwrap();
-        let join = std::thread::spawn(move || server.run());
-
-        // The hello is answered like any malformed JSON line; the client consumes the
-        // decline and keeps working — same connection, JSON codec.
-        let mut client = GemClient::connect(handle.addr()).unwrap();
-        assert_eq!(client.codec_name(), "json");
-        let cols = corpus();
-        let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
-        let served = client.embed(fitted.handle, &cols).unwrap();
-        let direct = GemModel::fit(&cols, &config, FeatureSet::ds())
-            .unwrap()
-            .transform(&cols)
-            .unwrap();
-        assert_eq!(served.matrix, direct.matrix);
-        assert_eq!(
-            handle.counters().connections(),
-            1,
-            "the downgrade must not reconnect"
-        );
-        // The declined hello is the connection's one protocol error.
-        assert_eq!(handle.counters().protocol_errors(), 1);
-        handle.shutdown();
-        join.join().unwrap().unwrap();
-    }
-
-    #[test]
     fn chunked_fit_handles_match_one_shot_fits_and_in_process_keys() {
         let (server, join) = start_server();
         let cols = corpus();
@@ -1822,7 +1624,6 @@ mod tests {
         let mut chunked = GemClient::connect(server.addr())
             .unwrap()
             .with_chunk_bytes(1);
-        assert_eq!(chunked.codec_name(), "binary");
         let via_chunks = chunked.fit(&cols, &config, FeatureSet::ds()).unwrap();
 
         // One-shot over the same wire, and the in-process key derivation, agree.
@@ -1851,12 +1652,7 @@ mod tests {
     #[test]
     fn chunk_sequence_violations_answer_typed_errors_and_spare_the_connection() {
         let (server, join) = start_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.write_all(binary::hello_line().as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut accept = String::new();
-        reader.read_line(&mut accept).unwrap();
-        assert_eq!(binary::parse_accept(&accept), Some(5));
+        let (mut stream, mut reader) = raw_connection(server.addr());
 
         // A corpus_chunk with no begin_fit before it: a payload-level violation inside
         // valid framing. Payload = correlation header only (has_id=1, id=9) plus a
@@ -1866,37 +1662,21 @@ mod tests {
         payload.extend_from_slice(&0u32.to_le_bytes());
         let frame = binary::frame_bytes(binary::KIND_CORPUS_CHUNK, &payload).unwrap();
         stream.write_all(&frame).unwrap();
-
-        let mut assembler = binary::FrameAssembler::new();
-        let mut partials = binary::EmbedPartials::new();
-        let envelope = loop {
-            let mut buf = [0u8; 4096];
-            let n = std::io::Read::read(&mut reader, &mut buf).unwrap();
-            assert!(n > 0, "server must answer, not hang up");
-            assembler.push(&buf[..n]);
-            if let Some(frame) = assembler.next_frame().unwrap() {
-                if let Some(envelope) =
-                    binary::decode_response_frame(&frame, &mut partials).unwrap()
-                {
-                    break envelope;
-                }
-            }
-        };
+        let envelope = read_replies(&mut reader, 1).remove(0);
         assert_eq!(
             envelope.in_reply_to,
             Some(9),
             "correlated via the chunk's id"
         );
-        assert!(matches!(
-            &envelope.body,
-            ResponseBody::Error { code, .. } if code == "protocol_error"
-        ));
+        assert_eq!(error_code(&envelope), "protocol_error");
 
         // Framing stayed intact: the same connection still serves real requests.
-        drop(stream);
-        let mut client = GemClient::connect(server.addr()).unwrap();
-        assert!(client.stats().is_ok());
-        assert!(server.counters().protocol_errors() >= 1);
+        let stats = proto::RequestEnvelope::new(10, RequestBody::Stats);
+        stream
+            .write_all(&binary::encode_request_frame(&stats).unwrap())
+            .unwrap();
+        assert_eq!(read_replies(&mut reader, 1)[0].in_reply_to, Some(10));
+        assert_eq!(server.counters().protocol_errors(), 1);
         server.shutdown();
         join.join().unwrap().unwrap();
     }
@@ -1904,12 +1684,7 @@ mod tests {
     #[test]
     fn oversized_length_prefixes_close_the_connection_with_a_typed_error() {
         let (server, join) = start_server();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        stream.write_all(binary::hello_line().as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut accept = String::new();
-        reader.read_line(&mut accept).unwrap();
-        assert_eq!(binary::parse_accept(&accept), Some(5));
+        let (mut stream, mut reader) = raw_connection(server.addr());
 
         // A length prefix beyond MAX_FRAME_LEN: framing is unrecoverable.
         let mut bogus = Vec::new();
@@ -1917,83 +1692,13 @@ mod tests {
         bogus.push(binary::KIND_EMBED);
         stream.write_all(&bogus).unwrap();
 
-        let mut assembler = binary::FrameAssembler::new();
-        let mut partials = binary::EmbedPartials::new();
-        let mut closed = false;
-        let mut saw_error = false;
-        while !saw_error {
-            let mut buf = [0u8; 4096];
-            let n = std::io::Read::read(&mut reader, &mut buf).unwrap_or(0);
-            if n == 0 {
-                closed = true;
-                break;
-            }
-            assembler.push(&buf[..n]);
-            while let Ok(Some(frame)) = assembler.next_frame() {
-                if let Ok(Some(envelope)) = binary::decode_response_frame(&frame, &mut partials) {
-                    assert_eq!(envelope.in_reply_to, None, "nothing is salvageable");
-                    assert!(matches!(
-                        &envelope.body,
-                        ResponseBody::Error { code, .. } if code == "protocol_error"
-                    ));
-                    saw_error = true;
-                }
-            }
-        }
-        assert!(
-            saw_error,
-            "the framing error must be answered before closing"
-        );
+        let envelope = read_replies(&mut reader, 1).remove(0);
+        assert_eq!(envelope.in_reply_to, None, "nothing is salvageable");
+        assert_eq!(error_code(&envelope), "protocol_error");
         // The server closes its half after the uncorrelated error; the next read
         // reports EOF.
-        if !closed {
-            let mut buf = [0u8; 64];
-            assert_eq!(std::io::Read::read(&mut reader, &mut buf).unwrap_or(0), 0);
-        }
+        assert!(reader.fill_buf().map_or(true, |rest| rest.is_empty()));
         assert!(server.counters().protocol_errors() >= 1);
-        server.shutdown();
-        join.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn oversized_json_lines_answer_a_typed_cap_error_and_keep_the_connection() {
-        let (server, join) = start_server();
-        let mut client = GemClient::connect_json(server.addr()).unwrap();
-        assert_eq!(client.codec_name(), "json");
-
-        // A raw oversized line on a second connection (the client API cannot produce
-        // one without a real giant corpus, which would make the test slow).
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let mut line = String::from("{\"id\":42,\"version\":5,\"padding\":\"");
-        line.push_str(&"x".repeat(proto::MAX_JSON_LINE_BYTES));
-        line.push_str("\"}\n");
-        stream.write_all(line.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut response = String::new();
-        reader.read_line(&mut response).unwrap();
-        let envelope = proto::decode_response(&response).unwrap();
-        assert_eq!(envelope.in_reply_to, Some(42), "the id is salvaged");
-        match &envelope.body {
-            ResponseBody::Error { code, message, .. } => {
-                assert_eq!(code, "protocol_error");
-                assert!(
-                    message.contains("chunked"),
-                    "points at the remedy: {message}"
-                );
-            }
-            other => panic!("expected the cap error, got {other:?}"),
-        }
-        // The connection survives: a well-formed request on the same socket answers.
-        stream
-            .write_all(b"{\"id\":43,\"version\":5,\"body\":{\"type\":\"stats\"}}\n")
-            .unwrap();
-        response.clear();
-        reader.read_line(&mut response).unwrap();
-        assert_eq!(
-            proto::decode_response(&response).unwrap().in_reply_to,
-            Some(43)
-        );
-        assert!(client.stats().is_ok());
         server.shutdown();
         join.join().unwrap().unwrap();
     }

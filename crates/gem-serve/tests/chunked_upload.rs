@@ -1,6 +1,5 @@
-//! End-to-end acceptance: a corpus whose JSON rendering exceeds the single-line cap
-//! ([`gem_proto::MAX_JSON_LINE_BYTES`]) still fits over the wire — the negotiated
-//! binary codec streams it up as a `begin_fit`/`corpus_chunk`/`end_fit` sequence —
+//! End-to-end acceptance: a corpus far beyond the default chunk budget fits over the
+//! wire — the client streams it up as a `begin_fit`/`corpus_chunk`/`end_fit` sequence —
 //! and the resulting handle is bit-identical to the in-process [`gem_serve::model_key`]
 //! derivation, so handles computed offline address models fitted through the chunked
 //! path and vice versa.
@@ -27,23 +26,7 @@ fn oversized_corpora_fit_via_chunked_upload_with_in_process_handles() {
     let config = GemConfig::fast();
     let corpus = big_corpus();
 
-    // This corpus genuinely cannot cross the wire as one JSON line.
-    let as_json = gem_proto::encode_request(&gem_proto::RequestEnvelope::new(
-        1,
-        gem_proto::RequestBody::Fit {
-            corpus: corpus.clone(),
-            config: config.clone(),
-            features: FeatureSet::ds(),
-            composition: None,
-        },
-    ));
-    assert!(
-        as_json.len() > gem_proto::MAX_JSON_LINE_BYTES,
-        "the test corpus must exceed the JSON line cap ({} <= {})",
-        as_json.len(),
-        gem_proto::MAX_JSON_LINE_BYTES
-    );
-    // And it exceeds the default chunk budget, so the upload really chunks.
+    // The corpus exceeds the default chunk budget, so the upload really chunks.
     assert!(gem_proto::binary::corpus_wire_bytes(&corpus) > gem_proto::binary::DEFAULT_CHUNK_BYTES);
 
     let mut service = EmbedService::new(MethodRegistry::with_gem(&config), 8);
@@ -55,7 +38,6 @@ fn oversized_corpora_fit_via_chunked_upload_with_in_process_handles() {
     let join = std::thread::spawn(move || server.run());
 
     let mut client = GemClient::connect(handle.addr()).unwrap();
-    assert_eq!(client.codec_name(), "binary");
     let fitted = client.fit(&corpus, &config, FeatureSet::ds()).unwrap();
 
     // The acceptance bar: the chunked upload's handle equals the in-process ModelKey —
@@ -65,8 +47,7 @@ fn oversized_corpora_fit_via_chunked_upload_with_in_process_handles() {
         ModelHandle::from(model_key(&corpus, &config, FeatureSet::ds()))
     );
 
-    // The fitted model answers embeds identically over both codecs: the streamed-row
-    // binary path and the JSON path produce byte-identical matrices.
+    // The fitted model answers streamed embeds.
     let queries: Vec<GemColumn> = (0..3)
         .map(|c| {
             GemColumn::new(
@@ -78,10 +59,6 @@ fn oversized_corpora_fit_via_chunked_upload_with_in_process_handles() {
         })
         .collect();
     let streamed = client.embed(fitted.handle, &queries).unwrap();
-    let mut json_client = GemClient::connect_json(handle.addr()).unwrap();
-    assert_eq!(json_client.codec_name(), "json");
-    let via_json = json_client.embed(fitted.handle, &queries).unwrap();
-    assert_eq!(streamed.matrix, via_json.matrix);
     assert_eq!(streamed.matrix.rows(), queries.len());
 
     // Nothing about the chunked upload tripped the protocol-error taxonomy, and the

@@ -1,6 +1,6 @@
 //! Cluster serving: three replicas behind the `gem-router` tier, in one process.
 //!
-//! The router speaks the same newline-delimited `gem-proto` JSON as a single
+//! The router speaks the same `gem-proto` handshake and frames as a single
 //! `gem-served`, so a `GemClient` pointed at it cannot tell the difference — except
 //! that behind it a consistent-hash ring shards model handles across replicas, every
 //! confirmed fit is snapshot-replicated to its ring successor, and killing the

@@ -1,8 +1,8 @@
 //! Remote serving: fit once over TCP, embed by handle forever after.
 //!
 //! This is the serving protocol end to end — a real `GemServer` on an ephemeral
-//! localhost port, a `GemClient` on the other side, newline-delimited `gem-proto` JSON
-//! in between — demonstrating the properties the handle-based API guarantees:
+//! localhost port, a `GemClient` on the other side, `gem-proto` frames in between —
+//! demonstrating the properties the handle-based API guarantees:
 //!
 //! 1. **Fit once, embed by handle.** The corpus crosses the wire exactly once (the
 //!    `Fit` request); every `Embed` after that ships only the handle + query columns.

@@ -17,8 +17,8 @@
 //!   [`serve::EmbedService`] protocol (`Fit` → [`serve::ModelHandle`] → `Embed`) with
 //!   its TCP front-end ([`serve::GemServer`] / [`serve::GemClient`], the `gem-served`
 //!   and `gem-client` binaries),
-//! * [`proto`] — the wire protocol those binaries speak: versioned JSON-line envelopes
-//!   with bit-exact column/matrix payload codecs,
+//! * [`proto`] — the wire protocol those binaries speak: versioned envelopes in
+//!   length-prefixed frames, with bit-exact column/matrix payload codecs,
 //! * [`router`] — the sharded cluster tier: a routing front-end (`gem-routed`) that
 //!   consistent-hashes model handles across `gem-served` replicas, health-probes them,
 //!   and fails over by shipping snapshots between replicas — never by refitting,
@@ -72,8 +72,8 @@ pub use gem_eval as eval;
 /// service and its TCP server/client (re-export of `gem-serve`).
 pub use gem_serve as serve;
 
-/// The serving wire protocol: versioned JSON-line envelopes with bit-exact payload
-/// codecs (re-export of `gem-proto`).
+/// The serving wire protocol: versioned envelopes in length-prefixed frames, with
+/// bit-exact payload codecs (re-export of `gem-proto`).
 pub use gem_proto as proto;
 
 /// The sharded cluster tier: a gem-proto routing front-end that partitions model

@@ -5,12 +5,12 @@
 //! completes).
 
 use gem::core::{FeatureSet, GemColumn, GemConfig, MethodRegistry};
-use gem::proto::RequestBody;
+use gem::proto::{binary, RequestBody, ResponseBody};
 use gem::serve::{
     EmbedService, GemClient, GemServer, HealthState, RequestShape, ServerHandle,
     DEFAULT_QUEUE_CAPACITY, SHAPES,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,7 +47,7 @@ fn start_server(
 
 /// The conservation invariant: every frame the executor pool pops is recorded under
 /// exactly one request shape, so after any mixed workload — typed requests, a health
-/// probe, even a line that fails to parse — the per-shape histogram counts sum to the
+/// probe, even a frame that fails to parse — the per-shape histogram counts sum to the
 /// lifetime request counter, and the queue gauge has drained back to zero.
 #[test]
 fn per_shape_histograms_conserve_every_request_and_the_queue_drains() {
@@ -65,18 +65,38 @@ fn per_shape_histograms_conserve_every_request_and_the_queue_drains() {
     assert_eq!(health.state, HealthState::Ok);
     assert!(client.evict(fitted.handle).unwrap());
 
-    // One deliberately malformed line over a raw socket: the server answers with a
-    // typed error body, and the frame still lands in the accounting (as the
-    // `protocol_error` shape), because it was popped and executed like any other.
+    // One deliberately malformed `req_json` frame over a raw socket, after the hello:
+    // the server answers with a typed error body, and the frame still lands in the
+    // accounting (as the `protocol_error` shape), because it was popped and executed
+    // like any other.
     let mut raw = std::net::TcpStream::connect(server.addr()).unwrap();
-    raw.write_all(b"this is not a protocol envelope\n").unwrap();
-    let mut line = String::new();
-    BufReader::new(raw.try_clone().unwrap())
-        .read_line(&mut line)
+    raw.write_all(binary::hello_line().as_bytes()).unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut accept = String::new();
+    reader.read_line(&mut accept).unwrap();
+    assert!(binary::parse_accept(&accept).is_some(), "{accept}");
+    let mut payload = vec![1u8];
+    payload.extend_from_slice(&5u64.to_le_bytes());
+    payload.extend_from_slice(b"this is not a protocol envelope");
+    raw.write_all(&binary::frame_bytes(binary::KIND_REQ_JSON, &payload).unwrap())
         .unwrap();
+    let mut assembler = binary::FrameAssembler::new();
+    let frame = loop {
+        if let Some(frame) = assembler.next_frame().unwrap() {
+            break frame;
+        }
+        let mut buf = [0u8; 4096];
+        let n = reader.read(&mut buf).unwrap();
+        assert!(n > 0, "the server answers before closing");
+        assembler.push(&buf[..n]);
+    };
+    let reply = binary::decode_response_frame(&frame, &mut binary::EmbedPartials::new())
+        .unwrap()
+        .unwrap();
+    assert_eq!(reply.in_reply_to, Some(5));
     assert!(
-        line.contains("error"),
-        "malformed input gets a typed reply: {line}"
+        matches!(&reply.body, ResponseBody::Error { code, .. } if code == "protocol_error"),
+        "malformed input gets a typed reply: {reply:?}"
     );
     drop(raw);
 
