@@ -458,7 +458,7 @@ impl GemModel {
 impl GemModel {
     /// Approximate resident memory of the fitted state, in bytes: GMM parameters,
     /// standardisation parameters and autoencoder weights (each 8 bytes per `f64`) plus
-    /// the struct overhead. Used by memory-bounded caches to decide when to evict; the
+    /// the struct overhead. Reported as the serving cache's resident bytes; the
     /// estimate deliberately ignores allocator overhead and small container headers.
     pub fn approx_mem_bytes(&self) -> u64 {
         let mut bytes = std::mem::size_of::<GemModel>() as u64;

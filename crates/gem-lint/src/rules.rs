@@ -143,7 +143,7 @@ fn l2_scoped(path: &str) -> bool {
     matches!(
         path,
         "crates/gem-serve/src/service.rs"
-            | "crates/gem-serve/src/engine.rs"
+            | "crates/gem-serve/src/cache.rs"
             | "crates/gem-serve/src/net.rs"
     )
 }
@@ -155,7 +155,7 @@ fn l3_scoped(path: &str) -> bool {
             | "crates/gem-serve/src/client.rs"
             | "crates/gem-serve/src/framing.rs"
             | "crates/gem-serve/src/service.rs"
-            | "crates/gem-serve/src/engine.rs"
+            | "crates/gem-serve/src/cache.rs"
     ) || path.starts_with("crates/gem-proto/src/")
         || path.starts_with("crates/gem-router/src/")
 }
@@ -234,7 +234,7 @@ fn check_l1_lock_tokens(path: &str, model: &SourceModel, out: &mut Vec<Diagnosti
 /// Calls that must never run under a held lock guard: EM fits, transforms and model
 /// store I/O all take milliseconds-to-seconds, and a guard held across them turns one
 /// slow model into a stall for every concurrent request on that lock.
-const L1_FORBIDDEN_CALLS: [&str; 10] = [
+const L1_FORBIDDEN_CALLS: [&str; 12] = [
     "GemModel::fit",
     ".fit(",
     ".fit_update(",
@@ -242,6 +242,8 @@ const L1_FORBIDDEN_CALLS: [&str; 10] = [
     ".fit_transform(",
     ".save(",
     ".save_with_parent(",
+    "store.load(",
+    "store.remove(",
     ".load_path(",
     ".load_hex(",
     ".remove_hex(",
@@ -272,13 +274,7 @@ fn check_l1_guard_liveness(path: &str, model: &SourceModel, out: &mut Vec<Diagno
         // While any guard is live, the line may not reach into fit/transform/store I/O.
         if !guards.is_empty() {
             for token in L1_FORBIDDEN_CALLS {
-                let hit = if token == ".load(" {
-                    // `.load(Ordering…)` is an atomic read, not store I/O.
-                    has_load_call_not_atomic(&line.code)
-                } else {
-                    line.code.contains(token)
-                };
-                if hit {
+                if line.code.contains(token) {
                     let guard = guards.last().expect("non-empty");
                     out.push(Diagnostic {
                         rule: "L1".to_string(),
@@ -319,19 +315,6 @@ fn check_l1_guard_liveness(path: &str, model: &SourceModel, out: &mut Vec<Diagno
         }
     }
     let _ = guards;
-}
-
-/// `.load(` present with a non-`Ordering` argument (i.e. actual store I/O).
-fn has_load_call_not_atomic(code: &str) -> bool {
-    let mut rest = code;
-    while let Some(at) = rest.find(".load(") {
-        let arg = rest[at + ".load(".len()..].trim_start();
-        if !arg.starts_with("Ordering") && !arg.starts_with("std::sync::atomic::Ordering") {
-            return true;
-        }
-        rest = &rest[at + ".load(".len()..];
-    }
-    false
 }
 
 /// If `stmt` is `let [mut] <pat> = <expr>;` whose expression *is* a lock acquisition

@@ -33,7 +33,7 @@ fn expect(fixture_name: &str, as_path: &str, rule: &str, lines: &[usize]) {
 fn l1_bare_lock_unwraps_fire_at_their_lines() {
     expect(
         "l1_lock_unwrap.rs",
-        "crates/gem-serve/src/cache.rs",
+        "crates/gem-serve/src/metrics.rs",
         "L1",
         &[6, 9],
     );
@@ -53,9 +53,9 @@ fn l1_outside_gem_serve_the_same_code_is_clean() {
 fn l1_guard_held_across_fit_and_store_io_fires() {
     expect(
         "l1_guard_liveness.rs",
-        "crates/gem-serve/src/engine.rs",
+        "crates/gem-serve/src/cache.rs",
         "L1",
-        &[9, 10],
+        &[10, 11, 16, 19],
     );
 }
 
@@ -120,7 +120,7 @@ fn l3_panic_paths_fire_with_tests_exempt() {
     // The dispatch layer runs every wire request on an executor, so it is wire surface.
     for dispatch in [
         "crates/gem-serve/src/service.rs",
-        "crates/gem-serve/src/engine.rs",
+        "crates/gem-serve/src/cache.rs",
     ] {
         expect("l3_panic_wire.rs", dispatch, "L3", &[10, 12, 13, 18]);
     }

@@ -1,5 +1,5 @@
 // L1 fixture: bare lock unwraps in gem-serve production code. Linted under the path
-// `crates/gem-serve/src/cache.rs`; the violations are on lines 6 and 9.
+// `crates/gem-serve/src/metrics.rs`; the violations are on lines 6 and 9.
 
 struct Counters { inner: std::sync::Mutex<u64> }
 impl Counters {

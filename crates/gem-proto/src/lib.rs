@@ -85,7 +85,9 @@ use std::fmt;
 /// (`embed_rows`/`embed_done`). Version 5 servers later stopped answering JSON lines:
 /// after the hello every message is a frame, and a first line that is not a hello is
 /// refused with one typed error line, then the connection closes.
-pub const PROTOCOL_VERSION: u64 = 5;
+/// 6 — `expirations` removed from stats: the model cache no longer has a TTL (handles
+/// are content hashes, so a resident model is never stale).
+pub const PROTOCOL_VERSION: u64 = 6;
 
 pub mod binary;
 
@@ -242,10 +244,8 @@ pub struct WireStats {
     pub warm_starts: u64,
     /// Lookups that found the model in neither tier.
     pub misses: u64,
-    /// Entries evicted to respect the capacity or memory bound.
+    /// Models evicted to respect the cache's capacity bound.
     pub evictions: u64,
-    /// Entries dropped because they outlived the TTL.
-    pub expirations: u64,
     /// Duplicate in-flight fits coalesced onto another request's computation
     /// (single-flight: N concurrent fits of one handle pay one EM fit).
     pub coalesced_fits: u64,
@@ -586,7 +586,6 @@ impl ToJson for WireStats {
             ("warm_starts", u64_number(self.warm_starts)),
             ("misses", u64_number(self.misses)),
             ("evictions", u64_number(self.evictions)),
-            ("expirations", u64_number(self.expirations)),
             ("coalesced_fits", u64_number(self.coalesced_fits)),
             ("spills", u64_number(self.spills)),
             ("store_errors", u64_number(self.store_errors)),
@@ -646,7 +645,6 @@ impl FromJson for WireStats {
             warm_starts: num("warm_starts")?,
             misses: num("misses")?,
             evictions: num("evictions")?,
-            expirations: num("expirations")?,
             coalesced_fits: num("coalesced_fits")?,
             spills: num("spills")?,
             store_errors: num("store_errors")?,
@@ -957,7 +955,6 @@ pub fn merge_stats(parts: &[WireStats]) -> WireStats {
         merged.warm_starts += part.warm_starts;
         merged.misses += part.misses;
         merged.evictions += part.evictions;
-        merged.expirations += part.expirations;
         merged.coalesced_fits += part.coalesced_fits;
         merged.spills += part.spills;
         merged.store_errors += part.store_errors;
@@ -1253,15 +1250,16 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_parse_errors() {
+        let v = PROTOCOL_VERSION;
         for bad in [
-            "",
-            "not json",
-            "{}",
-            r#"{"id":1,"version":5}"#,
-            r#"{"id":1,"version":5,"body":{"type":"no-such"}}"#,
-            r#"{"id":1,"version":5,"body":{"type":"embed"}}"#,
+            String::new(),
+            "not json".to_string(),
+            "{}".to_string(),
+            format!(r#"{{"id":1,"version":{v}}}"#),
+            format!(r#"{{"id":1,"version":{v},"body":{{"type":"no-such"}}}}"#),
+            format!(r#"{{"id":1,"version":{v},"body":{{"type":"embed"}}}}"#),
         ] {
-            let err = decode_request(bad).unwrap_err();
+            let err = decode_request(&bad).unwrap_err();
             assert_eq!(err.code(), "protocol_error", "{bad}");
         }
     }
@@ -1283,7 +1281,9 @@ mod tests {
         let back = decode_response(&encode_response(&zero)).unwrap();
         assert_eq!(back.in_reply_to, Some(0));
         // Requests must carry a numeric id: null is response-only.
-        let err = decode_request(r#"{"id":null,"version":5,"body":{"type":"stats"}}"#).unwrap_err();
+        let line =
+            format!(r#"{{"id":null,"version":{PROTOCOL_VERSION},"body":{{"type":"stats"}}}}"#);
+        let err = decode_request(&line).unwrap_err();
         assert_eq!(err.code(), "protocol_error");
     }
 

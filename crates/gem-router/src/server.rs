@@ -64,8 +64,7 @@ use gem_serve::sync::lock_or_recover;
 use gem_serve::ModelHandle;
 use gem_store::fingerprint::Fnv1a;
 use gem_store::{
-    config_fingerprint, corpus_fingerprint, updated_model_key_from_fingerprint, CorpusHasher,
-    ModelKey,
+    corpus_fingerprint, fit_model_key, updated_model_key_from_fingerprint, CorpusHasher,
 };
 
 use crate::cluster::{Cluster, Transition};
@@ -595,17 +594,15 @@ impl Forwarder {
                 features,
                 composition,
             } => {
-                // Compute the handle exactly as the replica will (composition override
-                // applied first), so the router can place the model before it exists.
-                let mut config = config.clone();
-                if let Some(composition) = composition {
-                    config.composition = *composition;
-                }
-                let key = ModelKey {
-                    corpus: corpus_fp.unwrap_or_else(|| corpus_fingerprint(corpus)),
-                    config: config_fingerprint(&config, *features),
-                };
-                let handle = key.to_hex();
+                // The replica derives the handle with the same function, so the router
+                // can place the model before it exists.
+                let handle = fit_model_key(
+                    corpus_fp.unwrap_or_else(|| corpus_fingerprint(corpus)),
+                    config,
+                    *features,
+                    *composition,
+                )
+                .to_hex();
                 let route_handle = handle.clone();
                 self.forward(
                     id,

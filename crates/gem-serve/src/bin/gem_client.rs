@@ -299,13 +299,11 @@ fn stats(addr: &str) -> CliResult {
         stats.requests, stats.resident_models, stats.resident_bytes
     );
     println!(
-        "hits: {} warm_starts: {} misses: {} evictions: {} expirations: {} spills: {} \
-         store_errors: {}",
+        "hits: {} warm_starts: {} misses: {} evictions: {} spills: {} store_errors: {}",
         stats.hits,
         stats.warm_starts,
         stats.misses,
         stats.evictions,
-        stats.expirations,
         stats.spills,
         stats.store_errors
     );

@@ -3,8 +3,8 @@
 //!
 //! ```sh
 //! gem-served [--addr 127.0.0.1:7878] [--workers N] [--queue-capacity N]
-//!            [--metrics-addr HOST:PORT] [--cache-capacity N] [--ttl-secs N]
-//!            [--max-bytes N] [--store DIR] [--components N] [--ctl-stdin]
+//!            [--metrics-addr HOST:PORT] [--cache-capacity N] [--store DIR]
+//!            [--components N] [--ctl-stdin]
 //! ```
 //!
 //! * `--addr` — listen address; use port `0` for an ephemeral port. The resolved
@@ -22,7 +22,9 @@
 //!   picks an ephemeral port. The resolved address is printed as
 //!   `gem-served metrics on <addr>`. Every request gets the full document — the path
 //!   is ignored. Off by default.
-//! * `--cache-capacity` / `--ttl-secs` / `--max-bytes` — the model-cache policy.
+//! * `--cache-capacity` — how many fitted models stay resident (default 64). Beyond it
+//!   the least recently used model is evicted: spilled to the store with `--store`,
+//!   dropped without one.
 //! * `--store DIR` — attach an on-disk model store: evictions spill, misses warm-start,
 //!   and client handles survive restarts.
 //! * `--components` — GMM components of the registered `EmbedCorpus` method family
@@ -80,8 +82,6 @@ struct Args {
     queue_capacity: Option<usize>,
     metrics_addr: Option<String>,
     capacity: usize,
-    ttl_secs: Option<u64>,
-    max_bytes: Option<u64>,
     store: Option<String>,
     components: usize,
     ctl_stdin: bool,
@@ -94,8 +94,6 @@ fn parse_args() -> Result<Args, String> {
         queue_capacity: None,
         metrics_addr: None,
         capacity: 64,
-        ttl_secs: None,
-        max_bytes: None,
         store: None,
         components: GemConfig::default().gmm.n_components,
         ctl_stdin: false,
@@ -130,20 +128,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "--cache-capacity needs a positive integer".to_string())?;
             }
-            "--ttl-secs" => {
-                args.ttl_secs = Some(
-                    value("--ttl-secs")?
-                        .parse()
-                        .map_err(|_| "--ttl-secs needs a non-negative integer".to_string())?,
-                );
-            }
-            "--max-bytes" => {
-                args.max_bytes = Some(
-                    value("--max-bytes")?
-                        .parse()
-                        .map_err(|_| "--max-bytes needs a non-negative integer".to_string())?,
-                );
-            }
             "--store" => args.store = Some(value("--store")?),
             "--components" => {
                 args.components = value("--components")?
@@ -170,21 +154,16 @@ fn run() -> Result<(), String> {
     let args = parse_args().map_err(|e| {
         format!(
             "{e}\nusage: gem-served [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
-             [--metrics-addr HOST:PORT] [--cache-capacity N] [--ttl-secs N] [--max-bytes N] \
-             [--store DIR] [--components N] [--ctl-stdin]"
+             [--metrics-addr HOST:PORT] [--cache-capacity N] [--store DIR] [--components N] \
+             [--ctl-stdin]"
         )
     })?;
 
-    let mut policy = CachePolicy::with_capacity(args.capacity);
-    if let Some(secs) = args.ttl_secs {
-        policy = policy.ttl(Duration::from_secs(secs));
-    }
-    if let Some(bytes) = args.max_bytes {
-        policy = policy.max_bytes(bytes);
-    }
-
     let config = GemConfig::with_components(args.components);
-    let mut service = EmbedService::with_policy(MethodRegistry::with_gem(&config), policy);
+    let mut service = EmbedService::with_policy(
+        MethodRegistry::with_gem(&config),
+        CachePolicy::with_capacity(args.capacity),
+    );
     service.register_gem_family(&config);
     if let Some(dir) = &args.store {
         let store = ModelStore::open(dir).map_err(|e| e.to_string())?;
@@ -240,7 +219,10 @@ fn run() -> Result<(), String> {
     server.run().map_err(|e| e.to_string())?;
     // Only the graceful path reaches here (a kill never returns from run), so this is
     // the soak-run debugging record: one structured line, greppable key=value fields.
-    println!("{}", shutdown_summary(handle.counters(), &service.stats()));
+    println!(
+        "{}",
+        shutdown_summary(handle.counters(), handle.metrics(), &service.stats())
+    );
     let _ = std::io::stdout().flush();
     Ok(())
 }

@@ -1,641 +1,641 @@
-//! The fingerprint-keyed, bounded, two-tier model cache.
+//! The model cache: every fitted model the service can answer with, addressed by its
+//! [`ModelKey`] handle.
 //!
 //! Fitting a [`GemModel`] is the expensive step of the pipeline (the EM fit over the
-//! stacked corpus); transforming against a fitted model is cheap. A serving system
-//! therefore caches fitted models keyed by [`ModelKey`] — the corpus fingerprint plus
-//! the configuration hash.
+//! stacked corpus); transforming against a fitted model is cheap. [`ModelCache`] keeps
+//! the fitted models and answers three lookups: [`ModelCache::resolve`] (the model a
+//! handle names, never fitted: the embed-by-handle path), [`ModelCache::get_or_fit`]
+//! (resolve, else one EM fit per (corpus, configuration) key) and
+//! [`ModelCache::fit_update`] (resolve the parent, then resolve or grow the derived
+//! model).
 //!
-//! The cache is bounded along three axes ([`CachePolicy`]): an entry-count capacity, an
-//! optional TTL (entries older than the TTL are expired on the next access), and an
-//! optional approximate-memory bound computed from [`GemModel::approx_mem_bytes`].
+//! Two tiers:
 //!
-//! Attaching a [`ModelStore`] turns it into a two-tier cache:
+//! * **memory**: an LRU of at most [`CachePolicy::capacity`] models behind [`Arc`], so a
+//!   hit hands out a shared handle and transforms run with no lock held;
+//! * **store** (an optional [`ModelStore`]): a model evicted from memory **spills** to
+//!   disk, and a lookup that misses memory **warm-starts** from disk, a deserialisation
+//!   (~ms) instead of an EM re-fit, with bit-identical transforms.
 //!
-//! * models evicted for the capacity or memory bound **spill** to the store (a disk
-//!   write instead of losing the fit), and
-//! * a lookup that misses memory **warm-starts** from the store — a deserialisation
-//!   (~ms) instead of an EM re-fit (~90ms on the bench corpus), with bit-identical
-//!   transform output.
+//! Handles are content hashes, so a resident model is never stale: nothing expires, and
+//! with a store a handle survives both eviction and restart.
 //!
-//! TTL-expired entries are *not* spilled: expiry says the entry has outlived its
-//! freshness budget, so writing it out would just move stale data to disk. Store I/O
-//! failures never fail a lookup — they count in [`CacheStats::store_errors`] and the
-//! cache falls back to the cold path, keeping a broken disk from taking serving down.
+//! **No store I/O under the lock.** One mutex guards the resident models, the spill
+//! bookkeeping and the single-flight registry, and each critical section only moves
+//! pointers. Snapshot reads, writes and deletes run after it drops, so a slow or hung
+//! disk never blocks a lookup of another model:
 //!
-//! **Spills are deferred, not written in place.** An eviction only *records* that the
-//! model should be written ([`ModelCache::take_pending_spills`] hands the work out as
-//! [`SpillTask`]s); whoever owns the cache executes the tasks wherever it likes — the
-//! `BatchEngine` runs them *after releasing its cache lock*, so a slow or hung
-//! disk never blocks concurrent cache hits. The standalone conveniences
-//! ([`ModelCache::get`], [`ModelCache::get_or_fit`], [`ModelCache::flush_spills`])
-//! execute pending spills synchronously, preserving the simple single-owner behaviour.
-//! Spill outcomes are counted through atomics shared between the cache and its tasks, so
-//! off-lock completions are never lost from [`CacheStats`].
+//! * An eviction hands the model to a spill that runs once the lock drops. Until the
+//!   write finishes the model stays resolvable from the spill bookkeeping, and a key
+//!   that already has a snapshot is not rewritten.
+//! * A lookup that misses memory reads the store outside the lock.
+//! * [`ModelCache::evict`] bumps its key's eviction generation under the lock, then
+//!   unlinks the snapshot outside it. A spill of that key already in flight sees the
+//!   generation move and leaves no snapshot behind, so "evict returned ⇒ the handle
+//!   stops resolving" holds even mid-spill. Spills of other keys are untouched.
+//!
+//! **Single-flight.** A key that misses memory gets one *flight*: the first caller leads
+//! it (reads the store and, for `get_or_fit`/`fit_update`, produces the model when the
+//! store lacks it) and every concurrent caller of that key joins it and shares the
+//! leader's `Arc`. N concurrent fits of one handle pay one EM fit
+//! ([`CacheStats::coalesced_fits`]), and N concurrent warm starts decode once.
+//!
+//! Store failures never fail a lookup: they count in [`CacheStats::store_errors`], a
+//! snapshot rejected as corrupt is deleted (so the next spill can write a good one), and
+//! the lookup proceeds as a miss. Version mismatches are kept; they may belong to a newer
+//! deployment sharing the store.
 
-use crate::fingerprint::{model_key, ModelKey};
+use crate::fingerprint::ModelKey;
+use crate::sync::{lock_or_recover, wait_or_recover};
 use gem_core::{FeatureSet, GemColumn, GemConfig, GemError, GemModel};
-use gem_store::ModelStore;
+use gem_store::{ModelStore, StoreError};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
-/// Spill-path counters plus the per-key eviction generations, shared between the cache
-/// and every in-flight [`SpillTask`] so completions recorded off-lock are never lost —
-/// and so an explicit [`ModelCache::evict`] can invalidate tasks that are already out
-/// of the cache's hands.
-#[derive(Debug, Default)]
-struct SpillCounters {
-    spills: AtomicU64,
-    store_errors: AtomicU64,
-    /// Per-key eviction generation, bumped by every explicit eviction of that key. A
-    /// [`SpillTask`] records its key's generation at creation and refuses to leave a
-    /// snapshot behind once it has moved: without this, an `Evict` racing an in-flight
-    /// spill would have the spill re-write the snapshot the eviction just deleted,
-    /// resurrecting the handle. Cancellation is per-key so evicting one model never
-    /// discards in-flight spills of unrelated ones. (The map grows by one small entry
-    /// per distinct explicitly-evicted key — operator actions, negligible next to the
-    /// models themselves — and is never consulted under the cache's own lock.)
-    evict_generations: std::sync::Mutex<std::collections::HashMap<ModelKey, u64>>,
-    /// Models whose spill has been handed out but not yet completed. Lookups consult
-    /// this map after missing the resident entries, so a policy-evicted model never
-    /// becomes transiently unresolvable while its (possibly slow) store write is in
-    /// flight — the resolvability guarantee of the old write-under-the-lock design,
-    /// kept without the lock.
-    in_flight_spills: std::sync::Mutex<std::collections::HashMap<ModelKey, Arc<GemModel>>>,
+/// Where the model that served a request came from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ServedFrom {
+    /// This request fitted the model (or the fit failed).
+    ColdFit,
+    /// The model was resident in the in-memory cache.
+    MemoryCache,
+    /// The model was rehydrated from the on-disk store (warm start: deserialisation
+    /// instead of an EM re-fit).
+    DiskStore,
 }
 
-impl SpillCounters {
-    fn generation_of(&self, key: ModelKey) -> u64 {
-        crate::sync::lock_or_recover(&self.evict_generations)
-            .get(&key)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    fn bump_generation(&self, key: ModelKey) {
-        *crate::sync::lock_or_recover(&self.evict_generations)
-            .entry(key)
-            .or_insert(0) += 1;
-    }
-
-    fn in_flight(&self, key: ModelKey) -> Option<Arc<GemModel>> {
-        crate::sync::lock_or_recover(&self.in_flight_spills)
-            .get(&key)
-            .cloned()
-    }
-
-    fn register_in_flight(&self, key: ModelKey, model: Arc<GemModel>) {
-        crate::sync::lock_or_recover(&self.in_flight_spills).insert(key, model);
-    }
-
-    fn clear_in_flight(&self, key: ModelKey) {
-        crate::sync::lock_or_recover(&self.in_flight_spills).remove(&key);
-    }
-}
-
-/// One deferred store write: a model evicted from memory that should be persisted to the
-/// store tier. Produced by [`ModelCache::take_pending_spills`]; self-contained (it owns
-/// the model handle, the store handle and the stat counters), so it can be executed on
-/// any thread without touching — or locking — the cache again.
-#[derive(Debug)]
-pub struct SpillTask {
-    key: ModelKey,
-    model: Arc<GemModel>,
-    store: Arc<ModelStore>,
-    counters: Arc<SpillCounters>,
-    /// The key's eviction generation this task was created under (see
-    /// `SpillCounters::evict_generations`).
-    generation: u64,
-}
-
-impl SpillTask {
-    /// The key of the model this task would persist.
-    pub fn key(&self) -> ModelKey {
-        self.key
-    }
-
-    fn cancelled(&self) -> bool {
-        self.counters.generation_of(self.key) != self.generation
-    }
-
-    /// Write the snapshot (skipping keys already on disk — the fit is deterministic in
-    /// (corpus, config), so an existing snapshot is already identical) and record the
-    /// outcome in the owning cache's [`CacheStats`]. Returns whether a write happened
-    /// and survived.
-    ///
-    /// Tasks outlive the cache lock, so an explicit [`ModelCache::evict`] can race a
-    /// task that is already in flight. Eviction bumps the key's generation *before*
-    /// touching the store; a task from an older generation skips the write — and if the
-    /// generation moved while the write was happening, deletes what it just wrote — so
-    /// "evict returned ⇒ the handle stops resolving" holds even mid-spill. Cancellation
-    /// is per-key: evicting one model never discards in-flight spills of others.
-    pub fn execute(self) -> bool {
-        let written = self.write();
-        // However the write went, the model is no longer "in flight": it is now either
-        // on disk, resident again (a lookup re-promoted it), or deliberately gone.
-        self.counters.clear_in_flight(self.key);
-        written
-    }
-
-    fn write(&self) -> bool {
-        if self.cancelled() || self.store.contains(self.key) {
-            return false;
+impl ServedFrom {
+    /// The stable wire rendering used by the serving protocol (`gem-proto`).
+    pub fn wire_name(self) -> &'static str {
+        match self {
+            ServedFrom::ColdFit => "cold_fit",
+            ServedFrom::MemoryCache => "memory_cache",
+            ServedFrom::DiskStore => "disk_store",
         }
-        match self.store.save(self.key, &self.model) {
-            Ok(_) => {
-                if self.cancelled() {
-                    // An evict of this key landed between our pre-check and the write
-                    // completing; it already deleted the old snapshot, so delete ours.
-                    let _ = self.store.remove(self.key);
-                    return false;
-                }
-                self.counters.spills.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
-                false
-            }
+    }
+
+    /// Parse a [`ServedFrom::wire_name`] rendering.
+    pub fn from_wire_name(name: &str) -> Option<Self> {
+        match name {
+            "cold_fit" => Some(ServedFrom::ColdFit),
+            "memory_cache" => Some(ServedFrom::MemoryCache),
+            "disk_store" => Some(ServedFrom::DiskStore),
+            _ => None,
         }
     }
 }
 
-/// The store-tier half of an explicit eviction: the snapshot delete, packaged so the
-/// caller can run it *after* releasing whatever lock guards the cache (symmetric with
-/// [`SpillTask`] — no store I/O under the lock). Returns whether a snapshot existed;
-/// delete failures count as store errors and report the snapshot as still existing.
-#[derive(Debug)]
-pub struct EvictTask {
-    key: ModelKey,
-    store: Arc<ModelStore>,
-    counters: Arc<SpillCounters>,
-}
-
-impl EvictTask {
-    /// Delete the snapshot (if any). See the type docs for semantics.
-    pub fn execute(self) -> bool {
-        match self.store.remove(self.key) {
-            Ok(removed) => removed,
-            Err(_) => {
-                self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-        }
-    }
-}
-
-/// Cumulative cache counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups served from resident memory.
-    pub hits: u64,
-    /// Lookups served by rehydrating a spilled model from the attached store.
-    pub warm_starts: u64,
-    /// Lookups that found the model in neither tier.
-    pub misses: u64,
-    /// Entries evicted to respect the capacity or memory bound.
-    pub evictions: u64,
-    /// Entries dropped because they outlived the TTL.
-    pub expirations: u64,
-    /// Duplicate in-flight fits coalesced onto another request's computation. The cache
-    /// itself never fits, so this stays zero here; `BatchEngine` — which owns
-    /// the single-flight registry — fills it in when reporting merged stats.
-    pub coalesced_fits: u64,
-    /// Evicted entries successfully written to the attached store.
-    pub spills: u64,
-    /// Store reads or writes that failed (the lookup then proceeded as a miss).
-    pub store_errors: u64,
-    /// Total microseconds spent inside cold-fit EM runs. Like `coalesced_fits` this is
-    /// engine-owned — the cache itself never fits, so it stays zero here and
-    /// `BatchEngine` fills it in when reporting merged stats. Cache hits, disk
-    /// warm starts and incremental `fit_update`s add nothing: the counter is exactly
-    /// the time the fused EM kernels ran.
-    pub fit_micros: u64,
-    /// Total EM iterations across those cold fits' winning restarts (engine-owned,
-    /// like `fit_micros`). `fit_micros / em_iterations` approximates the per-iteration
-    /// kernel cost a deployment actually pays.
-    pub em_iterations: u64,
-}
-
-/// Which tier satisfied a lookup.
+/// Which tier holds a model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheTier {
-    /// The model was resident in memory.
+    /// The model is resident in memory.
     Memory,
-    /// The model was rehydrated from the attached on-disk store.
+    /// The model is a snapshot in the attached on-disk store.
     Disk,
 }
 
-/// Eviction policy of a [`ModelCache`]. `capacity` always applies; the TTL and memory
-/// bounds are opt-in.
+/// Cumulative cache counters. Every lookup counts exactly one of `hits`, `warm_starts`
+/// and `misses`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups served from memory: resident models, models whose spill was still in
+    /// flight, and lookups that joined another caller's warm start.
+    pub hits: u64,
+    /// Lookups that rehydrated a spilled model from the attached store.
+    pub warm_starts: u64,
+    /// Lookups that found the model in neither tier: cold fits, fits coalesced onto
+    /// another caller's, and handles that resolve nowhere.
+    pub misses: u64,
+    /// Models evicted to respect the capacity bound.
+    pub evictions: u64,
+    /// Fits that joined another caller's in-flight fit of the same key instead of
+    /// running EM (each also counts one miss).
+    pub coalesced_fits: u64,
+    /// Evicted models written to the attached store.
+    pub spills: u64,
+    /// Store reads, writes or deletes that failed (a failed read proceeds as a miss).
+    pub store_errors: u64,
+    /// Total microseconds spent inside cold-fit EM runs. Hits, warm starts, coalesced
+    /// fits and `fit_update`s add nothing: the counter is exactly the time the fused EM
+    /// kernels ran.
+    pub fit_micros: u64,
+    /// Total EM iterations across those cold fits' winning restarts.
+    /// `fit_micros / em_iterations` approximates the per-iteration kernel cost a
+    /// deployment actually pays.
+    pub em_iterations: u64,
+}
+
+/// Eviction policy of the model cache.
 #[derive(Debug, Clone, Copy)]
 pub struct CachePolicy {
-    /// Maximum number of resident models.
+    /// Maximum number of resident models. Beyond it the least recently used model is
+    /// evicted (and spilled, when a store is attached).
     pub capacity: usize,
-    /// Entries older than this are expired (checked on every access). `None` disables.
-    pub ttl: Option<Duration>,
-    /// Approximate resident-memory bound over [`GemModel::approx_mem_bytes`]. When
-    /// exceeded, least-recently-used entries are evicted — but the most recently used
-    /// entry always stays, so a single over-budget model still serves. `None` disables.
-    pub max_bytes: Option<u64>,
 }
 
 impl CachePolicy {
-    /// Capacity-only policy (the PR 2 behaviour).
+    /// A policy holding at most `capacity` resident models.
     pub fn with_capacity(capacity: usize) -> Self {
-        CachePolicy {
-            capacity,
-            ttl: None,
-            max_bytes: None,
+        CachePolicy { capacity }
+    }
+}
+
+/// One atomic per [`CacheStats`] field, so counts taken outside the lock (spills, fit
+/// costs, flight outcomes) are never lost.
+#[derive(Debug, Default)]
+struct Counters {
+    hits: AtomicU64,
+    warm_starts: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    coalesced_fits: AtomicU64,
+    spills: AtomicU64,
+    store_errors: AtomicU64,
+    fit_micros: AtomicU64,
+    em_iterations: AtomicU64,
+}
+
+impl Counters {
+    fn snapshot(&self) -> CacheStats {
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        CacheStats {
+            hits: get(&self.hits),
+            warm_starts: get(&self.warm_starts),
+            misses: get(&self.misses),
+            evictions: get(&self.evictions),
+            coalesced_fits: get(&self.coalesced_fits),
+            spills: get(&self.spills),
+            store_errors: get(&self.store_errors),
+            fit_micros: get(&self.fit_micros),
+            em_iterations: get(&self.em_iterations),
         }
     }
+}
 
-    /// Builder-style TTL bound.
-    pub fn ttl(mut self, ttl: Duration) -> Self {
-        self.ttl = Some(ttl);
-        self
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// What a flight's leader found or made, shared with every caller that joined it.
+#[derive(Debug, Clone)]
+enum Landing {
+    /// Read from the store: a warm start.
+    Loaded(Arc<GemModel>),
+    /// Fitted (or grown by `fit_update`) by the leader, or the error that produced.
+    Produced(Result<Arc<GemModel>, GemError>),
+    /// In neither tier; the leader was only resolving.
+    Absent,
+}
+
+/// One key's store read (and, when the store lacks it, fit) in progress: its leader
+/// finishes it, and callers that joined block until then.
+#[derive(Debug, Default)]
+struct Flight {
+    landing: Mutex<Option<Landing>>,
+    landed: Condvar,
+}
+
+impl Flight {
+    fn finish(&self, landing: Landing) {
+        *lock_or_recover(&self.landing) = Some(landing);
+        self.landed.notify_all();
     }
 
-    /// Builder-style approximate-memory bound.
-    pub fn max_bytes(mut self, max_bytes: u64) -> Self {
-        self.max_bytes = Some(max_bytes);
-        self
+    fn wait(&self) -> Landing {
+        let mut landing = lock_or_recover(&self.landing);
+        loop {
+            if let Some(landed) = landing.as_ref() {
+                return landed.clone();
+            }
+            landing = wait_or_recover(&self.landed, landing);
+        }
     }
 }
 
+/// An evicted model on its way to the store, written after the cache lock drops.
 #[derive(Debug)]
-struct Entry {
+struct SpillTask {
     key: ModelKey,
     model: Arc<GemModel>,
-    inserted_at: Instant,
-    bytes: u64,
+    /// The key's eviction generation at eviction time; an explicit evict of the key
+    /// since then cancels the write.
+    generation: u64,
 }
 
-/// A bounded LRU cache of fitted models, optionally backed by an on-disk store tier.
-///
-/// Models are stored behind [`Arc`] so a cache hit hands out a shared handle: transforms
-/// can proceed on many threads while the cache itself is only locked for the (cheap)
-/// lookup. The entry list is kept in recency order — front is most recently used — which
-/// for serving-sized capacities (tens of models) makes the linear scan cheaper than a
-/// hash map plus intrusive list.
+/// What a lookup found under the lock.
+enum Lookup {
+    /// Resident, or evicted with its spill still in flight (counted as a hit).
+    Found(Arc<GemModel>),
+    /// Another caller's flight for the key is in progress.
+    Join(Arc<Flight>),
+    /// This caller opened the key's flight, under the key's current eviction generation.
+    Lead(Arc<Flight>, u64),
+}
+
+/// Everything the cache lock guards.
+#[derive(Debug, Default)]
+struct State {
+    /// Resident models, most recently used first. Serving capacities are tens of
+    /// models, so a linear scan beats a hash map plus an intrusive list.
+    resident: Vec<(ModelKey, Arc<GemModel>)>,
+    /// Evicted models whose spill has not finished. Lookups still resolve them, so a
+    /// slow store write never makes a handle transiently unknown.
+    spilling: HashMap<ModelKey, Arc<GemModel>>,
+    /// Spills queued by inserts in the current critical section, run once it ends.
+    spills: Vec<SpillTask>,
+    /// Per-key eviction generation (absent means 0), bumped by every explicit evict.
+    /// One small entry per distinct explicitly evicted key.
+    generations: HashMap<ModelKey, u64>,
+    /// The single-flight registry: keys whose store read or fit is in progress.
+    flights: HashMap<ModelKey, Arc<Flight>>,
+}
+
+impl State {
+    fn generation(&self, key: ModelKey) -> u64 {
+        self.generations.get(&key).copied().unwrap_or(0)
+    }
+}
+
+/// The two-tier model cache with single-flight store reads and fits (see the module
+/// docs). Every operation takes `&self`: the service shares one cache across executor
+/// threads.
 #[derive(Debug)]
-pub struct ModelCache {
-    policy: CachePolicy,
-    /// Most recently used first.
-    entries: Vec<Entry>,
+pub(crate) struct ModelCache {
+    capacity: usize,
     store: Option<Arc<ModelStore>>,
-    stats: CacheStats,
-    /// Evicted models awaiting a store write (see [`ModelCache::take_pending_spills`]).
-    pending_spills: Vec<(ModelKey, Arc<GemModel>)>,
-    spill_counters: Arc<SpillCounters>,
+    state: Mutex<State>,
+    counters: Counters,
 }
 
 impl ModelCache {
-    /// Create a capacity-bounded cache holding at most `capacity` fitted models.
-    ///
-    /// # Panics
-    /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        Self::with_policy(CachePolicy::with_capacity(capacity))
-    }
-
-    /// Create a cache with a full eviction policy.
+    /// An empty, memory-only cache.
     ///
     /// # Panics
     /// Panics when `policy.capacity` is zero.
-    pub fn with_policy(policy: CachePolicy) -> Self {
+    pub(crate) fn new(policy: CachePolicy) -> Self {
         assert!(policy.capacity > 0, "model cache capacity must be positive");
         ModelCache {
-            policy,
-            entries: Vec::new(),
+            capacity: policy.capacity,
             store: None,
-            stats: CacheStats::default(),
-            pending_spills: Vec::new(),
-            spill_counters: Arc::new(SpillCounters::default()),
+            state: Mutex::default(),
+            counters: Counters::default(),
         }
     }
 
-    /// Attach an on-disk store as the second tier: capacity/memory evictions spill to
-    /// it and lookups that miss memory warm-start from it.
-    pub fn with_store(mut self, store: Arc<ModelStore>) -> Self {
+    /// Attach an on-disk store as the second tier: evictions spill to it and lookups
+    /// that miss memory warm-start from it.
+    pub(crate) fn with_store(mut self, store: Arc<ModelStore>) -> Self {
         self.store = Some(store);
         self
     }
 
     /// The attached store tier, if any.
-    pub fn store(&self) -> Option<&Arc<ModelStore>> {
+    pub(crate) fn store(&self) -> Option<&Arc<ModelStore>> {
         self.store.as_ref()
     }
 
-    /// Drop entries that outlived the TTL. Called on every access so expiry needs no
-    /// background thread; expired entries are not spilled (they are stale by policy).
-    fn expire(&mut self) {
-        let Some(ttl) = self.policy.ttl else {
-            return;
-        };
-        let before = self.entries.len();
-        self.entries.retain(|e| e.inserted_at.elapsed() < ttl);
-        self.stats.expirations += (before - self.entries.len()) as u64;
-    }
-
-    fn resident_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.bytes).sum()
-    }
-
-    /// Evict from the LRU end until the capacity and memory bounds hold, queueing each
-    /// eviction for a (deferred) spill to the store tier. The memory bound never evicts
-    /// the final entry: a single model larger than the budget must still be servable.
-    fn enforce_bounds(&mut self) {
-        while self.entries.len() > self.policy.capacity
-            || (self.entries.len() > 1
-                && self
-                    .policy
-                    .max_bytes
-                    .is_some_and(|max| self.resident_bytes() > max))
-        {
-            let evicted = self.entries.pop().expect("loop guard ensures non-empty");
-            self.stats.evictions += 1;
-            if self.store.is_some() {
-                self.pending_spills.push((evicted.key, evicted.model));
-            }
-        }
-    }
-
-    /// Hand out the queued store writes as self-contained [`SpillTask`]s. Callers that
-    /// guard the cache with a lock (the `BatchEngine`) call this *inside* the
-    /// critical section and execute the tasks *after* releasing it, so store I/O —
-    /// including the serialisation of the snapshot — happens off-lock and a slow disk
-    /// never blocks concurrent lookups. Task outcomes flow back into [`CacheStats`]
-    /// through shared atomic counters, whenever and wherever the tasks run.
-    pub fn take_pending_spills(&mut self) -> Vec<SpillTask> {
-        if self.pending_spills.is_empty() {
-            return Vec::new();
-        }
-        let store = self
-            .store
-            .as_ref()
-            .expect("spills are only queued when a store is attached");
-        self.pending_spills
-            .drain(..)
-            .map(|(key, model)| {
-                // While the task is in flight the model stays resolvable through the
-                // shared in-flight map (cleared by SpillTask::execute).
-                self.spill_counters
-                    .register_in_flight(key, Arc::clone(&model));
-                SpillTask {
-                    key,
-                    model,
-                    store: Arc::clone(store),
-                    counters: Arc::clone(&self.spill_counters),
-                    generation: self.spill_counters.generation_of(key),
+    /// The model `key` names, from memory or else the store, and where it came from.
+    /// **Never fits**: a model in neither tier is `None`, which the service answers with
+    /// its typed `UnknownModel`.
+    pub(crate) fn resolve(&self, key: ModelKey) -> Option<(Arc<GemModel>, ServedFrom)> {
+        match self.lookup(key) {
+            Lookup::Found(model) => Some((model, ServedFrom::MemoryCache)),
+            Lookup::Join(flight) => match flight.wait() {
+                Landing::Loaded(model) | Landing::Produced(Ok(model)) => {
+                    bump(&self.counters.hits);
+                    Some((model, ServedFrom::MemoryCache))
                 }
-            })
-            .collect()
-    }
-
-    /// Execute every queued spill synchronously — the single-owner convenience.
-    /// ([`ModelCache::get`] and [`ModelCache::get_or_fit`] call this implicitly; callers
-    /// sharing the cache behind a lock should prefer [`ModelCache::take_pending_spills`]
-    /// and run the tasks off-lock.)
-    pub fn flush_spills(&mut self) {
-        for task in self.take_pending_spills() {
-            task.execute();
-        }
-    }
-
-    /// Look up a model, marking it most recently used on a hit and reporting which tier
-    /// satisfied the lookup. A miss on the resident entries consults, in order:
-    ///
-    /// 1. the **spill pipeline** — models evicted but whose store write is still queued
-    ///    or in flight are re-promoted to resident and served as [`CacheTier::Memory`]
-    ///    (without this, deferring spills would make a handle transiently unresolvable
-    ///    for exactly as long as the disk is slow — the case deferral exists for);
-    /// 2. the **store tier** (when attached) — a rehydrated model is inserted as most
-    ///    recently used and returned as [`CacheTier::Disk`]. Store read failures count
-    ///    as [`CacheStats::store_errors`] and degrade to a miss; a snapshot rejected as
-    ///    *corrupt* is additionally deleted, so the next eviction of a freshly fitted
-    ///    model re-writes a good one (without the delete, the spill's existence check
-    ///    would preserve the bad file forever). Version mismatches are kept — they may
-    ///    belong to a newer deployment sharing the store.
-    pub fn get_with_tier(&mut self, key: ModelKey) -> Option<(Arc<GemModel>, CacheTier)> {
-        self.expire();
-        if let Some(pos) = self.entries.iter().position(|e| e.key == key) {
-            self.stats.hits += 1;
-            let entry = self.entries.remove(pos);
-            let model = Arc::clone(&entry.model);
-            self.entries.insert(0, entry);
-            return Some((model, CacheTier::Memory));
-        }
-        // Evicted but not yet written: still in this cache's queue, or in a task some
-        // thread is executing right now. Either way the model is at hand — re-promote.
-        let queued = self
-            .pending_spills
-            .iter()
-            .position(|(k, _)| *k == key)
-            .map(|pos| self.pending_spills.remove(pos).1)
-            .or_else(|| self.spill_counters.in_flight(key));
-        if let Some(model) = queued {
-            self.stats.hits += 1;
-            self.insert_resident(key, Arc::clone(&model));
-            return Some((model, CacheTier::Memory));
-        }
-        if let Some(store) = &self.store {
-            match store.load(key) {
-                Ok(Some(model)) => {
-                    self.stats.warm_starts += 1;
-                    let model = Arc::new(model);
-                    self.insert_resident(key, Arc::clone(&model));
-                    return Some((model, CacheTier::Disk));
+                Landing::Produced(Err(_)) | Landing::Absent => {
+                    bump(&self.counters.misses);
+                    None
                 }
-                Ok(None) => {}
-                Err(error) => {
-                    self.spill_counters
-                        .store_errors
-                        .fetch_add(1, Ordering::Relaxed);
-                    if matches!(error, gem_store::StoreError::Corrupt { .. }) {
-                        let _ = store.remove(key);
-                    }
-                }
-            }
-        }
-        self.stats.misses += 1;
-        None
-    }
-
-    /// Look up a model, marking it most recently used on a hit (either tier). Pending
-    /// spills (a warm-start insert can evict) are executed synchronously; lock-guarded
-    /// callers should use [`ModelCache::get_with_tier`] + [`ModelCache::take_pending_spills`]
-    /// instead.
-    pub fn get(&mut self, key: ModelKey) -> Option<Arc<GemModel>> {
-        let found = self.get_with_tier(key).map(|(model, _)| model);
-        self.flush_spills();
-        found
-    }
-
-    fn insert_resident(&mut self, key: ModelKey, model: Arc<GemModel>) {
-        self.entries.retain(|e| e.key != key);
-        let bytes = model.approx_mem_bytes();
-        self.entries.insert(
-            0,
-            Entry {
-                key,
-                model,
-                inserted_at: Instant::now(),
-                bytes,
             },
-        );
-        self.enforce_bounds();
+            Lookup::Lead(flight, generation) => {
+                let found = self.load(key);
+                let landing = found.clone().map_or(Landing::Absent, Landing::Loaded);
+                self.land(key, &flight, generation, landing);
+                found.map(|model| (model, ServedFrom::DiskStore))
+            }
+        }
     }
 
-    /// Insert (or refresh) a model as most recently used, evicting from the LRU end when
-    /// the capacity or memory bound is exceeded. Evictions *queue* their store writes;
-    /// call [`ModelCache::take_pending_spills`] (off-lock execution) or
-    /// [`ModelCache::flush_spills`] (synchronous) to run them.
-    pub fn insert(&mut self, key: ModelKey, model: Arc<GemModel>) {
-        self.expire();
-        self.insert_resident(key, model);
-    }
-
-    /// Fetch the model for (`columns`, `config`, `features`): from memory, else from the
-    /// store tier, else by fitting (and caching) it. Returns the model and whether a fit
-    /// was avoided (either tier).
-    ///
-    /// # Errors
-    /// Propagates the [`GemError`] of a failed fit; failures are not cached.
-    pub fn get_or_fit(
-        &mut self,
-        columns: &[GemColumn],
+    /// The model `key` names: resolved like [`ModelCache::resolve`] or, when neither
+    /// tier holds it, fitted from `corpus` once across concurrent callers. Returns the
+    /// model (or the fit error) and its provenance: `ColdFit` only for the caller that
+    /// ran EM, so cold fits count EM runs exactly.
+    pub(crate) fn get_or_fit(
+        &self,
+        key: ModelKey,
+        corpus: &[GemColumn],
         config: &GemConfig,
         features: FeatureSet,
-    ) -> Result<(Arc<GemModel>, bool), GemError> {
-        let key = model_key(columns, config, features);
-        if let Some(model) = self.get(key) {
-            return Ok((model, true));
-        }
-        let model = Arc::new(GemModel::fit(columns, config, features)?);
-        self.insert(key, Arc::clone(&model));
-        self.flush_spills();
-        Ok((model, false))
+    ) -> (Result<Arc<GemModel>, GemError>, ServedFrom) {
+        self.get_or_produce(key, || {
+            let started = Instant::now();
+            let model = GemModel::fit(corpus, config, features)?;
+            // Only a leader that found no snapshot gets here, so these are exactly the
+            // time and iterations the fused EM kernels ran.
+            self.counters
+                .fit_micros
+                .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+            self.counters
+                .em_iterations
+                .fetch_add(model.em_iterations() as u64, Ordering::Relaxed);
+            Ok(model)
+        })
     }
 
-    /// The memory-tier half of an explicit eviction: remove the resident entry (if any)
-    /// and any spill still queued for `key`, and bump the key's eviction generation so
-    /// spill tasks of this key already in flight cannot re-write the snapshot
-    /// afterwards (spills of other keys are untouched). Returns whether the memory tier
-    /// held the key, plus an [`EvictTask`] for the store-tier delete — execute it
-    /// *after* releasing whatever lock guards the cache (the snapshot unlink is
-    /// filesystem I/O, and the whole point of the task split is that store I/O never
-    /// runs under the cache lock).
+    /// Fold `new_columns` into the model `parent` names: resolve the parent, then
+    /// resolve the derived key ([`gem_store::updated_model_key`]) or derive it with
+    /// [`GemModel::fit_update`] (frozen components, no EM run). Returns `None` when the
+    /// parent resolves in neither tier; otherwise the derived key, the model (or the
+    /// update error) and its provenance.
     ///
-    /// Unlike a policy eviction the model is deliberately discarded, so nothing is
-    /// spilled and the [`CacheStats::evictions`] counter (which tracks *policy*
-    /// evictions) is untouched.
-    pub fn evict_resident(&mut self, key: ModelKey) -> (bool, Option<EvictTask>) {
-        // Generation first: any task of this key that checks after this point sees the
-        // bump, so no pre-eviction spill can complete once we start removing. The
-        // in-flight entry goes too, so a lookup can't re-promote the evicted model.
-        self.spill_counters.bump_generation(key);
-        self.spill_counters.clear_in_flight(key);
-        let before = self.entries.len() + self.pending_spills.len();
-        self.entries.retain(|e| e.key != key);
-        self.pending_spills.retain(|(k, _)| *k != key);
-        let existed = before > self.entries.len() + self.pending_spills.len();
-        let task = self.store.as_ref().map(|store| EvictTask {
-            key,
-            store: Arc::clone(store),
-            counters: Arc::clone(&self.spill_counters),
+    /// Updates are single-flight like fits, and the lineage (`parent`) is saved to the
+    /// store *before* the derived model becomes resolvable; later spills skip keys that
+    /// already have a snapshot, so the parent pointer survives.
+    pub(crate) fn fit_update(
+        &self,
+        parent: ModelKey,
+        new_columns: &[GemColumn],
+    ) -> Option<(ModelKey, Result<Arc<GemModel>, GemError>, ServedFrom)> {
+        let (parent_model, _) = self.resolve(parent)?;
+        let key = gem_store::updated_model_key(parent, new_columns);
+        let (result, served_from) = self.get_or_produce(key, || {
+            let updated = parent_model.fit_update(new_columns)?;
+            if let Some(store) = &self.store {
+                // Best-effort like every store write: the update still succeeds.
+                if store.save_with_parent(key, Some(parent), &updated).is_err() {
+                    bump(&self.counters.store_errors);
+                }
+            }
+            Ok(updated)
         });
-        (existed, task)
+        Some((key, result, served_from))
     }
 
-    /// Remove the model for `key` from *both* tiers synchronously — the single-owner
-    /// convenience over [`ModelCache::evict_resident`]. Returns whether the key existed
-    /// in either tier; a failed snapshot delete counts a store error and reports the
-    /// tier as still existing.
-    pub fn evict(&mut self, key: ModelKey) -> bool {
-        let (in_memory, task) = self.evict_resident(key);
-        let on_disk = task.is_some_and(EvictTask::execute);
+    /// Make an externally produced model (a `PushModel` snapshot) resident under `key`,
+    /// resolvable exactly as if this cache had fitted it.
+    pub(crate) fn publish(&self, key: ModelKey, model: Arc<GemModel>) {
+        for task in self.admit(key, model) {
+            self.spill(task);
+        }
+    }
+
+    /// Remove `key` from both tiers: the resident model, a spill in flight and the
+    /// snapshot. Returns whether either tier held it; a failed snapshot delete counts a
+    /// store error and reports the key as existing. Unlike a capacity eviction nothing
+    /// is spilled, and [`CacheStats::evictions`] is untouched.
+    pub(crate) fn evict(&self, key: ModelKey) -> bool {
+        let (in_memory, _) = self.locked(|state| {
+            // Generation first: a spill of this key that checks after this point leaves
+            // no snapshot behind, and the spilling entry goes too, so no lookup can
+            // re-promote the evicted model.
+            *state.generations.entry(key).or_insert(0) += 1;
+            let spilling = state.spilling.remove(&key).is_some();
+            let before = state.resident.len();
+            state.resident.retain(|(k, _)| *k != key);
+            spilling || state.resident.len() < before
+        });
+        let on_disk = self
+            .store
+            .as_ref()
+            .is_some_and(|store| match store.remove(key) {
+                Ok(removed) => removed,
+                Err(_) => {
+                    bump(&self.counters.store_errors);
+                    true
+                }
+            });
         in_memory || on_disk
     }
 
-    /// Stats-free, recency-free lookup of the resident entries and the spill pipeline
-    /// (queued and in-flight spills; **not** the store tier, and TTL is not enforced).
-    /// This is the single-flight re-check path in `BatchEngine`: a second
-    /// would-be fit leader must see a fit the first leader just published, without
-    /// perturbing the hit/miss counters that the stat-conservation tests pin down.
-    pub fn peek(&self, key: ModelKey) -> Option<Arc<GemModel>> {
-        self.entries
+    /// The resident models, most recently used first.
+    pub(crate) fn resident_models(&self) -> Vec<(ModelKey, Arc<GemModel>)> {
+        lock_or_recover(&self.state).resident.clone()
+    }
+
+    /// The counters, the resident model count and their approximate bytes, read under
+    /// one lock so a report never mixes a count and a byte total from two instants.
+    pub(crate) fn snapshot(&self) -> (CacheStats, usize, u64) {
+        let state = lock_or_recover(&self.state);
+        let bytes = state
+            .resident
             .iter()
-            .find(|e| e.key == key)
-            .map(|e| Arc::clone(&e.model))
-            .or_else(|| {
-                self.pending_spills
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|(_, m)| Arc::clone(m))
-            })
-            .or_else(|| self.spill_counters.in_flight(key))
+            .map(|(_, model)| model.approx_mem_bytes())
+            .sum();
+        (self.counters.snapshot(), state.resident.len(), bytes)
     }
 
-    /// The resident models, most recently used first (no recency or stat side effects).
-    pub fn resident_models(&self) -> Vec<(ModelKey, Arc<GemModel>)> {
-        self.entries
-            .iter()
-            .map(|e| (e.key, Arc::clone(&e.model)))
-            .collect()
+    /// Resolve `key`, or produce it with `produce` once across concurrent callers.
+    fn get_or_produce(
+        &self,
+        key: ModelKey,
+        produce: impl FnOnce() -> Result<GemModel, GemError>,
+    ) -> (Result<Arc<GemModel>, GemError>, ServedFrom) {
+        let (flight, generation) = loop {
+            match self.lookup(key) {
+                Lookup::Found(model) => return (Ok(model), ServedFrom::MemoryCache),
+                Lookup::Lead(flight, generation) => break (flight, generation),
+                Lookup::Join(flight) => match flight.wait() {
+                    Landing::Loaded(model) => {
+                        bump(&self.counters.hits);
+                        return (Ok(model), ServedFrom::MemoryCache);
+                    }
+                    Landing::Produced(result) => {
+                        bump(&self.counters.misses);
+                        bump(&self.counters.coalesced_fits);
+                        // A shared *failure* is still the fit's failure.
+                        let served_from = if result.is_ok() {
+                            ServedFrom::MemoryCache
+                        } else {
+                            ServedFrom::ColdFit
+                        };
+                        return (result, served_from);
+                    }
+                    // The leader only resolved and found nothing: produce it ourselves.
+                    Landing::Absent => continue,
+                },
+            }
+        };
+        let (landing, outcome) = match self.load(key) {
+            Some(model) => (
+                Landing::Loaded(Arc::clone(&model)),
+                (Ok(model), ServedFrom::DiskStore),
+            ),
+            None => {
+                let result = produce().map(Arc::new);
+                (
+                    Landing::Produced(result.clone()),
+                    (result, ServedFrom::ColdFit),
+                )
+            }
+        };
+        self.land(key, &flight, generation, landing);
+        outcome
     }
 
-    /// Whether a model for `key` is currently resident in memory (does not consult the
-    /// store tier and does not touch recency or stats).
-    pub fn contains(&self, key: ModelKey) -> bool {
-        self.entries.iter().any(|e| e.key == key)
+    /// Look `key` up under the lock: a resident model moves to the front, an evicted
+    /// one whose spill is in flight is re-promoted, and otherwise the caller joins the
+    /// key's flight or opens it.
+    fn lookup(&self, key: ModelKey) -> Lookup {
+        let (lookup, spills) = self.locked(|state| {
+            let found = match state.resident.iter().position(|(k, _)| *k == key) {
+                Some(pos) => {
+                    let entry = state.resident.remove(pos);
+                    let model = Arc::clone(&entry.1);
+                    state.resident.insert(0, entry);
+                    Some(model)
+                }
+                None => state.spilling.get(&key).cloned().inspect(|model| {
+                    self.insert(state, key, Arc::clone(model));
+                }),
+            };
+            if let Some(model) = found {
+                bump(&self.counters.hits);
+                return Lookup::Found(model);
+            }
+            if let Some(flight) = state.flights.get(&key) {
+                return Lookup::Join(Arc::clone(flight));
+            }
+            let flight = Arc::new(Flight::default());
+            state.flights.insert(key, Arc::clone(&flight));
+            Lookup::Lead(flight, state.generation(key))
+        });
+        for task in spills {
+            self.spill(task);
+        }
+        lookup
     }
 
-    /// Number of resident models.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no models are resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The entry-count capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.policy.capacity
-    }
-
-    /// The full eviction policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
-    }
-
-    /// Approximate resident memory of the cached models, in bytes.
-    pub fn approx_bytes(&self) -> u64 {
-        self.resident_bytes()
-    }
-
-    /// Cumulative counters. Spill-path counts come from atomics shared with every
-    /// [`SpillTask`] this cache has handed out, so writes completed off-lock (or on other
-    /// threads) are reflected as soon as they finish.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            spills: self.spill_counters.spills.load(Ordering::Relaxed),
-            store_errors: self.spill_counters.store_errors.load(Ordering::Relaxed),
-            ..self.stats
+    /// Read `key`'s snapshot, outside the lock.
+    fn load(&self, key: ModelKey) -> Option<Arc<GemModel>> {
+        let store = self.store.as_ref()?;
+        match store.load(key) {
+            Ok(model) => model.map(Arc::new),
+            Err(error) => {
+                bump(&self.counters.store_errors);
+                // Without the delete, the spill's existence check would keep the bad
+                // file forever.
+                if matches!(error, StoreError::Corrupt { .. }) {
+                    let _ = store.remove(key);
+                }
+                None
+            }
         }
     }
 
-    /// Drop every resident model without spilling (counters are kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
+    /// Retire the leader's flight: make its model resident (unless the key was
+    /// explicitly evicted since the flight opened), count the outcome, and wake every
+    /// caller that joined before running the spills the insert caused.
+    fn land(&self, key: ModelKey, flight: &Flight, generation: u64, landing: Landing) {
+        let (_, spills) = self.locked(|state| {
+            state.flights.remove(&key);
+            match &landing {
+                Landing::Loaded(model) | Landing::Produced(Ok(model))
+                    if state.generation(key) == generation =>
+                {
+                    self.insert(state, key, Arc::clone(model));
+                }
+                _ => {}
+            }
+        });
+        match &landing {
+            Landing::Loaded(_) => bump(&self.counters.warm_starts),
+            Landing::Produced(_) | Landing::Absent => bump(&self.counters.misses),
+        }
+        flight.finish(landing);
+        for task in spills {
+            self.spill(task);
+        }
+    }
+
+    /// Insert `model` as most recently used and return the spills the insert caused,
+    /// not yet run: [`ModelCache::publish`] runs them at once, and tests hold them to
+    /// keep a spill in flight.
+    fn admit(&self, key: ModelKey, model: Arc<GemModel>) -> Vec<SpillTask> {
+        self.locked(|state| self.insert(state, key, model)).1
+    }
+
+    /// Insert (or refresh) `model` as most recently used, evicting from the LRU end
+    /// beyond the capacity. With a store, each evicted model stays resolvable in
+    /// `spilling` and queues its spill.
+    fn insert(&self, state: &mut State, key: ModelKey, model: Arc<GemModel>) {
+        state.resident.retain(|(k, _)| *k != key);
+        state.resident.insert(0, (key, model));
+        while state.resident.len() > self.capacity {
+            let Some((key, model)) = state.resident.pop() else {
+                break;
+            };
+            bump(&self.counters.evictions);
+            if self.store.is_some() {
+                state.spilling.insert(key, Arc::clone(&model));
+                let generation = state.generation(key);
+                state.spills.push(SpillTask {
+                    key,
+                    model,
+                    generation,
+                });
+            }
+        }
+    }
+
+    /// Run `f` under the cache lock. Returns its result and the spills its inserts
+    /// queued, which the caller runs once the lock has dropped.
+    fn locked<R>(&self, f: impl FnOnce(&mut State) -> R) -> (R, Vec<SpillTask>) {
+        let mut state = lock_or_recover(&self.state);
+        let result = f(&mut state);
+        (result, std::mem::take(&mut state.spills))
+    }
+
+    /// Write an evicted model's snapshot (outside the lock) and retire it from
+    /// `spilling`. Returns whether a snapshot was written and kept.
+    fn spill(&self, task: SpillTask) -> bool {
+        let written = self.write_spill(&task);
+        // However the write went, the model is no longer in flight: it is on disk,
+        // resident again (a lookup re-promoted it), or deliberately gone.
+        lock_or_recover(&self.state).spilling.remove(&task.key);
+        written
+    }
+
+    fn write_spill(&self, task: &SpillTask) -> bool {
+        let Some(store) = &self.store else {
+            return false;
+        };
+        // The fit is deterministic in (corpus, config), so an existing snapshot is
+        // already identical, and rewriting it would drop a `fit_update` lineage.
+        if self.cancelled(task) || store.contains(task.key) {
+            return false;
+        }
+        match store.save(task.key, &task.model) {
+            Ok(_) if self.cancelled(task) => {
+                // An evict of this key landed during the write and has already deleted
+                // the old snapshot, so delete ours.
+                let _ = store.remove(task.key);
+                false
+            }
+            Ok(_) => {
+                bump(&self.counters.spills);
+                true
+            }
+            Err(_) => {
+                bump(&self.counters.store_errors);
+                false
+            }
+        }
+    }
+
+    fn cancelled(&self, task: &SpillTask) -> bool {
+        lock_or_recover(&self.state).generation(task.key) != task.generation
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::model_key;
 
     fn corpus(seed: u64) -> Vec<GemColumn> {
         (0..4)
@@ -648,6 +648,37 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    fn key_of(seed: u64) -> ModelKey {
+        model_key(&corpus(seed), &GemConfig::fast(), FeatureSet::ds())
+    }
+
+    fn fitted(seed: u64) -> Arc<GemModel> {
+        Arc::new(GemModel::fit(&corpus(seed), &GemConfig::fast(), FeatureSet::ds()).unwrap())
+    }
+
+    fn cache(capacity: usize) -> ModelCache {
+        ModelCache::new(CachePolicy::with_capacity(capacity))
+    }
+
+    /// Fetch (or fit) the D+S model of `corpus(seed)`, the way a `Fit` request does.
+    fn fit(cache: &ModelCache, seed: u64) -> (Arc<GemModel>, ServedFrom) {
+        let (model, served_from) = cache.get_or_fit(
+            key_of(seed),
+            &corpus(seed),
+            &GemConfig::fast(),
+            FeatureSet::ds(),
+        );
+        (model.unwrap(), served_from)
+    }
+
+    fn stats(cache: &ModelCache) -> CacheStats {
+        cache.snapshot().0
+    }
+
+    fn is_resident(cache: &ModelCache, key: ModelKey) -> bool {
+        cache.resident_models().iter().any(|(k, _)| *k == key)
     }
 
     struct TempStore {
@@ -665,6 +696,10 @@ mod tests {
             let store = Arc::new(ModelStore::open(&dir).unwrap());
             TempStore { dir, store }
         }
+
+        fn cache(&self, capacity: usize) -> ModelCache {
+            cache(capacity).with_store(Arc::clone(&self.store))
+        }
     }
 
     impl Drop for TempStore {
@@ -675,222 +710,171 @@ mod tests {
 
     #[test]
     fn hit_miss_and_stats() {
-        let mut cache = ModelCache::new(2);
-        let cfg = GemConfig::fast();
-        let (_, hit) = cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(!hit);
-        let (_, hit) = cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(hit);
-        assert_eq!(cache.stats().hits, 1);
-        // get_or_fit's internal lookup on the cold call counted one miss.
-        assert_eq!(cache.stats().misses, 1);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
-        assert_eq!(cache.capacity(), 2);
-        assert!(cache.approx_bytes() > 0);
+        let cache = cache(2);
+        assert_eq!(fit(&cache, 1).1, ServedFrom::ColdFit);
+        assert_eq!(fit(&cache, 1).1, ServedFrom::MemoryCache);
+        let (stats, resident, bytes) = cache.snapshot();
+        assert_eq!(stats.hits, 1);
+        assert_eq!(stats.misses, 1, "the cold lookup counted one miss");
+        assert_eq!(resident, 1);
+        assert!(bytes > 0);
     }
 
     #[test]
     fn same_corpus_different_config_is_a_different_entry() {
-        let mut cache = ModelCache::new(4);
+        let cache = cache(4);
         let cfg = GemConfig::fast();
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        let (_, hit) = cache.get_or_fit(&corpus(1), &cfg, FeatureSet::d()).unwrap();
-        assert!(!hit, "feature-set change must miss");
+        let cols = corpus(1);
+        fit(&cache, 1);
+        let (_, served_from) = cache.get_or_fit(
+            model_key(&cols, &cfg, FeatureSet::d()),
+            &cols,
+            &cfg,
+            FeatureSet::d(),
+        );
+        assert_eq!(
+            served_from,
+            ServedFrom::ColdFit,
+            "feature-set change must miss"
+        );
         let mut other = cfg.clone();
         other.gmm.n_components += 1;
-        let (_, hit) = cache
-            .get_or_fit(&corpus(1), &other, FeatureSet::ds())
-            .unwrap();
-        assert!(!hit, "component-count change must miss");
-        assert_eq!(cache.len(), 3);
+        let (_, served_from) = cache.get_or_fit(
+            model_key(&cols, &other, FeatureSet::ds()),
+            &cols,
+            &other,
+            FeatureSet::ds(),
+        );
+        assert_eq!(
+            served_from,
+            ServedFrom::ColdFit,
+            "component-count change must miss"
+        );
+        assert_eq!(cache.resident_models().len(), 3);
     }
 
     #[test]
     fn data_change_is_a_different_entry() {
-        let mut cache = ModelCache::new(4);
+        let cache = cache(4);
         let cfg = GemConfig::fast();
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
+        fit(&cache, 1);
         let mut perturbed = corpus(1);
         perturbed[0].values[7] += 1e-9;
-        let (_, hit) = cache
-            .get_or_fit(&perturbed, &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(!hit, "a single perturbed value must miss");
+        let (_, served_from) = cache.get_or_fit(
+            model_key(&perturbed, &cfg, FeatureSet::ds()),
+            &perturbed,
+            &cfg,
+            FeatureSet::ds(),
+        );
+        assert_eq!(
+            served_from,
+            ServedFrom::ColdFit,
+            "a single perturbed value must miss"
+        );
     }
 
     #[test]
     fn lru_eviction_drops_the_least_recently_used() {
-        let mut cache = ModelCache::new(2);
-        let cfg = GemConfig::fast();
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let k2 = model_key(&corpus(2), &cfg, FeatureSet::ds());
-        let k3 = model_key(&corpus(3), &cfg, FeatureSet::ds());
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        cache
-            .get_or_fit(&corpus(2), &cfg, FeatureSet::ds())
-            .unwrap();
+        let cache = cache(2);
+        fit(&cache, 1);
+        fit(&cache, 2);
         // Touch corpus 1 so corpus 2 becomes least recently used.
-        assert!(cache.get(k1).is_some());
-        cache
-            .get_or_fit(&corpus(3), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(cache.contains(k1));
-        assert!(!cache.contains(k2), "LRU entry must be evicted");
-        assert!(cache.contains(k3));
-        assert_eq!(cache.stats().evictions, 1);
-        assert_eq!(cache.len(), 2);
+        assert!(cache.resolve(key_of(1)).is_some());
+        fit(&cache, 3);
+        assert!(is_resident(&cache, key_of(1)));
+        assert!(!is_resident(&cache, key_of(2)), "LRU entry must be evicted");
+        assert!(is_resident(&cache, key_of(3)));
+        assert_eq!(stats(&cache).evictions, 1);
+        assert_eq!(cache.resident_models().len(), 2);
     }
 
     #[test]
     fn failed_fits_are_not_cached() {
-        let mut cache = ModelCache::new(2);
+        let cache = cache(2);
         let cfg = GemConfig::fast();
         let empty = vec![GemColumn::values_only(vec![])];
-        assert!(cache.get_or_fit(&empty, &cfg, FeatureSet::ds()).is_err());
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let mut cache = ModelCache::new(2);
-        let cfg = GemConfig::fast();
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 1);
+        let key = model_key(&empty, &cfg, FeatureSet::ds());
+        let (result, served_from) = cache.get_or_fit(key, &empty, &cfg, FeatureSet::ds());
+        assert!(result.is_err());
+        assert_eq!(served_from, ServedFrom::ColdFit);
+        assert!(cache.resident_models().is_empty());
+        assert!(cache.resolve(key).is_none());
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_is_rejected() {
-        ModelCache::new(0);
-    }
-
-    #[test]
-    fn ttl_expires_entries_and_counts_expirations() {
-        let cfg = GemConfig::fast();
-        // Zero TTL: every entry is already expired at the next access.
-        let mut cache = ModelCache::with_policy(CachePolicy::with_capacity(4).ttl(Duration::ZERO));
-        let key = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(cache.get(key).is_none(), "zero TTL must expire immediately");
-        assert_eq!(cache.stats().expirations, 1);
-        assert_eq!(cache.stats().misses, 2); // cold lookup + post-expiry lookup
-                                             // A generous TTL keeps entries alive.
-        let mut cache =
-            ModelCache::with_policy(CachePolicy::with_capacity(4).ttl(Duration::from_secs(3600)));
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(cache.get(key).is_some());
-        assert_eq!(cache.stats().expirations, 0);
-    }
-
-    #[test]
-    fn memory_bound_evicts_lru_but_never_the_newest_entry() {
-        let cfg = GemConfig::fast();
-        // A 1-byte budget forces every insert over budget; the newest entry must
-        // survive anyway so the cache can still serve.
-        let mut cache = ModelCache::with_policy(CachePolicy::with_capacity(10).max_bytes(1));
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let k2 = model_key(&corpus(2), &cfg, FeatureSet::ds());
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert_eq!(cache.len(), 1, "single over-budget entry stays resident");
-        cache
-            .get_or_fit(&corpus(2), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.contains(k1), "older entry evicted for memory");
-        assert!(cache.contains(k2));
-        assert_eq!(cache.stats().evictions, 1);
-        // A budget comfortably above both models keeps both.
-        let mut cache =
-            ModelCache::with_policy(CachePolicy::with_capacity(10).max_bytes(64 * 1024 * 1024));
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        cache
-            .get_or_fit(&corpus(2), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 0);
+        cache(0);
     }
 
     #[test]
     fn evictions_spill_to_the_store_and_misses_warm_start_from_it() {
         let tmp = TempStore::new("spill");
-        let cfg = GemConfig::fast();
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let mut cache = ModelCache::new(1).with_store(Arc::clone(&tmp.store));
-        let (fitted, _) = cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
+        let cache = tmp.cache(1);
+        let (fitted, _) = fit(&cache, 1);
         // Second model evicts the first, which spills to disk.
-        cache
-            .get_or_fit(&corpus(2), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(!cache.contains(k1));
-        assert_eq!(cache.stats().spills, 1);
-        assert!(tmp.store.contains(k1));
+        fit(&cache, 2);
+        assert!(!is_resident(&cache, key_of(1)));
+        assert_eq!(stats(&cache).spills, 1);
+        assert!(tmp.store.contains(key_of(1)));
         // The next lookup warm-starts from disk — no fit — and the rehydrated model
         // transforms bit-identically.
-        let (model, tier) = cache.get_with_tier(k1).unwrap();
-        assert_eq!(tier, CacheTier::Disk);
-        assert_eq!(cache.stats().warm_starts, 1);
-        assert!(cache.contains(k1), "warm-started model becomes resident");
+        let (model, served_from) = cache.resolve(key_of(1)).unwrap();
+        assert_eq!(served_from, ServedFrom::DiskStore);
+        assert_eq!(stats(&cache).warm_starts, 1);
+        assert!(
+            is_resident(&cache, key_of(1)),
+            "warm-started model becomes resident"
+        );
         let cols = corpus(1);
         assert_eq!(
             model.transform(&cols).unwrap().matrix,
             fitted.transform(&cols).unwrap().matrix
         );
-        // A fresh cache (fresh process) over the same store warm-starts too: the fit
-        // survives the restart.
-        let mut fresh = ModelCache::new(2).with_store(Arc::clone(&tmp.store));
-        let (_, avoided_fit) = fresh
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(avoided_fit, "restart must not re-pay the EM fit");
-        assert_eq!(fresh.stats().warm_starts, 1);
-        assert_eq!(fresh.stats().misses, 0);
+    }
+
+    #[test]
+    fn warm_starts_from_the_store_across_restarts() {
+        let tmp = TempStore::new("restart");
+        // Process 1: fit, then force a spill by overflowing the capacity-1 cache.
+        let first = tmp.cache(1);
+        let (fitted, served_from) = fit(&first, 7);
+        assert_eq!(served_from, ServedFrom::ColdFit);
+        fit(&first, 8);
+        assert_eq!(stats(&first).spills, 1);
+
+        // "Process 2": a fresh cache over the same store directory. The fit request
+        // warm-starts from disk — no EM fit — and the output is bit-identical.
+        let restarted = tmp.cache(4);
+        let (warm, served_from) = fit(&restarted, 7);
+        assert_eq!(served_from, ServedFrom::DiskStore);
+        assert_eq!(stats(&restarted).warm_starts, 1);
+        assert_eq!(stats(&restarted).misses, 0);
+        assert_eq!(
+            stats(&restarted).fit_micros,
+            0,
+            "restart must not re-pay EM"
+        );
+        let cols = corpus(7);
+        assert_eq!(
+            warm.transform(&cols).unwrap().matrix,
+            fitted.transform(&cols).unwrap().matrix
+        );
     }
 
     #[test]
     fn spilling_skips_keys_already_on_disk() {
         let tmp = TempStore::new("skip");
-        let cfg = GemConfig::fast();
-        let mut cache = ModelCache::new(1).with_store(Arc::clone(&tmp.store));
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        cache
-            .get_or_fit(&corpus(2), &cfg, FeatureSet::ds())
-            .unwrap(); // spills corpus 1
-                       // Warm-start corpus 1 back in (evicting + spilling corpus 2), then evict
-                       // corpus 1 again: its snapshot already exists, so no second spill.
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        assert!(cache.get(k1).is_some());
-        cache
-            .get_or_fit(&corpus(3), &cfg, FeatureSet::ds())
-            .unwrap(); // evicts corpus 1 again
+        let cache = tmp.cache(1);
+        fit(&cache, 1);
+        // Corpus 2 spills corpus 1. Warm-starting corpus 1 back in spills corpus 2, and
+        // corpus 3 then evicts corpus 1 again: its snapshot already exists, so no
+        // second spill.
+        fit(&cache, 2);
+        assert!(cache.resolve(key_of(1)).is_some());
+        fit(&cache, 3);
         assert_eq!(
-            cache.stats().spills,
+            stats(&cache).spills,
             2,
             "corpus 1 spilled once, corpus 2 once"
         );
@@ -900,201 +884,162 @@ mod tests {
     #[test]
     fn corrupt_store_entries_degrade_to_a_cold_fit() {
         let tmp = TempStore::new("corrupt");
-        let cfg = GemConfig::fast();
-        let key = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let mut cache = ModelCache::new(1).with_store(Arc::clone(&tmp.store));
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        cache
-            .get_or_fit(&corpus(2), &cfg, FeatureSet::ds())
-            .unwrap(); // spill corpus 1
+        let cache = tmp.cache(1);
+        let key = key_of(1);
+        fit(&cache, 1);
+        fit(&cache, 2); // spill corpus 1
         std::fs::write(tmp.store.path_of(key), "{ not json").unwrap();
         // The lookup surfaces no error: the corrupt snapshot counts a store_error, is
-        // deleted (so it cannot shadow future spills), and the caller proceeds to a
-        // cold fit.
-        assert!(cache.get(key).is_none());
-        assert_eq!(cache.stats().store_errors, 1);
+        // deleted (so it cannot shadow future spills), and resolves nowhere.
+        assert!(cache.resolve(key).is_none());
+        assert_eq!(stats(&cache).store_errors, 1);
         assert!(
             !tmp.store.contains(key),
             "corrupt snapshot must be deleted, not preserved"
         );
-        let (_, avoided_fit) = cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        assert!(!avoided_fit, "corrupt snapshot must fall back to fitting");
+        assert_eq!(
+            fit(&cache, 1).1,
+            ServedFrom::ColdFit,
+            "corrupt snapshot must fall back to fitting"
+        );
         // Evicting the re-fitted model now re-writes a good snapshot in its place.
-        cache
-            .get_or_fit(&corpus(3), &cfg, FeatureSet::ds())
-            .unwrap();
+        fit(&cache, 3);
         assert!(tmp.store.contains(key), "eviction repairs the snapshot");
         assert!(tmp.store.load(key).unwrap().is_some());
     }
 
     #[test]
     fn spills_execute_off_lock_so_a_slow_store_cannot_block_hits() {
-        // Regression test for the off-lock store I/O design: an eviction only *queues*
-        // the store write, so a cache shared behind a mutex keeps serving hits while the
-        // write is in flight. (Previously the eviction wrote the snapshot in place —
-        // under whatever lock guarded the cache — so a slow disk stalled every lookup.)
+        // An eviction only hands its store write out, so the cache keeps serving hits
+        // while the write is pending. (Writing the snapshot under the lock would stall
+        // every lookup for as long as the disk is slow.)
         let tmp = TempStore::new("off-lock");
-        let cfg = GemConfig::fast();
-        let cache = Arc::new(std::sync::Mutex::new(
-            ModelCache::new(1).with_store(Arc::clone(&tmp.store)),
-        ));
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let k2 = model_key(&corpus(2), &cfg, FeatureSet::ds());
-        let m1 = Arc::new(GemModel::fit(&corpus(1), &cfg, FeatureSet::ds()).unwrap());
-        let m2 = Arc::new(GemModel::fit(&corpus(2), &cfg, FeatureSet::ds()).unwrap());
-        // Inserting the second model evicts the first; its spill is queued, not written.
-        let tasks = {
-            let mut cache = cache.lock().unwrap();
-            cache.insert(k1, m1);
-            cache.insert(k2, m2);
-            cache.take_pending_spills()
-        };
+        let cache = tmp.cache(1);
+        let (k1, k2) = (key_of(1), key_of(2));
+        assert!(cache.admit(k1, fitted(1)).is_empty());
+        // Inserting the second model evicts the first; its spill is handed out, not run.
+        let tasks = cache.admit(k2, fitted(2));
         assert_eq!(tasks.len(), 1);
-        assert_eq!(tasks[0].key(), k1);
-        // The "slow store": a writer thread that holds the task un-executed until
-        // signalled — the exact window in which the old design kept the lock taken.
-        let (signal, wait) = std::sync::mpsc::channel::<()>();
-        let writer = std::thread::spawn(move || {
-            wait.recv().unwrap();
-            for task in tasks {
-                assert!(task.execute());
-            }
-        });
-        // While the write is pending, concurrent hits acquire the lock immediately.
-        {
-            let mut cache = cache.lock().unwrap();
-            let (_, tier) = cache.get_with_tier(k2).unwrap();
-            assert_eq!(tier, CacheTier::Memory);
-            assert_eq!(cache.stats().hits, 1);
-            assert_eq!(cache.stats().spills, 0, "write has not happened yet");
+        assert_eq!(tasks[0].key, k1);
+        std::thread::scope(|scope| {
+            // The "slow store": a writer thread that holds the task un-executed until
+            // signalled.
+            let (signal, wait) = std::sync::mpsc::channel::<()>();
+            let cache = &cache;
+            let writer = scope.spawn(move || {
+                wait.recv().unwrap();
+                for task in tasks {
+                    assert!(cache.spill(task));
+                }
+            });
+            // While the write is pending, concurrent hits take the lock immediately.
+            let (_, served_from) = cache.resolve(k2).unwrap();
+            assert_eq!(served_from, ServedFrom::MemoryCache);
+            assert_eq!(stats(cache).hits, 1);
+            assert_eq!(stats(cache).spills, 0, "write has not happened yet");
             assert!(!tmp.store.contains(k1));
-        }
-        signal.send(()).unwrap();
-        writer.join().unwrap();
-        // The off-lock completion still lands in this cache's stats (shared atomics).
-        assert_eq!(cache.lock().unwrap().stats().spills, 1);
+            signal.send(()).unwrap();
+            writer.join().unwrap();
+        });
+        // The off-lock completion lands in the same counters.
+        assert_eq!(stats(&cache).spills, 1);
         assert!(tmp.store.contains(k1));
     }
 
     #[test]
     fn evict_removes_both_tiers_and_cancels_queued_spills() {
         let tmp = TempStore::new("evict");
-        let cfg = GemConfig::fast();
-        let mut cache = ModelCache::new(1).with_store(Arc::clone(&tmp.store));
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let k2 = model_key(&corpus(2), &cfg, FeatureSet::ds());
+        let cache = tmp.cache(1);
+        let (k1, k2) = (key_of(1), key_of(2));
         assert!(!cache.evict(k1), "nothing to evict yet");
         // Resident-tier eviction.
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
+        fit(&cache, 1);
         assert!(cache.evict(k1));
-        assert!(!cache.contains(k1));
+        assert!(!is_resident(&cache, k1));
         assert_eq!(
-            cache.stats().evictions,
+            stats(&cache).evictions,
             0,
             "request evictions are not policy evictions"
         );
         // Disk-tier eviction: spill corpus 1, then evict removes the snapshot too.
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
-            .unwrap();
-        cache
-            .get_or_fit(&corpus(2), &cfg, FeatureSet::ds())
-            .unwrap(); // evicts + spills corpus 1 (get_or_fit flushes)
+        fit(&cache, 1);
+        fit(&cache, 2); // evicts + spills corpus 1
         assert!(tmp.store.contains(k1));
         assert!(cache.evict(k1));
         assert!(!tmp.store.contains(k1));
         // A spill still queued for an evicted key is cancelled, not written later.
-        let m1 = Arc::new(GemModel::fit(&corpus(1), &cfg, FeatureSet::ds()).unwrap());
-        cache.insert(k1, m1); // evicts corpus 2, queueing its spill
+        let tasks = cache.admit(k1, fitted(1)); // evicts corpus 2, queueing its spill
         assert!(cache.evict(k2), "queued spill counts as existing");
-        cache.flush_spills();
+        for task in tasks {
+            assert!(!cache.spill(task));
+        }
         assert!(
             !tmp.store.contains(k2),
             "cancelled spill must not be written"
         );
+        assert!(cache.resolve(k2).is_none());
     }
 
     #[test]
     fn evict_invalidates_spill_tasks_already_in_flight() {
-        // The race: a policy eviction hands out a SpillTask; before it executes, an
-        // explicit evict removes the model from every tier. The in-flight task must
-        // not re-write the snapshot afterwards — that would resurrect the handle the
-        // eviction just killed.
+        // The race: an eviction hands out a spill; before it executes, an explicit evict
+        // removes the model from every tier. The in-flight spill must not re-write the
+        // snapshot afterwards — that would resurrect the handle the evict just killed.
         let tmp = TempStore::new("evict-race");
-        let cfg = GemConfig::fast();
-        let mut cache = ModelCache::new(1).with_store(Arc::clone(&tmp.store));
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let m1 = Arc::new(GemModel::fit(&corpus(1), &cfg, FeatureSet::ds()).unwrap());
-        let m2 = Arc::new(GemModel::fit(&corpus(2), &cfg, FeatureSet::ds()).unwrap());
-        cache.insert(k1, m1);
-        cache.insert(
-            model_key(&corpus(2), &cfg, FeatureSet::ds()),
-            Arc::clone(&m2),
-        );
-        let tasks = cache.take_pending_spills(); // k1's spill, now "in flight"
+        let cache = tmp.cache(1);
+        let k1 = key_of(1);
+        cache.admit(k1, fitted(1));
+        let tasks = cache.admit(key_of(2), fitted(2)); // k1's spill, now in flight
         assert_eq!(tasks.len(), 1);
         cache.evict(k1); // lands while the spill is still un-executed
         for task in tasks {
-            assert!(!task.execute(), "cancelled spill must not write");
+            assert!(!cache.spill(task), "cancelled spill must not write");
         }
         assert!(
             !tmp.store.contains(k1),
             "an in-flight spill must not resurrect an evicted model"
         );
-        assert_eq!(cache.stats().spills, 0);
+        assert_eq!(stats(&cache).spills, 0);
         // Spills queued *after* the eviction belong to the key's new generation and
         // still work.
-        let m1_again = Arc::new(GemModel::fit(&corpus(1), &cfg, FeatureSet::ds()).unwrap());
-        cache.insert(k1, m1_again);
-        cache.insert(model_key(&corpus(3), &cfg, FeatureSet::ds()), m2); // evicts k1
-        cache.flush_spills(); // writes k1 and the corpus-2 model it displaced
+        let mut tasks = cache.admit(k1, fitted(1)); // evicts corpus 2
+        tasks.extend(cache.admit(key_of(3), fitted(3))); // evicts k1
+        for task in tasks {
+            assert!(cache.spill(task));
+        }
         assert!(tmp.store.contains(k1), "post-evict refits spill normally");
-        assert_eq!(cache.stats().spills, 2);
+        assert_eq!(stats(&cache).spills, 2);
     }
 
     #[test]
     fn models_remain_resolvable_while_their_spill_is_queued_or_in_flight() {
-        // Deferring spills must not open a window in which an evicted model resolves
+        // Handing spills out must not open a window in which an evicted model resolves
         // nowhere: between the eviction and the (possibly slow) store write, lookups
-        // re-promote the model from the spill pipeline instead of missing.
+        // re-promote the model from the spill bookkeeping instead of missing.
         let tmp = TempStore::new("resolvable");
-        let cfg = GemConfig::fast();
-        let mut cache = ModelCache::new(1).with_store(Arc::clone(&tmp.store));
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let k2 = model_key(&corpus(2), &cfg, FeatureSet::ds());
-        let m1 = Arc::new(GemModel::fit(&corpus(1), &cfg, FeatureSet::ds()).unwrap());
-        let m2 = Arc::new(GemModel::fit(&corpus(2), &cfg, FeatureSet::ds()).unwrap());
-        cache.insert(k1, m1);
-        cache.insert(k2, m2); // k1 evicted, spill queued (not written)
+        let cache = tmp.cache(1);
+        let (k1, k2) = (key_of(1), key_of(2));
+        cache.admit(k1, fitted(1));
+        let tasks = cache.admit(k2, fitted(2)); // k1 evicted, spill handed out
         assert!(!tmp.store.contains(k1));
-        // (a) Queued: k1 resolves from the pending queue, re-promoted as a memory hit.
-        let (_, tier) = cache.get_with_tier(k1).expect("queued spill must resolve");
-        assert_eq!(tier, CacheTier::Memory);
-        assert!(cache.contains(k1));
-        // The re-promotion displaced k2; hand its spill out as an in-flight task.
-        let tasks = cache.take_pending_spills();
-        assert!(tasks.iter().any(|t| t.key() == k2));
-        // (b) In flight (handed out, not yet executed): k2 still resolves.
-        let (_, tier) = cache
-            .get_with_tier(k2)
-            .expect("in-flight spill must resolve");
-        assert_eq!(tier, CacheTier::Memory);
+        // Handed out, not yet executed: k1 re-promotes as a memory hit. That evicts k2,
+        // whose spill the lookup itself runs once the lock drops.
+        let (_, served_from) = cache.resolve(k1).expect("in-flight spill must resolve");
+        assert_eq!(served_from, ServedFrom::MemoryCache);
+        assert!(is_resident(&cache, k1));
+        assert!(tmp.store.contains(k2));
         assert_eq!(
-            cache.stats().misses,
+            stats(&cache).misses,
             0,
             "the spill pipeline is never a miss"
         );
-        // Executing the now-stale tasks afterwards is harmless.
+        // Executing the stale task afterwards is harmless.
         for task in tasks {
-            task.execute();
+            cache.spill(task);
         }
-        assert!(cache.get_with_tier(k2).is_some());
+        assert!(cache.resolve(k1).is_some());
+        assert!(cache.resolve(k2).is_some());
+        assert_eq!(stats(&cache).misses, 0);
     }
 
     #[test]
@@ -1103,40 +1048,254 @@ mod tests {
         // of an unrelated model that happens to be in flight at the same moment —
         // that model's handle is supposed to survive eviction-and-restart.
         let tmp = TempStore::new("evict-unrelated");
-        let cfg = GemConfig::fast();
-        let mut cache = ModelCache::new(1).with_store(Arc::clone(&tmp.store));
-        let k1 = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        let m1 = Arc::new(GemModel::fit(&corpus(1), &cfg, FeatureSet::ds()).unwrap());
-        let m2 = Arc::new(GemModel::fit(&corpus(2), &cfg, FeatureSet::ds()).unwrap());
-        cache.insert(k1, m1);
-        cache.insert(model_key(&corpus(2), &cfg, FeatureSet::ds()), m2);
-        let tasks = cache.take_pending_spills(); // k1's spill, in flight
+        let cache = tmp.cache(1);
+        let k1 = key_of(1);
+        cache.admit(k1, fitted(1));
+        let tasks = cache.admit(key_of(2), fitted(2)); // k1's spill, in flight
         assert_eq!(tasks.len(), 1);
-        cache.evict(model_key(&corpus(3), &cfg, FeatureSet::ds())); // unrelated key
+        cache.evict(key_of(3)); // unrelated key
         for task in tasks {
-            assert!(task.execute(), "unrelated evict must not cancel this spill");
+            assert!(
+                cache.spill(task),
+                "unrelated evict must not cancel this spill"
+            );
         }
         assert!(tmp.store.contains(k1));
-        assert_eq!(cache.stats().spills, 1);
+        assert_eq!(stats(&cache).spills, 1);
     }
 
     #[test]
-    fn ttl_expiry_does_not_spill() {
-        let tmp = TempStore::new("no-spill-on-expiry");
-        let cfg = GemConfig::fast();
-        let mut cache = ModelCache::with_policy(CachePolicy::with_capacity(4).ttl(Duration::ZERO))
-            .with_store(Arc::clone(&tmp.store));
-        cache
-            .get_or_fit(&corpus(1), &cfg, FeatureSet::ds())
+    fn concurrent_warm_starts_of_one_handle_decode_once() {
+        // Eight threads resolve one spilled handle at once: one leads the store read,
+        // the rest join it (or find the model resident afterwards). The accounting is
+        // exact either way.
+        const THREADS: usize = 8;
+        let tmp = TempStore::new("warm-flight");
+        let cache = tmp.cache(1);
+        fit(&cache, 1);
+        fit(&cache, 2); // spills corpus 1
+        let before = stats(&cache);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let outcomes: Vec<(Arc<GemModel>, ServedFrom)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let (cache, barrier) = (&cache, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        cache.resolve(key_of(1)).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let from_disk = outcomes
+            .iter()
+            .filter(|(_, sf)| *sf == ServedFrom::DiskStore)
+            .count();
+        assert_eq!(from_disk, 1, "exactly one decode across {THREADS}");
+        let after = stats(&cache);
+        assert_eq!(after.warm_starts - before.warm_starts, 1);
+        assert_eq!(after.hits - before.hits, (THREADS - 1) as u64);
+        assert_eq!(after.misses, before.misses);
+        assert_eq!(after.coalesced_fits, 0);
+        assert!(outcomes.iter().all(|(m, _)| Arc::ptr_eq(m, &outcomes[0].0)));
+    }
+
+    /// Put a FIFO where `key`'s snapshot belongs, so a store read of it blocks until
+    /// the test writes the file's contents.
+    #[cfg(unix)]
+    fn fifo_snapshot(store: &ModelStore, key: ModelKey) -> std::path::PathBuf {
+        let path = store.path_of(key);
+        let made = std::process::Command::new("mkfifo")
+            .arg(&path)
+            .status()
             .unwrap();
-        let key = model_key(&corpus(1), &cfg, FeatureSet::ds());
-        assert!(cache.get(key).is_none()); // expired
-        assert_eq!(cache.stats().expirations, 1);
-        assert_eq!(
-            cache.stats().spills,
-            0,
-            "expired entries are stale, not spilled"
+        assert!(made.success(), "mkfifo failed");
+        path
+    }
+
+    /// Open the FIFO for writing. This returns once a reader has opened it, so that
+    /// reader is now blocked inside its store read.
+    #[cfg(unix)]
+    fn wait_for_reader(fifo: &std::path::Path) -> std::fs::File {
+        std::fs::OpenOptions::new().write(true).open(fifo).unwrap()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_evict_during_a_warm_start_does_not_resurrect_the_handle() {
+        // The store read runs outside the lock, so an Evict can land while it is in
+        // progress. The reader still answers its own caller, but must not make the
+        // model resident: the evict already returned, and the handle stays gone.
+        use std::io::Write;
+        let tmp = TempStore::new("evict-mid-load");
+        let key = key_of(1);
+        let snapshot_path = tmp.store.save(key, &fitted(1)).unwrap();
+        let snapshot = std::fs::read(&snapshot_path).unwrap();
+        std::fs::remove_file(&snapshot_path).unwrap();
+        let fifo = fifo_snapshot(&tmp.store, key);
+        let cache = tmp.cache(2);
+        std::thread::scope(|scope| {
+            let reader = scope.spawn(|| cache.resolve(key));
+            let mut writer = wait_for_reader(&fifo);
+            assert!(cache.evict(key), "the snapshot existed");
+            writer.write_all(&snapshot).unwrap();
+            drop(writer);
+            let (_, served_from) = reader.join().unwrap().expect("the read completed");
+            assert_eq!(served_from, ServedFrom::DiskStore);
+        });
+        assert!(!is_resident(&cache, key));
+        assert!(
+            cache.resolve(key).is_none(),
+            "the evicted handle stays gone"
         );
-        assert_eq!(tmp.store.stats().unwrap().entries, 0);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_resolve_joins_an_in_flight_fit_of_its_key() {
+        // A Fit leads its key's flight: it reads the store first (here a corrupt
+        // snapshot, which it deletes) and then fits. A resolve of the same key meanwhile
+        // waits for that flight and shares its model instead of answering unknown.
+        use std::io::Write;
+        let tmp = TempStore::new("join-fit");
+        let key = key_of(1);
+        let fifo = fifo_snapshot(&tmp.store, key);
+        let cache = tmp.cache(2);
+        std::thread::scope(|scope| {
+            let fitter = scope.spawn(|| fit(&cache, 1));
+            let mut writer = wait_for_reader(&fifo);
+            let resolver = scope.spawn(|| cache.resolve(key));
+            // The resolver has joined once it holds a third reference to the flight
+            // (the registry and the leader hold the other two).
+            while lock_or_recover(&cache.state)
+                .flights
+                .get(&key)
+                .map_or(0, Arc::strong_count)
+                < 3
+            {
+                std::thread::yield_now();
+            }
+            writer.write_all(b"{ not json").unwrap();
+            drop(writer);
+            let (fitted, fitted_from) = fitter.join().unwrap();
+            let (joined, joined_from) = resolver.join().unwrap().expect("joined the fit");
+            assert_eq!(fitted_from, ServedFrom::ColdFit);
+            assert_eq!(joined_from, ServedFrom::MemoryCache);
+            assert!(Arc::ptr_eq(&fitted, &joined));
+        });
+        let stats = stats(&cache);
+        assert_eq!((stats.misses, stats.hits, stats.warm_starts), (1, 1, 0));
+        assert_eq!(stats.store_errors, 1, "the corrupt snapshot was counted");
+        assert_eq!(stats.coalesced_fits, 0, "a resolve is not a fit");
+        assert!(!tmp.store.contains(key), "the corrupt snapshot was deleted");
+    }
+
+    #[test]
+    fn warm_transform_matches_one_shot_embed_exactly() {
+        let cache = cache(2);
+        let cols = corpus(2);
+        let (cold, cold_from) = fit(&cache, 2);
+        assert_eq!(cold_from, ServedFrom::ColdFit);
+        let (warm, warm_from) = fit(&cache, 2);
+        assert_eq!(warm_from, ServedFrom::MemoryCache);
+        assert_eq!(stats(&cache).hits, 1);
+        let direct = gem_core::GemEmbedder::new(GemConfig::fast())
+            .embed(&cols, FeatureSet::ds())
+            .unwrap();
+        assert_eq!(cold.transform(&cols).unwrap().matrix, direct.matrix);
+        assert_eq!(warm.transform(&cols).unwrap().matrix, direct.matrix);
+    }
+
+    #[test]
+    fn fit_update_derives_a_lineaged_handle_without_a_new_em_run() {
+        let tmp = TempStore::new("fit-update");
+        let cache = tmp.cache(4);
+        let parent = key_of(11);
+        let growth = vec![GemColumn::new(
+            (0..60).map(|i| 500.0 + (i % 13) as f64 * 2.5).collect(),
+            "grown",
+        )];
+
+        // An unknown parent is a typed miss, never a fabricated model.
+        assert!(cache.fit_update(parent, &growth).is_none());
+
+        fit(&cache, 11);
+        let after_fit = stats(&cache);
+        assert!(after_fit.fit_micros > 0);
+        assert!(after_fit.em_iterations > 0);
+
+        let (key, updated, served_from) = cache.fit_update(parent, &growth).unwrap();
+        let updated = updated.unwrap();
+        assert_ne!(key, parent);
+        assert_eq!(served_from, ServedFrom::ColdFit);
+        assert_eq!(updated.n_fit_columns(), corpus(11).len() + 1);
+        // The update froze the parent's components: no EM ran, so the fit-cost
+        // counters did not move.
+        let after_update = stats(&cache);
+        assert_eq!(after_update.fit_micros, after_fit.fit_micros);
+        assert_eq!(after_update.em_iterations, after_fit.em_iterations);
+        // Lineage was written to the store tier before the handle became resolvable.
+        assert_eq!(tmp.store.parent_of(key).unwrap(), Some(parent));
+
+        // The same growth again is a pure cache hit on the derived key.
+        let (key_again, hit, from_again) = cache.fit_update(parent, &growth).unwrap();
+        assert_eq!(key_again, key);
+        assert_eq!(from_again, ServedFrom::MemoryCache);
+        assert!(Arc::ptr_eq(&hit.unwrap(), &updated));
+    }
+
+    #[test]
+    fn concurrent_duplicate_fits_coalesce_onto_one_em_run() {
+        // Eight threads race the same cold Fit through one cache (the worker-pool
+        // server's shape). Single-flight guarantees exactly one of them pays the EM
+        // fit; the rest are either plain cache hits (they looked up after the leader
+        // published) or coalesced onto the in-flight computation — and the accounting
+        // is exact: duplicates = hits + coalesced_fits.
+        const THREADS: usize = 8;
+        let cache = cache(4);
+        let barrier = std::sync::Barrier::new(THREADS);
+        let outcomes: Vec<(Arc<GemModel>, ServedFrom)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let (cache, barrier) = (&cache, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        fit(cache, 5)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let cold = outcomes
+            .iter()
+            .filter(|(_, sf)| *sf == ServedFrom::ColdFit)
+            .count();
+        assert_eq!(cold, 1, "exactly one EM fit across {THREADS}");
+        let stats = stats(&cache);
+        assert_eq!(
+            stats.coalesced_fits + stats.hits,
+            (THREADS - 1) as u64,
+            "every duplicate was a hit or coalesced: {stats:?}"
+        );
+        assert_eq!(stats.hits + stats.misses, THREADS as u64);
+        assert_eq!(cache.resident_models().len(), 1);
+        // All eight callers hold the same fitted model: the very same Arc.
+        assert!(outcomes.iter().all(|(m, _)| Arc::ptr_eq(m, &outcomes[0].0)));
+        assert_eq!(fit(&cache, 5).1, ServedFrom::MemoryCache);
+    }
+
+    #[test]
+    fn published_models_resolve_like_fitted_ones() {
+        // The PushModel path: an externally produced model enters via publish() and
+        // the handle resolves without this cache ever fitting.
+        let cache = cache(4);
+        let key = key_of(6);
+        let model = fitted(6);
+        assert!(cache.resolve(key).is_none());
+        cache.publish(key, Arc::clone(&model));
+        let (resolved, served_from) = cache.resolve(key).expect("published model resolves");
+        assert_eq!(served_from, ServedFrom::MemoryCache);
+        assert!(Arc::ptr_eq(&resolved, &model));
     }
 }

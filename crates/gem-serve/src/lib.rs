@@ -11,21 +11,22 @@
 //!   requests share a key exactly when they can share a fitted model. (Hosted by
 //!   `gem-store`, re-exported here unchanged: the cache key doubles as the on-disk
 //!   address.)
-//! * [`ModelCache`] — a bounded LRU of fitted models behind [`std::sync::Arc`]:
-//!   capacity-, TTL- and approximate-memory-bounded ([`CachePolicy`]), with
-//!   hit/miss/eviction/expiration counters. Attach a [`gem_store::ModelStore`] and the
-//!   cache becomes two-tiered: models evicted for capacity/memory **spill** to disk, and
-//!   a lookup that misses memory **warm-starts** from disk — deserialisation instead of
-//!   an EM re-fit, with bit-identical transforms.
-//! * [`EmbedService`] — the front-end: the typed, handle-based [`ServeRequest`] protocol
-//!   (`Fit` → [`ModelHandle`] → `Embed`/`Evict`, the one-shot `EmbedCorpus` path for
-//!   any [`gem_core::MethodRegistry`] method by name, and `PushModel`/`PullModel`
-//!   snapshot shipping between replicas) with the stable-coded [`ServeError`] taxonomy.
-//!   Each request is one model lookup (or fit) and one transform, served on the calling
-//!   thread. Duplicate in-flight fits are **single-flight**: N concurrent requests for
-//!   one missing handle pay one EM fit ([`CacheStats::coalesced_fits`]). Store writes
-//!   queued by evictions execute **after the cache lock is released**, so a slow disk
-//!   never blocks concurrent lookups.
+//! * The model cache — an LRU of at most [`CachePolicy::capacity`] fitted models behind
+//!   [`std::sync::Arc`], with the counters in [`CacheStats`]. Handles are content
+//!   hashes, so nothing in it ever goes stale and nothing expires. Attach a
+//!   [`gem_store::ModelStore`] and it becomes two-tiered: evicted models **spill** to
+//!   disk, and a lookup that misses memory **warm-starts** from disk — deserialisation
+//!   instead of an EM re-fit, with bit-identical transforms. Lookups that miss memory
+//!   are **single-flight**: N concurrent requests for one missing handle pay one EM fit
+//!   ([`CacheStats::coalesced_fits`]) or one snapshot decode. Snapshot reads, writes and
+//!   deletes all run **outside the cache lock**, so a slow disk never blocks a lookup
+//!   of another model.
+//! * [`EmbedService`] — the front-end, holding the model cache directly: the typed,
+//!   handle-based [`ServeRequest`] protocol (`Fit` → [`ModelHandle`] → `Embed`/`Evict`,
+//!   the one-shot `EmbedCorpus` path for any [`gem_core::MethodRegistry`] method by
+//!   name, and `PushModel`/`PullModel` snapshot shipping between replicas) with the
+//!   stable-coded [`ServeError`] taxonomy. Each request is one model lookup (or fit) and
+//!   one transform, served on the calling thread.
 //! * [`net::GemServer`] / [`client::GemClient`] — the same protocol over TCP (the
 //!   `gem-served` and `gem-client` binaries wrap them). Each connection opens with the
 //!   `gem_proto::binary` hello and then speaks length-prefixed frames (raw-IEEE-754
@@ -68,7 +69,6 @@
 mod cache;
 pub mod client;
 pub mod demo;
-mod engine;
 mod error;
 pub mod framing;
 mod handle;
@@ -77,12 +77,11 @@ pub mod net;
 mod service;
 pub mod sync;
 
-pub use cache::{CachePolicy, CacheStats, CacheTier, EvictTask, ModelCache, SpillTask};
+pub use cache::{CachePolicy, CacheStats, CacheTier, ServedFrom};
 pub use client::{
     ClientError, EmbedOutcome, FitOutcome, GemClient, HealthOutcome, HealthState, PipelinedReply,
     PushOutcome, SnapshotOutcome,
 };
-pub use engine::ServedFrom;
 pub use error::ServeError;
 pub use gem_store::fingerprint;
 pub use gem_store::{

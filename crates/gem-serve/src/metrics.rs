@@ -320,6 +320,12 @@ impl ServerMetrics {
         self.busy_gauge.get()
     }
 
+    /// The most executors ever busy at one instant: how close the pool came to
+    /// saturation (equal to the pool size means requests queued behind busy workers).
+    pub fn busy_workers_high_water(&self) -> u64 {
+        self.busy_gauge.high_water()
+    }
+
     /// The configured work-queue bound.
     pub fn queue_capacity(&self) -> u64 {
         self.capacity_gauge.get()
@@ -420,7 +426,7 @@ impl ServerMetrics {
             "gem_workers_busy_high_water",
             "gauge",
             "most executors ever busy at one instant",
-            counters.workers_high_water().to_string(),
+            self.busy_gauge.high_water().to_string(),
         );
         push(
             "gem_queue_depth_high_water",
@@ -450,14 +456,8 @@ impl ServerMetrics {
             push(
                 "gem_cache_evictions_total",
                 "counter",
-                "entries evicted to respect capacity or memory bounds",
+                "models evicted to respect the cache capacity",
                 stats.cache.evictions.to_string(),
-            );
-            push(
-                "gem_cache_expirations_total",
-                "counter",
-                "entries dropped because they outlived the TTL",
-                stats.cache.expirations.to_string(),
             );
             push(
                 "gem_coalesced_fits_total",

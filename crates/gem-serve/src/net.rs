@@ -30,8 +30,8 @@
 //!   a cheap `Stats` or `Embed` pipelined behind a slow `Fit` overtakes it (out-of-order
 //!   responses, correlated by envelope id — see the `gem-proto` docs), fits for
 //!   distinct handles run concurrently on distinct executors, and duplicate in-flight
-//!   fits for the *same* handle coalesce onto one EM run (the engine's single-flight,
-//!   counted in `CacheStats::coalesced_fits`).
+//!   fits for the *same* handle coalesce onto one EM run (the model cache's
+//!   single-flight, counted in `CacheStats::coalesced_fits`).
 //!
 //! Operational properties:
 //!
@@ -39,10 +39,11 @@
 //!   acceptor awake; readers stop feeding the queue within their read-timeout tick,
 //!   executors drain what was already queued, writers flush every produced response,
 //!   and all of them are joined before [`GemServer::run`] returns.
-//! * **Request counters** — connections accepted, requests served, protocol errors and
-//!   the executor-pool high-water mark are counted on shared atomics
-//!   ([`ServerCounters`]), readable while running; [`shutdown_summary`] renders them as
-//!   the one-line structured record `gem-served` logs on graceful shutdown.
+//! * **Request counters** — connections accepted, requests served and protocol errors
+//!   are counted on shared atomics ([`ServerCounters`]) and the executor-pool
+//!   high-water mark on the busy gauge ([`ServerMetrics::busy_workers_high_water`]),
+//!   all readable while running; [`shutdown_summary`] renders them as the one-line
+//!   structured record `gem-served` logs on graceful shutdown.
 //! * **Typed errors end-to-end** — serving failures travel as their stable
 //!   [`crate::ServeError::code`]s; malformed frames get `protocol_error` /
 //!   `version_mismatch` bodies — correlated by the frame's header id when it carries
@@ -92,8 +93,6 @@ pub struct ServerCounters {
     requests: AtomicU64,
     requests_shed: AtomicU64,
     protocol_errors: AtomicU64,
-    busy_workers: AtomicU64,
-    workers_high_water: AtomicU64,
     lock_recoveries: AtomicU64,
 }
 
@@ -121,12 +120,6 @@ impl ServerCounters {
         self.protocol_errors.load(Ordering::Relaxed)
     }
 
-    /// The most executors ever busy at one instant — how close the pool came to
-    /// saturation (equal to the pool size means requests queued behind busy workers).
-    pub fn workers_high_water(&self) -> u64 {
-        self.workers_high_water.load(Ordering::Relaxed)
-    }
-
     /// Work-queue locks recovered after a holder panicked. Serving continued — a
     /// poisoned queue mutex must not wedge the replica — but a non-zero value means
     /// some executor died mid-request and is worth investigating.
@@ -137,20 +130,15 @@ impl ServerCounters {
     fn note_lock_recovery(&self) {
         self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
     }
-
-    fn enter_work(&self) {
-        let busy = self.busy_workers.fetch_add(1, Ordering::Relaxed) + 1;
-        self.workers_high_water.fetch_max(busy, Ordering::Relaxed);
-    }
-
-    fn leave_work(&self) {
-        self.busy_workers.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// The one-line structured record `gem-served` logs on graceful shutdown, so soak runs
 /// leave a debuggable trace: every field is `key=value`, greppable and stable.
-pub fn shutdown_summary(counters: &ServerCounters, stats: &ServiceStats) -> String {
+pub fn shutdown_summary(
+    counters: &ServerCounters,
+    metrics: &ServerMetrics,
+    stats: &ServiceStats,
+) -> String {
     format!(
         "gem-served shutdown summary: requests={} requests_shed={} connections={} \
          protocol_errors={} coalesced_fits={} workers_high_water={} lock_recoveries={} \
@@ -160,7 +148,7 @@ pub fn shutdown_summary(counters: &ServerCounters, stats: &ServiceStats) -> Stri
         counters.connections(),
         counters.protocol_errors(),
         stats.cache.coalesced_fits,
-        counters.workers_high_water(),
+        metrics.busy_workers_high_water(),
         counters.lock_recoveries(),
         stats.cache.hits,
         stats.cache.misses,
@@ -527,7 +515,6 @@ fn executor_loop(
     }) = queue.pop(inputs_closed)
     {
         let queue_wait = enqueued_at.elapsed();
-        counters.enter_work();
         metrics.busy_gauge().inc();
         counters.requests.fetch_add(1, Ordering::Relaxed);
         // `respond_frame` streams intermediate frames (embed rows) to the writer
@@ -540,7 +527,6 @@ fn executor_loop(
         let final_frame = respond_frame(service, payload, &reply, queue_wait, counters, metrics);
         metrics.busy_gauge().dec();
         retire(&depth, metrics);
-        counters.leave_work();
         if let Some(bytes) = final_frame {
             let _ = reply.send(bytes);
         }
@@ -991,7 +977,6 @@ fn stats_to_wire(stats: ServiceStats) -> proto::WireStats {
         warm_starts: stats.cache.warm_starts,
         misses: stats.cache.misses,
         evictions: stats.cache.evictions,
-        expirations: stats.cache.expirations,
         coalesced_fits: stats.cache.coalesced_fits,
         spills: stats.cache.spills,
         store_errors: stats.cache.store_errors,
@@ -1333,7 +1318,7 @@ mod tests {
         assert_eq!(server.counters().connections(), 1);
         assert_eq!(server.counters().requests(), 3);
         assert_eq!(server.counters().protocol_errors(), 0);
-        assert!(server.counters().workers_high_water() >= 1);
+        assert!(server.metrics().busy_workers_high_water() >= 1);
     }
 
     #[test]

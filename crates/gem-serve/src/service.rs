@@ -23,14 +23,13 @@
 //!
 //! Every outcome is a [`ServeResult`]: a typed [`ServeResponse`] or a [`ServeError`]
 //! from the stable-coded taxonomy. Each request is served on its own, on the calling
-//! thread: a model lookup (or fit) and a transform.
+//! thread: one lookup (or fit) in the model cache, which the service holds directly,
+//! and one transform.
 
-use crate::cache::CachePolicy;
-use crate::engine::{BatchEngine, ServedFrom};
+use crate::cache::{CachePolicy, CacheTier, ModelCache, ServedFrom};
 use crate::error::ServeError;
-use crate::fingerprint::model_key;
+use crate::fingerprint::{corpus_fingerprint, fit_model_key, model_key};
 use crate::handle::ModelHandle;
-use crate::CacheTier;
 use gem_core::{
     gem_family_variants, Composition, FeatureSet, GemColumn, GemConfig, GemModel, GemVariant,
     MethodRegistry,
@@ -312,7 +311,7 @@ pub type ServeResult = Result<ServeResponse, ServeError>;
 #[derive(Debug)]
 pub struct EmbedService {
     registry: MethodRegistry,
-    engine: BatchEngine,
+    cache: ModelCache,
     variants: Vec<GemVariant>,
     requests: AtomicU64,
 }
@@ -328,14 +327,14 @@ impl EmbedService {
         Self::with_policy(registry, CachePolicy::with_capacity(cache_capacity))
     }
 
-    /// A service with a full cache eviction policy (capacity, TTL, memory bound).
+    /// A service whose model cache follows `policy`.
     ///
     /// # Panics
     /// Panics when `policy.capacity` is zero.
     pub fn with_policy(registry: MethodRegistry, policy: CachePolicy) -> Self {
         EmbedService {
             registry,
-            engine: BatchEngine::with_policy(policy),
+            cache: ModelCache::new(policy),
             variants: Vec::new(),
             requests: AtomicU64::new(0),
         }
@@ -345,7 +344,7 @@ impl EmbedService {
     /// memory spill to it, cache misses warm-start from it, and handles resolve through
     /// it — so a handle survives both eviction and a process restart.
     pub fn with_store(mut self, store: Arc<ModelStore>) -> Self {
-        self.engine = self.engine.with_store(store);
+        self.cache = self.cache.with_store(store);
         self
     }
 
@@ -396,7 +395,7 @@ impl EmbedService {
 
     /// Cumulative model-cache counters.
     pub fn cache_stats(&self) -> crate::CacheStats {
-        self.engine.cache_stats()
+        self.cache.snapshot().0
     }
 
     /// Cumulative service statistics (cache counters, tier sizes, request count). The
@@ -404,8 +403,8 @@ impl EmbedService {
     /// (filesystem I/O) happens outside the cache lock and degrades to "unknown" on
     /// failure — stats are best-effort, never an error.
     pub fn stats(&self) -> ServiceStats {
-        let (cache, resident_models, resident_bytes) = self.engine.cache_snapshot();
-        let (store_entries, store_bytes) = match self.engine.store().map(|s| s.stats()) {
+        let (cache, resident_models, resident_bytes) = self.cache.snapshot();
+        let (store_entries, store_bytes) = match self.cache.store().map(|s| s.stats()) {
             Some(Ok(stats)) => (Some(stats.entries as u64), Some(stats.total_bytes)),
             Some(Err(_)) | None => (None, None),
         };
@@ -425,7 +424,7 @@ impl EmbedService {
     /// # Errors
     /// Returns [`ServeError::Store`] when the store tier exists but cannot be listed.
     pub fn models(&self) -> Result<Vec<ModelInfo>, ServeError> {
-        let resident = self.engine.resident_models();
+        let resident = self.cache.resident_models();
         let mut infos: Vec<ModelInfo> = resident
             .iter()
             .map(|(key, model)| ModelInfo {
@@ -435,7 +434,7 @@ impl EmbedService {
                 bytes: model.approx_mem_bytes(),
             })
             .collect();
-        if let Some(store) = self.engine.store() {
+        if let Some(store) = self.cache.store() {
             let entries = store.list().map_err(|e| ServeError::Store {
                 message: e.to_string(),
             })?;
@@ -463,11 +462,12 @@ impl EmbedService {
                 features,
                 composition,
             } => {
+                let key =
+                    fit_model_key(corpus_fingerprint(&corpus), &config, features, composition);
                 if let Some(composition) = composition {
                     config.composition = composition;
                 }
-                let key = model_key(&corpus, &config, features);
-                let (model, served_from) = self.engine.get_or_fit(key, &corpus, &config, features);
+                let (model, served_from) = self.cache.get_or_fit(key, &corpus, &config, features);
                 Ok(ServeResponse::Fitted {
                     handle: ModelHandle::from(key),
                     dim: model.map_err(ServeError::Fit)?.dim(),
@@ -475,7 +475,7 @@ impl EmbedService {
                 })
             }
             ServeRequest::FitUpdate { handle, corpus } => {
-                let Some((key, model, served_from)) = self.engine.fit_update(handle.key(), &corpus)
+                let Some((key, model, served_from)) = self.cache.fit_update(handle.key(), &corpus)
                 else {
                     return Err(ServeError::UnknownModel { handle });
                 };
@@ -500,7 +500,7 @@ impl EmbedService {
                     let (config, features) = (&variant.config, variant.features);
                     let key = model_key(&corpus, config, features);
                     let (model, served_from) =
-                        self.engine.get_or_fit(key, &corpus, config, features);
+                        self.cache.get_or_fit(key, &corpus, config, features);
                     let model = model.map_err(ServeError::Fit)?;
                     return transform(&model, columns, served_from);
                 }
@@ -517,7 +517,7 @@ impl EmbedService {
             }
             ServeRequest::PushModel { handle, model } => {
                 let dim = model.dim();
-                self.engine.publish(handle.key(), model);
+                self.cache.publish(handle.key(), model);
                 Ok(ServeResponse::Pushed { handle, dim })
             }
             ServeRequest::PullModel { handle } => {
@@ -531,7 +531,7 @@ impl EmbedService {
             ServeRequest::Stats => Ok(ServeResponse::Stats(self.stats())),
             ServeRequest::ListModels => self.models().map(ServeResponse::Models),
             ServeRequest::Evict { handle } => Ok(ServeResponse::Evicted {
-                existed: self.engine.evict(handle.key()),
+                existed: self.cache.evict(handle.key()),
             }),
         }
     }
@@ -550,9 +550,8 @@ impl EmbedService {
     /// The model `handle` names, from either cache tier. **Never fits**: a miss is the
     /// typed [`ServeError::UnknownModel`] — the request carries no corpus to fit from.
     fn resolve(&self, handle: ModelHandle) -> Result<(Arc<GemModel>, ServedFrom), ServeError> {
-        self.engine
+        self.cache
             .resolve(handle.key())
-            .map(|(model, tier)| (model, ServedFrom::from(tier)))
             .ok_or(ServeError::UnknownModel { handle })
     }
 }

@@ -7,7 +7,7 @@
 //! input that changes the fitted model: any value bit, any header byte, the column
 //! order, and every configuration field.
 
-use gem_core::{FeatureSet, GemColumn, GemConfig};
+use gem_core::{Composition, FeatureSet, GemColumn, GemConfig};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
@@ -170,6 +170,26 @@ pub fn model_key(columns: &[GemColumn], config: &GemConfig, features: FeatureSet
         corpus: corpus_fingerprint(columns),
         config: config_fingerprint(config, features),
     }
+}
+
+/// The key a `Fit` request names: the model fitted with `config` (its composition
+/// replaced by the request's `composition` override, when there is one) and `features`
+/// on the corpus whose [`corpus_fingerprint`] is `corpus`. The serving replica and the
+/// router both derive `Fit` handles here, so a router places a model exactly where the
+/// replica will address it, before the model exists.
+pub fn fit_model_key(
+    corpus: u64,
+    config: &GemConfig,
+    features: FeatureSet,
+    composition: Option<Composition>,
+) -> ModelKey {
+    let config = match composition {
+        Some(composition) => {
+            config_fingerprint(&config.clone().with_composition(composition), features)
+        }
+        None => config_fingerprint(config, features),
+    };
+    ModelKey { corpus, config }
 }
 
 /// The key of the model produced by folding `new_columns` into the model at `parent` via
@@ -385,5 +405,33 @@ mod tests {
         let other = model_key(&columns(), &cfg, FeatureSet::d());
         assert_eq!(key.corpus, other.corpus);
         assert_ne!(key, other);
+    }
+
+    #[test]
+    fn fit_key_applies_the_composition_override_before_hashing() {
+        let cfg = GemConfig::fast();
+        let corpus = corpus_fingerprint(&columns());
+        assert_eq!(
+            fit_model_key(corpus, &cfg, FeatureSet::ds(), None),
+            model_key(&columns(), &cfg, FeatureSet::ds())
+        );
+        let overridden = fit_model_key(
+            corpus,
+            &cfg,
+            FeatureSet::ds(),
+            Some(Composition::Aggregation),
+        );
+        assert_eq!(
+            overridden,
+            model_key(
+                &columns(),
+                &cfg.clone().with_composition(Composition::Aggregation),
+                FeatureSet::ds()
+            )
+        );
+        assert_ne!(
+            overridden,
+            fit_model_key(corpus, &cfg, FeatureSet::ds(), None)
+        );
     }
 }

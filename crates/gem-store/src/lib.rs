@@ -20,9 +20,9 @@
 //! A saved model reloaded in a fresh process produces **bit-identical**
 //! `GemModel::transform` output — every fitted component (GMM, Equation 7 scaler,
 //! autoencoder weights, text embedder) round-trips exactly (weights via IEEE-754 bit
-//! patterns). `gem-serve`'s `ModelCache` uses the store as its second tier: evicted
-//! models spill to disk and cache misses warm-start from disk before falling back to a
-//! cold fit.
+//! patterns). `gem-serve`'s model cache uses the store as its second tier: models evicted
+//! for its capacity bound spill to disk, and lookups that miss memory warm-start from
+//! disk before falling back to a cold fit.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -31,7 +31,7 @@ pub mod fingerprint;
 mod store;
 
 pub use fingerprint::{
-    config_fingerprint, corpus_fingerprint, model_key, updated_model_key,
+    config_fingerprint, corpus_fingerprint, fit_model_key, model_key, updated_model_key,
     updated_model_key_from_fingerprint, CorpusHasher, ModelKey,
 };
 pub use store::{

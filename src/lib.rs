@@ -68,8 +68,8 @@ pub use gem_data as data;
 /// Evaluation metrics and reporting (re-export of `gem-eval`).
 pub use gem_eval as eval;
 
-/// Serving: fingerprint-keyed model cache, batch engine, the handle-based embed
-/// service and its TCP server/client (re-export of `gem-serve`).
+/// Serving: the fingerprint-keyed model cache, the handle-based embed service and its
+/// TCP server/client (re-export of `gem-serve`).
 pub use gem_serve as serve;
 
 /// The serving wire protocol: versioned envelopes in length-prefixed frames, with

@@ -5,11 +5,11 @@
 //! never a refit (the survivor's merged stats show zero cold fits after the kill) —
 //! and the router's Prometheus exposition reports the dead replica.
 
-use gem::core::{FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry};
+use gem::core::{Composition, FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry};
 use gem::router::{Cluster, RouterMetrics, RouterServer};
 use gem::serve::client::ClientError;
 use gem::serve::{EmbedService, GemClient, GemServer, ServedFrom, ServerHandle};
-use gem::store::updated_model_key;
+use gem::store::{model_key, updated_model_key};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -252,4 +252,77 @@ fn added_replicas_receive_snapshots_through_rebalance() {
     router_join.join().unwrap().unwrap();
     replica_b.shutdown();
     join_b.join().unwrap().unwrap();
+}
+
+/// A `Fit` carrying a composition override is placed on the replica that addresses it:
+/// the router and the replica derive the handle with the same function
+/// (`gem_store::fit_model_key`), override included.
+#[test]
+fn fit_composition_override_routes_to_the_replica_that_computes_its_handle() {
+    let (replica_a, join_a) = start_replica();
+    let (replica_b, join_b) = start_replica();
+    let addrs = [replica_a.addr().to_string(), replica_b.addr().to_string()];
+    let cluster = Arc::new(Cluster::with_options(
+        &addrs,
+        Arc::new(RouterMetrics::new()),
+        64,
+        1,
+        Duration::from_millis(100),
+        Duration::from_secs(2),
+    ));
+    let router = RouterServer::bind(Arc::clone(&cluster), ("127.0.0.1", 0)).unwrap();
+    let router_handle = router.handle();
+    let router_addr = router.local_addr();
+    let router_join = std::thread::spawn(move || router.run());
+
+    let mut client = GemClient::connect(router_addr).unwrap();
+    let cols = corpus(13, 5, 40);
+    let config = GemConfig::fast();
+    let fitted = client
+        .fit_with_composition(
+            &cols,
+            &config,
+            FeatureSet::ds(),
+            Some(Composition::Aggregation),
+        )
+        .unwrap();
+    assert_eq!(fitted.served_from, ServedFrom::ColdFit);
+    let overridden = config.clone().with_composition(Composition::Aggregation);
+    assert_eq!(
+        fitted.handle.key(),
+        model_key(&cols, &overridden, FeatureSet::ds()),
+        "the handle names the model fitted with the override"
+    );
+    assert_ne!(
+        fitted.handle.key(),
+        model_key(&cols, &config, FeatureSet::ds())
+    );
+
+    // The placement names the replica that ran the fit; the other one only received
+    // the write-through snapshot.
+    let placed = cluster
+        .placement_of(&fitted.handle.to_hex())
+        .expect("a tracked fit records its placement");
+    for addr in &addrs {
+        let stats = GemClient::connect(addr.as_str()).unwrap().stats().unwrap();
+        assert_eq!(
+            stats.fit_micros > 0,
+            *addr == placed,
+            "{addr} (placement {placed}): {stats:?}"
+        );
+    }
+    let direct = GemModel::fit(&cols, &overridden, FeatureSet::ds())
+        .unwrap()
+        .transform(&cols)
+        .unwrap()
+        .matrix;
+    assert_eq!(client.embed(fitted.handle, &cols).unwrap().matrix, direct);
+
+    drop(client);
+    router_handle.shutdown();
+    router_join.join().unwrap().unwrap();
+    for (replica, join) in [(replica_a, join_a), (replica_b, join_b)] {
+        replica.shutdown();
+        join.join().unwrap().unwrap();
+    }
 }

@@ -10,8 +10,9 @@
 //!    embedder, config) — the envelope is only as good as its parts.
 //! 3. Corrupt snapshots and foreign format versions fail **at load time** with a
 //!    descriptive error, never at serve time with wrong numbers.
-//! 4. The serving cache's two tiers compose: evictions spill to disk, fresh caches
-//!    warm-start from disk, and the warm-started model is bit-identical.
+//! 4. The serving cache's two tiers compose: evictions spill to disk, fresh services
+//!    warm-start from disk, the warm-started model is bit-identical, and the store read
+//!    never blocks lookups of other models.
 
 use gem::core::{
     Composition, FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry,
@@ -20,7 +21,7 @@ use gem::core::{
 use gem::data::{build_corpus, CorpusConfig, CorpusKind};
 use gem::gmm::GmmConfig;
 use gem::json::{FromJson, Json, ToJson};
-use gem::serve::{CachePolicy, EmbedService, ModelCache, ServeRequest, ServedFrom};
+use gem::serve::{CachePolicy, EmbedService, ServeRequest, ServedFrom};
 use gem::store::{model_key, GcPolicy, ModelStore, StoreError, STORE_FORMAT_MIN_VERSION};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -242,38 +243,153 @@ fn corrupt_files_and_version_mismatches_fail_at_load_time() {
     assert_bit_identical(&model, &loaded, &columns, "pristine after tampering");
 }
 
+/// A `Fit`-only service (no registry methods) over `store`.
+fn service_over(store: &Arc<ModelStore>, capacity: usize) -> EmbedService {
+    EmbedService::with_policy(MethodRegistry::new(), CachePolicy::with_capacity(capacity))
+        .with_store(Arc::clone(store))
+}
+
+fn fit_request(columns: &Arc<Vec<GemColumn>>, features: FeatureSet) -> ServeRequest {
+    ServeRequest::fit(Arc::clone(columns), fast_config(), features)
+}
+
 #[test]
 fn cache_spill_and_warm_start_survive_a_simulated_restart() {
     let tmp = TempDir::new("restart");
     let columns = Arc::new(corpus_columns(CorpusKind::Gds));
-    let config = fast_config();
-    let key = model_key(&columns, &config, FeatureSet::ds());
+    let key = model_key(&columns, &fast_config(), FeatureSet::ds());
 
     // Incarnation 1: capacity-1 cache; fitting a second model spills the first.
     let reference = {
         let store = Arc::new(ModelStore::open(&tmp.0).unwrap());
-        let mut cache = ModelCache::new(1).with_store(store);
-        let (model, _) = cache
-            .get_or_fit(&columns, &config, FeatureSet::ds())
+        let service = service_over(&store, 1);
+        let fitted = service
+            .serve_one(fit_request(&columns, FeatureSet::ds()))
             .unwrap();
-        cache
-            .get_or_fit(&columns, &config, FeatureSet::dsc())
+        assert_eq!(fitted.handle().map(|h| h.key()), Some(key));
+        let reference = service
+            .serve_one(ServeRequest::embed(
+                fitted.handle().unwrap(),
+                columns.to_vec(),
+            ))
+            .unwrap()
+            .into_matrix()
             .unwrap();
-        assert_eq!(cache.stats().spills, 1);
-        model.transform(&columns).unwrap().matrix
+        service
+            .serve_one(fit_request(&columns, FeatureSet::dsc()))
+            .unwrap();
+        assert_eq!(service.cache_stats().spills, 1);
+        reference
     };
 
     // Incarnation 2: everything in-memory is gone; only the directory remains.
     let store = Arc::new(ModelStore::open(&tmp.0).unwrap());
     assert!(store.contains(key));
-    let mut cache = ModelCache::new(4).with_store(store);
-    let (model, avoided_fit) = cache
-        .get_or_fit(&columns, &config, FeatureSet::ds())
+    let service = service_over(&store, 4);
+    let refit = service
+        .serve_one(fit_request(&columns, FeatureSet::ds()))
         .unwrap();
-    assert!(avoided_fit, "restart must warm-start, not re-fit");
-    assert_eq!(cache.stats().warm_starts, 1);
-    assert_eq!(cache.stats().misses, 0);
-    assert_eq!(model.transform(&columns).unwrap().matrix, reference);
+    assert_eq!(
+        refit.served_from(),
+        Some(ServedFrom::DiskStore),
+        "restart must warm-start, not re-fit"
+    );
+    assert_eq!(service.cache_stats().warm_starts, 1);
+    assert_eq!(service.cache_stats().misses, 0);
+    let served = service
+        .serve_one(ServeRequest::embed(
+            refit.handle().unwrap(),
+            columns.to_vec(),
+        ))
+        .unwrap();
+    assert_eq!(served.into_matrix().unwrap(), reference);
+}
+
+/// A disk warm start reads the snapshot outside the cache lock: while one request is
+/// stuck reading a spilled model (here: a FIFO that has no writer yet, standing in for
+/// a hung disk), a request for a resident model still answers at once. A second request
+/// for the stuck model waits for the same read instead of decoding it again.
+#[cfg(unix)]
+#[test]
+fn warm_starts_read_the_store_off_the_cache_lock() {
+    use std::io::Write;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    let tmp = TempDir::new("fifo");
+    let store = Arc::new(ModelStore::open(&tmp.0).unwrap());
+    let config = fast_config();
+    let resident_cols = Arc::new(corpus_columns(CorpusKind::Gds));
+    let spilled_cols = Arc::new(corpus_columns(CorpusKind::Wdc));
+    let spilled = model_key(&spilled_cols, &config, FeatureSet::ds());
+
+    // The spilled model's real snapshot, then a FIFO in its place.
+    let spilled_model = GemModel::fit(&spilled_cols, &config, FeatureSet::ds()).unwrap();
+    let path = store.save(spilled, &spilled_model).unwrap();
+    let snapshot = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).unwrap();
+    let made = std::process::Command::new("mkfifo")
+        .arg(&path)
+        .status()
+        .unwrap();
+    assert!(made.success(), "mkfifo failed");
+
+    let service = Arc::new(service_over(&store, 4));
+    let resident = service
+        .serve_one(fit_request(&resident_cols, FeatureSet::ds()))
+        .unwrap()
+        .handle()
+        .unwrap();
+    let spilled = gem::serve::ModelHandle::from(spilled);
+    let embed = |handle, queries: &Arc<Vec<GemColumn>>| {
+        let (service, queries) = (Arc::clone(&service), queries.to_vec());
+        std::thread::spawn(move || service.serve_one(ServeRequest::embed(handle, queries)))
+    };
+
+    let stuck = embed(spilled, &spilled_cols);
+    // Opening the FIFO for writing returns once the stuck request has opened it for
+    // reading, so from here on that request is blocked inside the store read.
+    let mut writer = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    let joiner = embed(spilled, &spilled_cols);
+    let (answered, answer) = mpsc::channel();
+    let hit = {
+        let service = Arc::clone(&service);
+        let queries = resident_cols.to_vec();
+        std::thread::spawn(move || {
+            let reply = service.serve_one(ServeRequest::embed(resident, queries));
+            let _ = answered.send(());
+            reply
+        })
+    };
+    let hit_in_time = answer.recv_timeout(Duration::from_secs(2)).is_ok();
+    // Feed the FIFO before asserting anything, so no thread is left blocked.
+    writer.write_all(&snapshot).unwrap();
+    drop(writer);
+    let stuck = stuck.join().unwrap().unwrap();
+    let joiner = joiner.join().unwrap().unwrap();
+    let hit = hit.join().unwrap().unwrap();
+
+    assert!(
+        hit_in_time,
+        "an embed of a resident model waited for another model's store read"
+    );
+    assert_eq!(hit.served_from(), Some(ServedFrom::MemoryCache));
+    assert_eq!(stuck.served_from(), Some(ServedFrom::DiskStore));
+    assert_eq!(joiner.served_from(), Some(ServedFrom::MemoryCache));
+    let direct = spilled_model.transform(&spilled_cols).unwrap().matrix;
+    assert_eq!(stuck.into_matrix().unwrap(), direct);
+    assert_eq!(joiner.into_matrix().unwrap(), direct);
+    let stats = service.cache_stats();
+    assert_eq!(
+        stats.warm_starts, 1,
+        "the snapshot was decoded once: {stats:?}"
+    );
+    assert_eq!(stats.hits, 2, "{stats:?}");
+    assert_eq!(
+        stats.misses, 1,
+        "only the resident model's fit missed: {stats:?}"
+    );
+    assert_eq!(stats.coalesced_fits, 0, "{stats:?}");
 }
 
 #[test]

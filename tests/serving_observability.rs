@@ -241,7 +241,7 @@ fn flooding_a_tiny_queue_sheds_typed_overloaded_responses() {
     assert_eq!(server.metrics().queue_depth(), 0, "the queue drained");
 
     // The shutdown summary carries the shed count for post-mortems.
-    let summary = gem::serve::shutdown_summary(server.counters(), &{
+    let summary = gem::serve::shutdown_summary(server.counters(), server.metrics(), &{
         let config = GemConfig::fast();
         EmbedService::new(MethodRegistry::with_gem(&config), 4).stats()
     });

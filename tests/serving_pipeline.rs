@@ -129,7 +129,7 @@ fn pipelined_embeds_overtake_a_slow_fit_with_exact_correlation() {
     assert_eq!(server.counters().requests(), (N_EMBEDS + 2) as u64);
     assert_eq!(server.counters().protocol_errors(), 0);
     assert!(
-        server.counters().workers_high_water() >= 2,
+        server.metrics().busy_workers_high_water() >= 2,
         "the pool must have actually run requests concurrently"
     );
 }
