@@ -16,9 +16,17 @@
 //!
 //! * `refit` — fitting the grown corpus from scratch: the full EM restart schedule
 //!   over every column, old and new,
-//! * `fit_update` — folding only the *new* columns into the already-fitted parent:
-//!   frozen components, signature recomputation for the growth only, no EM. The
-//!   ratio to `refit` is what incremental serving buys at that growth factor.
+//! * `fit_update` — folding the new columns into the already-fitted parent: frozen
+//!   components, no EM and no per-column work, so it costs a model clone. The ratio to
+//!   `refit` is what incremental serving buys at that growth factor.
+//!
+//! Transform level (one 32-column × 1000-value stream batch against a k = 16 D+S+C
+//! model, the shape a bulk embed streams):
+//!
+//! * `transform_integer` — integer-valued columns with 23 distinct values each, so
+//!   `d · k ≤ n` and the signature evaluates the GMM once per distinct value,
+//! * `transform_continuous` — columns whose values are all distinct, so the signature
+//!   runs the per-value kernel.
 //!
 //! Snapshot with `GEM_CRITERION_JSON=BENCH_fit.json cargo bench -p gem-bench --bench
 //! fit_kernels`; the committed baseline lives at the repo root.
@@ -32,6 +40,9 @@ use gem_gmm::{GmmConfig, UnivariateGmm};
 const N_POINTS: usize = 4096;
 const N_COMPONENTS: usize = 10;
 const BASE_COLUMNS: usize = 100;
+const BATCH_COLUMNS: usize = 32;
+const BATCH_VALUES: usize = 1000;
+const BATCH_COMPONENTS: usize = 16;
 
 /// A deterministic bimodal column: the kind of value distribution the paper's GMM
 /// signature is built for, with enough spread that EM does real work.
@@ -54,6 +65,25 @@ fn synthetic_columns(count: usize, offset: usize) -> Vec<GemColumn> {
                     .collect(),
                 format!("col_{}", offset + c),
             )
+        })
+        .collect()
+}
+
+/// A stream batch of [`BATCH_COLUMNS`] columns × [`BATCH_VALUES`] values, each column at
+/// its own offset: integer values cycling through 23 distinct numbers, or continuous
+/// values that are all distinct.
+fn stream_batch(integer: bool) -> Vec<GemColumn> {
+    (0..BATCH_COLUMNS)
+        .map(|c| {
+            let base = (c * 37 % 400) as f64;
+            let values = (0..BATCH_VALUES).map(|i| {
+                if integer {
+                    base + (i * 7 % 23) as f64
+                } else {
+                    base + ((i * 7919 + c * 104_729) % 10_007) as f64 * 0.0137
+                }
+            });
+            GemColumn::new(values.collect(), format!("query_{c}"))
         })
         .collect()
 }
@@ -121,6 +151,21 @@ fn bench_kernels(criterion: &mut Criterion) {
                 assert_eq!(updated.n_fit_columns(), grown.len());
                 updated
             })
+        });
+    }
+
+    // One stream batch on each side of the distinct-value gate.
+    let batch_model = GemModel::fit(
+        &synthetic_columns(BASE_COLUMNS, 0),
+        &gem_config_with_components(BATCH_COMPONENTS),
+        FeatureSet::dsc(),
+    )
+    .expect("batch model fits");
+    let label = format!("{BATCH_COLUMNS}x{BATCH_VALUES}");
+    for (name, integer) in [("transform_integer", true), ("transform_continuous", false)] {
+        let batch = stream_batch(integer);
+        group.bench_function(BenchmarkId::new(name, &label), |b| {
+            b.iter(|| batch_model.transform(&batch).expect("transform"))
         });
     }
 

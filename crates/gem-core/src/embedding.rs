@@ -7,7 +7,7 @@ use gem_numeric::Matrix;
 use std::fmt;
 
 /// One numeric column presented to the embedder: its raw values plus (optionally) its
-/// header. This is deliberately independent of `gem-data`'s richer [`Column`] type so the
+/// header. This is deliberately independent of `gem-data`'s richer `Column` type so the
 /// core library can be used on any source of columns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GemColumn {

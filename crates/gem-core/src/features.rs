@@ -1,5 +1,13 @@
-//! Statistical feature extraction (§3.2).
+//! Statistical feature extraction (§3.2), and the per-column pass that computes a
+//! column's signature row and statistical row together.
+//!
+//! The seven features read their distinct count and percentiles from one sorted copy of
+//! the column. [`value_rows`] hands that same copy to the GMM, which then evaluates one
+//! responsibility row per distinct number of a low-cardinality column instead of one per
+//! value ([`UnivariateGmm::mean_responsibilities_sorted`]).
 
+use crate::signature::SIGNATURE_FANOUT_CELLS;
+use gem_gmm::UnivariateGmm;
 use gem_numeric::stats::gem_feature_row;
 use gem_numeric::Matrix;
 
@@ -27,7 +35,8 @@ pub(crate) const STATISTICAL_FANOUT_VALUES: usize = 4_096;
 
 /// Compute the raw (un-standardised) statistical feature matrix: one row per column, one
 /// column per feature in [`STATISTICAL_FEATURE_NAMES`] order. Runs on the calling thread;
-/// [`crate::GemModel`] fits and transforms fan the same rows out across threads.
+/// [`crate::GemModel`] fits and transforms fan the same rows out across threads, together
+/// with the signature rows when distributional features are selected.
 ///
 /// Scale-carrying features (mean, range, percentiles, unique count) are passed through a
 /// signed `ln(1 + |x|)` squash before the cross-column standardisation of Equation 7.
@@ -61,19 +70,72 @@ pub(crate) fn statistical_block(columns: &[&[f64]], parallel: bool) -> Matrix {
         parallel && total_values > STATISTICAL_FANOUT_VALUES,
         Vec::new,
         |col, row, sorted| {
-            // An empty column keeps its zero row.
-            if let Ok(features) = gem_feature_row(col, sorted) {
-                for (cell, v) in row.iter_mut().zip(features) {
-                    // Guard against pathological inputs (e.g. a column of identical
-                    // ±inf): any non-finite feature is zeroed instead of poisoning the
-                    // standardisation.
-                    let v = if v.is_finite() { v } else { 0.0 };
-                    *cell = v.signum() * (1.0 + v.abs()).ln();
-                }
-            }
+            fill_feature_row(col, row, sorted);
         },
     );
     out
+}
+
+/// The largest batch (Σ column lengths) that [`value_rows`] computes on the calling
+/// thread for a `k`-component GMM. A batch fans out when either block's own gate would
+/// have fanned it out: more than [`SIGNATURE_FANOUT_CELLS`] signature cells, or more
+/// than [`STATISTICAL_FANOUT_VALUES`] values.
+pub(crate) fn value_rows_serial_values(k: usize) -> usize {
+    (SIGNATURE_FANOUT_CELLS / k).min(STATISTICAL_FANOUT_VALUES)
+}
+
+/// Steps 2 and 3 of Algorithm 1 before standardisation, in one pass per column: the
+/// signature row under `gmm` (n × k) and the raw statistical row (n × 7), bit-identical
+/// to [`crate::signature_matrix`] and [`statistical_block`]. The signature reads the
+/// sorted copy [`gem_feature_row`] leaves behind, so a low-cardinality column pays one
+/// GMM evaluation per distinct number. When `parallel` is set and the batch holds more
+/// than [`value_rows_serial_values`] values, the columns fan out once for both rows; each
+/// thread reuses one sort buffer and one GMM scratch (log tables and row table) for
+/// every column of its block.
+pub(crate) fn value_rows(
+    gmm: &UnivariateGmm,
+    columns: &[&[f64]],
+    parallel: bool,
+) -> (Matrix, Matrix) {
+    let k = gmm.n_components();
+    let total_values = columns.iter().map(|c| c.len()).sum::<usize>();
+    let width = k + STATISTICAL_FEATURE_NAMES.len();
+    let mut rows = Matrix::zeros(columns.len(), width);
+    gem_parallel::par_fill_rows_with_scratch(
+        columns,
+        rows.as_mut_slice(),
+        width,
+        parallel && total_values > value_rows_serial_values(k),
+        <(Vec<f64>, Vec<f64>)>::default,
+        |col, row, (sorted, gmm_scratch)| {
+            let (signature, stats) = row.split_at_mut(k);
+            // An empty column leaves `sorted` holding an earlier column; its signature is
+            // the prior and never reads it.
+            let sorted: &[f64] = if fill_feature_row(col, stats, sorted) {
+                sorted
+            } else {
+                &[]
+            };
+            gmm.mean_responsibilities_sorted(col, sorted, signature, gmm_scratch);
+        },
+    );
+    rows.hsplit(k)
+}
+
+/// Write `col`'s squashed statistical features into `row`, leaving `sorted` holding the
+/// column sorted with NaNs last. Returns `false` for an empty column, which keeps its zero
+/// row and leaves `sorted` untouched.
+fn fill_feature_row(col: &[f64], row: &mut [f64], sorted: &mut Vec<f64>) -> bool {
+    let Ok(features) = gem_feature_row(col, sorted) else {
+        return false;
+    };
+    for (cell, v) in row.iter_mut().zip(features) {
+        // Guard against pathological inputs (e.g. a column of identical ±inf): any
+        // non-finite feature is zeroed instead of poisoning the standardisation.
+        let v = if v.is_finite() { v } else { 0.0 };
+        *cell = v.signum() * (1.0 + v.abs()).ln();
+    }
+    true
 }
 
 #[cfg(test)]

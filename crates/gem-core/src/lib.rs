@@ -7,6 +7,8 @@
 //!    stacked into one array, a univariate GMM with `m` components is fitted with EM, and
 //!    each column's *signature* is the mean responsibility vector of its values — the
 //!    probability that the column's values were generated by each Gaussian component.
+//!    A value's responsibilities depend on the value alone, so a transform evaluates the
+//!    GMM once per distinct number of a low-cardinality column, bit-identically.
 //! 2. **Statistical embeddings** (§3.2): unique count, mean, coefficient of variation,
 //!    entropy, range and the 10th/90th percentiles, standardised across columns
 //!    (Equation 7) and concatenated with the signature (Equation 8), then L1-normalised
@@ -22,7 +24,10 @@
 //! [`GemModel::fit`] (the expensive corpus-level estimation: EM fit, Equation 7
 //! parameters, autoencoder weights) and [`GemModel::transform`] (apply the frozen model
 //! to any columns, including ones unseen at fit time); `GemEmbedder::embed` is the fused
-//! one-shot form and serving systems cache the fitted model instead of re-fitting.
+//! one-shot form and serving systems cache the fitted model instead of re-fitting. With
+//! both D and S selected, a transform computes each column's signature row and
+//! statistical row in one pass that sorts the column once, under one fan-out per batch;
+//! [`signature_matrix`] and [`statistical_feature_matrix`] are the per-block forms.
 //!
 //! The crate also hosts the **unified method layer**: the [`ColumnEmbedder`] /
 //! [`SupervisedColumnEmbedder`] traits every embedding method in the workspace implements

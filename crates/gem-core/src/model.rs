@@ -14,11 +14,18 @@
 //!
 //! [`GemModel::fit_transform`] fuses both for the one-shot path and is **bit-identical**
 //! to the pre-split `GemEmbedder::embed` (asserted by the workspace property tests).
+//!
+//! Both compute the per-column rows of steps 2–3 in one pass when D and S are selected:
+//! the statistical row sorts the column, and the signature row reads that sorted copy to
+//! evaluate the GMM once per distinct number of a low-cardinality column. The rows are
+//! bit-identical to [`crate::signature_matrix`] and
+//! [`crate::statistical_feature_matrix`], and `fit_transform` fits the Equation 7
+//! parameters from the same raw rows it standardises.
 
 use crate::compose::{compose, concat_blocks, fit_autoencoder, Composition};
 use crate::config::{FeatureSet, GemConfig};
 use crate::embedding::{GemColumn, GemEmbedding, GemError};
-use crate::features::{statistical_block, STATISTICAL_FEATURE_NAMES};
+use crate::features::{statistical_block, value_rows, STATISTICAL_FEATURE_NAMES};
 use crate::signature::{signature_matrix, stack_values};
 use gem_gmm::UnivariateGmm;
 use gem_json::{number, object, FromJson, Json, JsonError, ToJson};
@@ -181,17 +188,24 @@ impl GemModel {
             None
         };
 
-        // Equation 7 parameters, estimated across the fit corpus. The raw feature matrix
-        // is kept so the fused fit_transform path does not compute it twice.
-        let (scaler, raw_stats) = if features.statistical {
-            if values.iter().all(|v| v.is_empty()) {
-                return Err(GemError::NoValues);
-            }
-            let raw = statistical_block(&values, config.parallel);
-            (Some(FeatureScaler::fit(&raw)), Some(raw))
-        } else {
-            (None, None)
-        };
+        if features.statistical && values.iter().all(|v| v.is_empty()) {
+            return Err(GemError::NoValues);
+        }
+
+        // The concatenation/aggregation compositions are stateless, so a pure fit needs
+        // no signature; the autoencoder must be trained on the fit corpus's blocks.
+        let train_ae = matches!(config.composition, Composition::Autoencoder { .. });
+        let embed = want_embedding || train_ae;
+        // Equation 7 parameters, estimated across the fit corpus from the same raw rows
+        // the embedding standardises.
+        let signature_gmm = if embed { gmm.as_ref() } else { None };
+        let (signature, raw_stats) = raw_blocks(
+            signature_gmm,
+            features.statistical,
+            &values,
+            config.parallel,
+        );
+        let scaler = features.statistical.then(|| FeatureScaler::fit(&raw_stats));
 
         let mut model = GemModel {
             config: config.clone(),
@@ -202,15 +216,11 @@ impl GemModel {
             autoencoder: None,
             n_fit_columns: columns.len(),
         };
-
-        // The concatenation/aggregation compositions are stateless, so a pure fit can
-        // stop here; the autoencoder must be trained on the fit corpus's blocks.
-        let train_ae = matches!(config.composition, Composition::Autoencoder { .. });
-        if !want_embedding && !train_ae {
+        if !embed {
             return Ok((model, None));
         }
 
-        let blocks = model.compute_blocks(columns, &values, raw_stats);
+        let blocks = model.compute_blocks(columns, signature, &raw_stats);
         // The concatenated matrix trains the autoencoder and is handed on to the fused
         // embedding so it isn't rebuilt; degenerate all-zero-width blocks (unreachable
         // through the public constructors, which enforce k ≥ 1 / text_dim ≥ 2) skip the
@@ -230,19 +240,18 @@ impl GemModel {
 
     /// Fold `new_columns` into this fitted model **incrementally**: the expensive
     /// corpus-level estimates — the EM-fitted GMM, the Equation 7 scaler, the trained
-    /// autoencoder — are reused frozen, and only the new columns' signatures are
-    /// computed (against the frozen GMM, which also validates that the new slice of the
-    /// corpus is embeddable). The hash embedder needs no retraining for the new
-    /// headers: its vocabulary is the feature-hash space itself, so unseen tokens
+    /// autoencoder — are reused frozen, so the update computes nothing per column and
+    /// only grows the corpus accounting. The hash embedder needs no retraining for the
+    /// new headers: its vocabulary is the feature-hash space itself, so unseen tokens
     /// already have well-defined coordinates.
     ///
     /// The updated model is the Rao-Blackwellised serving story for corpus growth: a
-    /// replica absorbs `new_columns` in time proportional to the *new* columns instead
-    /// of re-running EM over the grown stack. The price is that the update is an
-    /// approximation — the GMM components and standardisation parameters still describe
-    /// the parent corpus. By construction, embeds of columns the parent has seen are
-    /// **bit-identical** between parent and updated model; callers that need the
-    /// parameters re-estimated run a full [`GemModel::fit`] instead.
+    /// replica absorbs `new_columns` without re-running EM over the grown stack. The
+    /// price is that the update is an approximation — the GMM components and
+    /// standardisation parameters still describe the parent corpus. By construction,
+    /// embeds of columns the parent has seen are **bit-identical** between parent and
+    /// updated model, and the new columns embed like any unseen query; callers that need
+    /// the parameters re-estimated run a full [`GemModel::fit`] instead.
     ///
     /// Identity bookkeeping (the updated fingerprint and the recorded `parent` lineage)
     /// lives with the store/serving layer, which knows the model's key.
@@ -254,13 +263,6 @@ impl GemModel {
     pub fn fit_update(&self, new_columns: &[GemColumn]) -> Result<Self, GemError> {
         if new_columns.is_empty() {
             return Err(GemError::NoColumns);
-        }
-        // The incremental work: the new columns' signatures under the frozen GMM (the
-        // per-column quantity a fresh fit would have recomputed for the whole corpus).
-        if let Some(gmm) = &self.gmm {
-            let values: Vec<&[f64]> = new_columns.iter().map(|c| c.values.as_slice()).collect();
-            let signature = signature_matrix(gmm, &values, self.config.parallel);
-            debug_assert!(signature.all_finite());
         }
         let mut updated = self.clone();
         updated.n_fit_columns = self.n_fit_columns + new_columns.len();
@@ -285,31 +287,29 @@ impl GemModel {
             return Err(GemError::NoColumns);
         }
         let values: Vec<&[f64]> = columns.iter().map(|c| c.values.as_slice()).collect();
-        Ok(self.compose_embedding(self.compute_blocks(columns, &values, None), None))
+        let (signature, raw_stats) = raw_blocks(
+            self.gmm.as_ref(),
+            self.features.statistical,
+            &values,
+            self.config.parallel,
+        );
+        Ok(self.compose_embedding(self.compute_blocks(columns, signature, &raw_stats), None))
     }
 
-    /// Steps 2–5: signature, standardised statistics and header blocks for `columns`.
+    /// Steps 3–5 from the per-column rows: standardised statistics, value and header
+    /// blocks for `columns`, whose signature and raw statistical rows [`raw_blocks`]
+    /// computed.
     fn compute_blocks(
         &self,
         columns: &[GemColumn],
-        values: &[&[f64]],
-        raw_stats: Option<Matrix>,
+        signature: Matrix,
+        raw_stats: &Matrix,
     ) -> Blocks {
         let n = columns.len();
 
-        // 2. Per-column mean responsibilities under the frozen GMM.
-        let signature = match &self.gmm {
-            Some(gmm) => signature_matrix(gmm, values, self.config.parallel),
-            None => Matrix::zeros(n, 0),
-        };
-
         // 3. Statistical features, standardised with the frozen Equation 7 parameters.
         let statistical = match &self.scaler {
-            Some(scaler) => {
-                let raw =
-                    raw_stats.unwrap_or_else(|| statistical_block(values, self.config.parallel));
-                scaler.transform(&raw)
-            }
+            Some(scaler) => scaler.transform(raw_stats),
             None => Matrix::zeros(n, 0),
         };
 
@@ -606,6 +606,26 @@ impl FromJson for GemModel {
     }
 }
 
+/// Steps 2 and 3 before standardisation: each column's signature row under `gmm` (per-
+/// column mean responsibilities, n × k) and, when `statistical` is set, its raw
+/// statistical row (n × 7); a block not selected is n × 0. D+S computes both rows of a
+/// column in one pass under one fan-out ([`value_rows`]); D-only and S-only run their
+/// own block.
+fn raw_blocks(
+    gmm: Option<&UnivariateGmm>,
+    statistical: bool,
+    values: &[&[f64]],
+    parallel: bool,
+) -> (Matrix, Matrix) {
+    let none = || Matrix::zeros(values.len(), 0);
+    match (gmm, statistical) {
+        (Some(gmm), true) => value_rows(gmm, values, parallel),
+        (Some(gmm), false) => (signature_matrix(gmm, values, parallel), none()),
+        (None, true) => (none(), statistical_block(values, parallel)),
+        (None, false) => (none(), none()),
+    }
+}
+
 fn present_blocks(blocks: &Blocks) -> Vec<&Matrix> {
     let mut parts = Vec::new();
     if blocks.value_block.cols() > 0 {
@@ -620,7 +640,9 @@ fn present_blocks(blocks: &Blocks) -> Vec<&Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::STATISTICAL_FANOUT_VALUES;
+    use crate::features::{
+        statistical_feature_matrix, value_rows_serial_values, STATISTICAL_FANOUT_VALUES,
+    };
     use crate::signature::SIGNATURE_FANOUT_CELLS;
 
     fn corpus() -> Vec<GemColumn> {
@@ -948,6 +970,7 @@ mod tests {
         // statistical gate, so its fit fans out too.
         for (features, cols) in [
             (FeatureSet::dsc(), corpus()),
+            (FeatureSet::d(), corpus()),
             (FeatureSet::s(), batch(STATISTICAL_FANOUT_VALUES + 1)),
         ] {
             let (serial, serial_emb) =
@@ -955,15 +978,16 @@ mod tests {
             let (parallel, parallel_emb) =
                 GemModel::fit_transform(&cols, &parallel_cfg, features).unwrap();
             assert_eq!(serial_emb.matrix, parallel_emb.matrix);
-            // Query batches on either side of each work gate: the largest that stays on
-            // the calling thread and the smallest that fans out.
-            let mut gates = vec![STATISTICAL_FANOUT_VALUES];
-            gates.extend(
-                serial
-                    .gmm()
-                    .map(|gmm| SIGNATURE_FANOUT_CELLS / gmm.n_components()),
-            );
-            for total_values in gates.into_iter().flat_map(|g| [g, g + 1]) {
+            // Query batches on either side of the work gate the feature set's pass
+            // uses: the largest that stays on the calling thread and the smallest that
+            // fans out. D+S fills both rows of a column in one fan-out.
+            let k = serial.gmm().map_or(0, UnivariateGmm::n_components);
+            let gate = match (features.distributional, features.statistical) {
+                (true, true) => value_rows_serial_values(k),
+                (true, false) => SIGNATURE_FANOUT_CELLS / k,
+                _ => STATISTICAL_FANOUT_VALUES,
+            };
+            for total_values in [gate, gate + 1] {
                 let queries = batch(total_values);
                 assert_eq!(
                     serial.transform(&queries).unwrap().matrix,
@@ -983,6 +1007,103 @@ mod tests {
             }
             for (a, b) in sg.variances().iter().zip(pg.variances()) {
                 assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    /// Columns exercising every edge of the fused pass (NaN, ±inf, signed zeros in both
+    /// orders, all-equal, single-value and empty columns), then alternating
+    /// integer-valued columns (few distinct values: one GMM row per distinct number)
+    /// and continuous ones (the per-value kernel) until the batch holds exactly
+    /// `total_values` values.
+    fn edge_batch(total_values: usize) -> Vec<GemColumn> {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let mut cols: Vec<GemColumn> = [
+            vec![30.0, nan, 45.0, 30.0, nan, 45.0, 30.0, 30.0],
+            [inf, -inf, 40.0].repeat(8),
+            vec![-0.0, 0.0, 0.0, -0.0, 25.0, 25.0, -0.0, 0.0],
+            vec![0.0, -0.0, -0.0, 0.0, 25.0, 0.0, -0.0, 25.0],
+            vec![33.0; 16],
+            vec![33.0],
+            vec![],
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, values)| GemColumn::new(values, format!("edge_{i}")))
+        .collect();
+        let edges: usize = cols.iter().map(|c| c.values.len()).sum();
+        let mut left = total_values - edges;
+        for c in 0.. {
+            if left == 0 {
+                break;
+            }
+            let len = left.min(300);
+            let values = (0..len).map(|i| {
+                if c % 2 == 0 {
+                    20.0 + ((i * 7 + c) % 13) as f64 * 5.0
+                } else {
+                    20.0 + ((i * 37 + c * 11) % 997) as f64 * 0.173
+                }
+            });
+            cols.push(GemColumn::new(values.collect(), format!("fill_{c}")));
+            left -= len;
+        }
+        cols
+    }
+
+    /// The embedding `model` must give `columns`, composed from the public blocks:
+    /// `signature_matrix`, and `statistical_feature_matrix` standardised by the
+    /// model's `FeatureScaler`, joined by Equations 8–9, next to the header block.
+    /// Returns the signature and the composed matrix.
+    fn composed_from_public_blocks(model: &GemModel, columns: &[GemColumn]) -> (Matrix, Matrix) {
+        let values: Vec<&[f64]> = columns.iter().map(|c| c.values.as_slice()).collect();
+        let signature = signature_matrix(model.gmm().unwrap(), &values, false);
+        let scaler = model.scaler().unwrap();
+        let stats = scaler.transform(&statistical_feature_matrix(&values));
+        let value_block =
+            l1_normalize_rows(&signature.hconcat(&l1_normalize_rows(&stats)).unwrap());
+        let text = HashEmbedder::new(model.config().text_dim);
+        let headers: Vec<Vec<f64>> = columns.iter().map(|c| text.embed(&c.header)).collect();
+        let header_block = l1_normalize_rows(&Matrix::from_rows(&headers).unwrap());
+        let matrix = compose(&[&value_block, &header_block], model.config().composition);
+        (signature, matrix)
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_pass_equals_the_composed_public_blocks_on_both_sides_of_the_gate() {
+        for parallel in [false, true] {
+            let config = GemConfig::fast().with_parallel(parallel);
+            let k = config.gmm.n_components;
+            let frozen = GemModel::fit(&corpus(), &config, FeatureSet::dsc()).unwrap();
+            let gate = value_rows_serial_values(k);
+            for total_values in [gate, gate + 1] {
+                let cols = edge_batch(total_values);
+                let label = format!("parallel {parallel}, {total_values} values");
+                // fit_transform: the scaler comes from the public statistical rows.
+                let (model, fused) =
+                    GemModel::fit_transform(&cols, &config, FeatureSet::dsc()).unwrap();
+                assert_eq!(model.gmm().unwrap().n_components(), k);
+                let values: Vec<&[f64]> = cols.iter().map(|c| c.values.as_slice()).collect();
+                let scaler = FeatureScaler::fit(&statistical_feature_matrix(&values));
+                let fitted = model.scaler().unwrap();
+                assert_eq!(bits(fitted.means()), bits(scaler.means()), "{label}");
+                assert_eq!(bits(fitted.stds()), bits(scaler.stds()), "{label}");
+                // transform, of the fit corpus and against a model fitted elsewhere.
+                for (model, embedding) in [
+                    (&model, fused),
+                    (&model, model.transform(&cols).unwrap()),
+                    (&frozen, frozen.transform(&cols).unwrap()),
+                ] {
+                    let (signature, matrix) = composed_from_public_blocks(model, &cols);
+                    let got = &embedding.signature;
+                    assert_eq!(bits(got.as_slice()), bits(signature.as_slice()), "{label}");
+                    let got = &embedding.matrix;
+                    assert_eq!(bits(got.as_slice()), bits(matrix.as_slice()), "{label}");
+                }
             }
         }
     }

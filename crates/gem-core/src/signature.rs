@@ -49,6 +49,10 @@ pub const SIGNATURE_FANOUT_CELLS: usize = 16_384;
 /// never touches the allocator per column. Rows are assigned by column index and the
 /// kernel is scratch-state-free, so the parallel and serial paths produce bit-identical
 /// matrices.
+///
+/// This is the per-value form: every value pays `k` `exp`s. [`crate::GemModel`]
+/// transforms with statistical features selected compute the same rows from each
+/// column's sorted copy, once per distinct number where the column has few of them.
 pub fn signature_matrix<S: AsRef<[f64]> + Sync>(
     gmm: &UnivariateGmm,
     columns: &[S],

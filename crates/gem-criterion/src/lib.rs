@@ -142,7 +142,7 @@ impl Bencher {
     }
 
     /// Criterion-compatible `iter_custom`: `f` runs the workload the given number of
-    /// times and returns the measured [`Duration`] of *just the window it chooses to
+    /// times and returns the measured [`Duration`](std::time::Duration) of *just the window it chooses to
     /// time* — for benchmarks whose iteration includes setup or drain work that must
     /// not count (e.g. collecting a background response after the measured batch
     /// completed). Called with `1` per sample here; real criterion may batch.

@@ -8,6 +8,10 @@
 //! * [`UnivariateGmm`] — a mixture of one-dimensional Gaussians fitted to a stack of numeric
 //!   values. This is the model Gem fits over *all* values of *all* columns (the paper treats
 //!   the columns as one flat stack, §3.2) and then queries per value to build signatures.
+//!   A signature needs one responsibility row per *distinct* value, so
+//!   [`UnivariateGmm::mean_responsibilities_sorted`] evaluates a low-cardinality column's
+//!   rows once per distinct number from the sorted copy the statistical features already
+//!   make; EM keeps one `exp` per value and component.
 //! * [`DiagonalGmm`] — a mixture of axis-aligned multivariate Gaussians, used for the
 //!   per-column ablation variant and by tests that need a multi-dimensional mixture.
 //! * [`GmmConfig`] — number of components, convergence tolerance (paper default `1e-3`),

@@ -9,6 +9,12 @@
 //!   generated by component j (Equation 2), and
 //! * [`UnivariateGmm::component_densities`] — the component likelihoods p(xₙ | μⱼ, Σⱼ)
 //!   (Equation 6).
+//!
+//! A column's signature is the mean of its values' responsibility rows (§3.2).
+//! [`UnivariateGmm::mean_responsibilities_scratch`] evaluates one row per value;
+//! [`UnivariateGmm::mean_responsibilities_sorted`] evaluates one row per distinct number
+//! when the column has few of them, with bit-identical output. EM evaluates one row per
+//! value in every iteration: its sums depend on the order they run in.
 
 use crate::config::{GmmConfig, InitMethod};
 use crate::init::initial_means;
@@ -321,6 +327,88 @@ impl UnivariateGmm {
         }
     }
 
+    /// [`UnivariateGmm::mean_responsibilities_scratch`] for a column whose sorted copy
+    /// the caller already holds: `sorted` is `values` sorted with NaNs last, as
+    /// `gem_numeric::stats::gem_feature_row` leaves it while counting the column's
+    /// distinct values. Bit-identical to the other variants.
+    ///
+    /// A value's responsibility row depends on the value alone. So when the column has
+    /// `d` distinct numbers with `d · k ≤ n`, the kernel evaluates the mixture once per
+    /// distinct number into a `d × k` table (after the two log tables and `d` keys in
+    /// `scratch`), then adds the table rows to the sum in input order. Those are the
+    /// per-value kernel's additions in the per-value kernel's order, for at most `n`
+    /// `exp` calls instead of `n · k`. The gate is decided from the count before the
+    /// table is sized, and the table is never larger than the sorted copy. Any other
+    /// column runs the per-value kernel and leaves `scratch` at its `3 × k` size.
+    ///
+    /// NaN values contribute the mixture weights, as in the per-value kernel; `-0.0`
+    /// and `0.0` share one row (their rows are equal). An empty column's signature is
+    /// the prior, and `sorted` is not read.
+    ///
+    /// # Panics
+    /// Panics when `out.len()` differs from [`UnivariateGmm::n_components`], or when a
+    /// non-empty column's `sorted` is not as long as `values`. A `sorted` that holds
+    /// other numbers than `values` gives a wrong signature or panics.
+    pub fn mean_responsibilities_sorted(
+        &self,
+        values: &[f64],
+        sorted: &[f64],
+        out: &mut [f64],
+        scratch: &mut Vec<f64>,
+    ) {
+        let k = self.n_components();
+        assert_eq!(
+            out.len(),
+            k,
+            "signature buffer width must equal the component count"
+        );
+        if values.is_empty() {
+            out.copy_from_slice(&self.weights);
+            return;
+        }
+        assert_eq!(
+            sorted.len(),
+            values.len(),
+            "the sorted copy must hold the column's values"
+        );
+        let numbers = &sorted[..sorted.partition_point(|v| !v.is_nan())];
+        let Some(d) = distinct_count_at_most(numbers, values.len() / k) else {
+            return self.mean_responsibilities_scratch(values, out, scratch);
+        };
+        scratch.resize(2 * k + d * (1 + k), 0.0);
+        let (bias, rest) = scratch.split_at_mut(k);
+        let (scale, rest) = rest.split_at_mut(k);
+        let (keys, table) = rest.split_at_mut(d);
+        fill_log_tables(&self.weights, &self.variances, bias, scale);
+        let mut filled = 0;
+        for &x in numbers {
+            if filled > 0 && keys[filled - 1] == x {
+                continue;
+            }
+            keys[filled] = x;
+            let row = &mut table[filled * k..(filled + 1) * k];
+            weighted_log_density_row(x, &self.means, bias, scale, row);
+            normalize_row(row, &self.weights);
+            filled += 1;
+        }
+        out.fill(0.0);
+        for &x in values {
+            let row = if x.is_nan() {
+                &self.weights[..]
+            } else {
+                let i = keys.partition_point(|&key| key < x);
+                &table[i * k..(i + 1) * k]
+            };
+            for (a, &r) in out.iter_mut().zip(row) {
+                *a += r;
+            }
+        }
+        let n = values.len() as f64;
+        for a in out.iter_mut() {
+            *a /= n;
+        }
+    }
+
     /// Index of the most responsible component for `x` (hard assignment, Equation 12).
     pub fn predict_component(&self, x: f64) -> usize {
         with_scratch(self.n_components(), |row| {
@@ -499,20 +587,22 @@ fn weighted_log_density_row(x: f64, means: &[f64], bias: &[f64], scale: &[f64], 
     }
 }
 
-/// Normalise one log-density row into responsibilities in place. Returns the row's
-/// log-normaliser (the value's mixture log-density), or falls back to the mixture
-/// weights for degenerate rows (±inf / NaN queries) like the legacy per-value path did.
+/// Normalise one log-density row into responsibilities in place, falling back to the
+/// mixture weights for degenerate rows (±inf / NaN queries) like the legacy per-value
+/// path did.
 ///
 /// The shifted exponentials `exp(xⱼ − max)` computed for the log-sum-exp are kept and
 /// divided by their sum instead of being re-exponentiated against the normaliser —
-/// half the `exp` calls of the textbook two-pass form (the log-normaliser itself is
-/// bit-identical to [`log_sum_exp`]: same max, same summation order, same `ln`).
+/// half the `exp` calls of the textbook two-pass form. The log-normaliser itself is
+/// never formed: with a finite max every shifted exponential lies in `[0, 1]` and the
+/// max contributes exactly 1, so the sum lies in `[1, k]` unless it is NaN, and testing
+/// it for NaN takes the same branch `max + ln(sum)` being finite would, one `ln` cheaper.
 #[inline]
-fn normalize_row(row: &mut [f64], weights: &[f64]) -> f64 {
+fn normalize_row(row: &mut [f64], weights: &[f64]) {
     let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     if !m.is_finite() {
         row.copy_from_slice(weights);
-        return m;
+        return;
     }
     let mut sum = 0.0;
     for r in row.iter_mut() {
@@ -520,16 +610,31 @@ fn normalize_row(row: &mut [f64], weights: &[f64]) -> f64 {
         *r = e;
         sum += e;
     }
-    let norm = m + sum.ln();
-    if norm.is_finite() {
+    if sum.is_nan() {
+        row.copy_from_slice(weights);
+    } else {
         let inv = 1.0 / sum;
         for r in row.iter_mut() {
             *r *= inv;
         }
-    } else {
-        row.copy_from_slice(weights);
     }
-    norm
+}
+
+/// The number of distinct numbers in `numbers` (sorted ascending, NaN-free; `-0.0` and
+/// `0.0` count as one) when it is at most `limit`, else `None`. Stops counting as soon
+/// as the count passes `limit`, so a continuous column pays for about `limit`
+/// comparisons, not one per value.
+fn distinct_count_at_most(numbers: &[f64], limit: usize) -> Option<usize> {
+    let mut d = usize::from(!numbers.is_empty());
+    for pair in numbers.windows(2) {
+        if pair[0] != pair[1] {
+            d += 1;
+            if d > limit {
+                return None;
+            }
+        }
+    }
+    (d <= limit).then_some(d)
 }
 
 /// Reusable buffers for one EM run, handed to restart workers by
@@ -1094,6 +1199,214 @@ mod tests {
         let gmm = UnivariateGmm::fit(&two_cluster_data(), &small_config(2)).unwrap();
         let mut buf = vec![0.0; 3];
         gmm.mean_responsibilities_into(&[1.0], &mut buf);
+    }
+
+    /// The per-value signature kernel as it stood before the distinct-value path, copied
+    /// whole: its row normaliser forms `max + ln(sum)` and falls back to the weights
+    /// unless that is finite. Every signature entry point is held to it bit for bit.
+    fn reference_signature(gmm: &UnivariateGmm, values: &[f64]) -> Vec<f64> {
+        let k = gmm.n_components();
+        if values.is_empty() {
+            return gmm.weights.clone();
+        }
+        let (mut bias, mut scale) = (vec![0.0; k], vec![0.0; k]);
+        for j in 0..k {
+            let v = gmm.variances[j].max(1e-300);
+            bias[j] = gmm.weights[j].max(1e-300).ln() - 0.5 * (LOG_2PI + v.ln());
+            scale[j] = -0.5 / v;
+        }
+        let (mut out, mut row) = (vec![0.0; k], vec![0.0; k]);
+        for &x in values {
+            for j in 0..k {
+                let d = x - gmm.means[j];
+                row[j] = bias[j] + scale[j] * (d * d);
+            }
+            let m = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            if m.is_finite() {
+                let mut sum = 0.0;
+                for r in row.iter_mut() {
+                    let e = (*r - m).exp();
+                    *r = e;
+                    sum += e;
+                }
+                if (m + sum.ln()).is_finite() {
+                    let inv = 1.0 / sum;
+                    for r in row.iter_mut() {
+                        *r *= inv;
+                    }
+                } else {
+                    row.copy_from_slice(&gmm.weights);
+                }
+            } else {
+                row.copy_from_slice(&gmm.weights);
+            }
+            for (a, &r) in out.iter_mut().zip(&row) {
+                *a += r;
+            }
+        }
+        let n = values.len() as f64;
+        for a in out.iter_mut() {
+            *a /= n;
+        }
+        out
+    }
+
+    /// `values` sorted the way `gem_numeric::stats::gem_feature_row` leaves its buffer.
+    fn sorted_copy(values: &[f64]) -> Vec<f64> {
+        let mut sorted = Vec::new();
+        if !values.is_empty() {
+            gem_numeric::stats::gem_feature_row(values, &mut sorted).unwrap();
+        }
+        sorted
+    }
+
+    /// A hand-built k = 4 mixture with component means at `0.0`, `-0.0` and away from
+    /// zero, so signed zeros meet μ = ±0 as well as μ ≠ 0.
+    fn signed_zero_gmm() -> UnivariateGmm {
+        UnivariateGmm {
+            weights: vec![0.3, 0.2, 0.4, 0.1],
+            means: vec![0.0, -0.0, 2.5, -4.0],
+            variances: vec![1.0, 0.5, 2.0, 3.0],
+            log_likelihood: 0.0,
+            n_iterations: 1,
+            converged: true,
+            n_samples: 10,
+        }
+    }
+
+    /// Edge-case columns for a k = 4 mixture, labelled for failure messages. `d` below
+    /// counts distinct numbers; NaN is not one.
+    fn edge_columns() -> Vec<(&'static str, Vec<f64>)> {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        vec![
+            ("NaN, d·k = n", vec![1.0, nan, 2.0, 1.0, nan, 2.0, 1.0, 1.0]),
+            ("NaN, d·k > n", vec![1.0, nan, 2.0, 3.0, nan]),
+            ("all NaN", vec![nan, nan, nan]),
+            ("±inf, d·k = n", [inf, -inf, 1.0].repeat(4)),
+            ("±inf, d·k > n", vec![inf, -inf, 1.0, 0.5]),
+            (
+                "-0.0 first",
+                vec![-0.0, 0.0, 0.0, -0.0, 2.5, 2.5, -0.0, 0.0],
+            ),
+            ("0.0 first", vec![0.0, -0.0, -0.0, 0.0, 2.5, 0.0, -0.0, 2.5]),
+            ("-0.0/0.0 only", vec![0.0, -0.0, -0.0, 0.0]),
+            ("all equal", vec![3.0; 8]),
+            ("single value", vec![3.0]),
+            ("single NaN", vec![nan]),
+            ("empty", vec![]),
+            ("d·k = n", (0..20).map(|i| (i % 5) as f64 * 1.5).collect()),
+            (
+                "d·k = n + 1",
+                (0..19).map(|i| (i % 5) as f64 * 1.5).collect(),
+            ),
+            (
+                "continuous",
+                (0..40).map(|i| (i as f64 * 0.37).sin() * 6.0).collect(),
+            ),
+        ]
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], label: &str) {
+        assert_eq!(got.len(), want.len(), "{label}");
+        for (g, w) in got.iter().zip(want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{label}: {got:?} vs {want:?}");
+        }
+    }
+
+    #[test]
+    fn signature_entry_points_match_the_per_value_reference_bit_for_bit() {
+        let fitted = UnivariateGmm::fit(&two_cluster_data(), &small_config(4)).unwrap();
+        for gmm in [signed_zero_gmm(), fitted] {
+            // One scratch carried across every column, as a fan-out worker does.
+            let mut reused = Vec::new();
+            for (label, column) in edge_columns() {
+                let want = reference_signature(&gmm, &column);
+                assert_bits_eq(&gmm.mean_responsibilities(&column), &want, label);
+                let sorted = sorted_copy(&column);
+                let mut out = vec![-1.0; 4];
+                gmm.mean_responsibilities_sorted(&column, &sorted, &mut out, &mut Vec::new());
+                assert_bits_eq(&out, &want, label);
+                gmm.mean_responsibilities_sorted(&column, &sorted, &mut out, &mut reused);
+                assert_bits_eq(&out, &want, label);
+            }
+        }
+    }
+
+    #[test]
+    fn low_cardinality_columns_match_the_reference_bit_for_bit() {
+        use rand::Rng;
+        let gmm = UnivariateGmm::fit(&two_cluster_data(), &small_config(6)).unwrap();
+        let k = gmm.n_components();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut scratch = Vec::new();
+        let mut out = vec![0.0; k];
+        let mut table_columns = 0;
+        for _ in 0..300 {
+            // Draw up to about 2n / k distinct values, so columns land on both sides of
+            // the gate, on a grid of random offset and step.
+            let len = rng.gen_range(1..400usize);
+            let d = rng.gen_range(1..2 * (len / k) + 3);
+            let base = rng.gen_range(-5.0..105.0);
+            let step = [1.0, 0.5, 0.1, 0.01, 1e-3][rng.gen_range(0..5usize)];
+            let column: Vec<f64> = (0..len)
+                .map(|_| base + rng.gen_range(0..d) as f64 * step)
+                .collect();
+            let sorted = sorted_copy(&column);
+            gmm.mean_responsibilities_sorted(&column, &sorted, &mut out, &mut scratch);
+            assert_bits_eq(&out, &reference_signature(&gmm, &column), "random column");
+            table_columns += usize::from(scratch.len() != 3 * k);
+        }
+        // Both kernels ran.
+        assert!(
+            (60..240).contains(&table_columns),
+            "{table_columns} table columns"
+        );
+    }
+
+    #[test]
+    fn distinct_table_is_sized_only_when_d_times_k_is_at_most_n() {
+        let gmm = signed_zero_gmm();
+        let k = gmm.n_components();
+        let mut out = vec![0.0; k];
+        // d = 5 distinct numbers in 20 values: d·k = n, so one row per distinct number
+        // follows the two log tables and the d keys.
+        let at_gate: Vec<f64> = (0..20).map(|i| (i % 5) as f64).collect();
+        let mut scratch = Vec::new();
+        gmm.mean_responsibilities_sorted(&at_gate, &sorted_copy(&at_gate), &mut out, &mut scratch);
+        assert_eq!(scratch.len(), 2 * k + 5 * (1 + k));
+        // One value fewer: d·k = n + 1, so the per-value kernel runs, and a fresh
+        // scratch stays at its size.
+        let past_gate = &at_gate[..19];
+        let mut fresh = Vec::new();
+        gmm.mean_responsibilities_sorted(past_gate, &sorted_copy(past_gate), &mut out, &mut fresh);
+        assert_eq!(fresh.len(), 3 * k);
+        assert!(fresh.capacity() < 2 * k + 5 * (1 + k));
+        // A reused scratch shrinks back to the per-value size too.
+        gmm.mean_responsibilities_sorted(
+            past_gate,
+            &sorted_copy(past_gate),
+            &mut out,
+            &mut scratch,
+        );
+        assert_eq!(scratch.len(), 3 * k);
+    }
+
+    #[test]
+    fn empty_column_signature_is_the_prior_without_reading_the_sorted_copy() {
+        let gmm = signed_zero_gmm();
+        let mut out = vec![0.0; 4];
+        let mut scratch = Vec::new();
+        // A stale buffer from an earlier column, of the wrong length for this one.
+        gmm.mean_responsibilities_sorted(&[], &[7.0, 8.0], &mut out, &mut scratch);
+        assert_bits_eq(&out, gmm.weights(), "empty");
+        assert!(scratch.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted copy")]
+    fn mean_responsibilities_sorted_rejects_a_sorted_copy_of_another_length() {
+        let gmm = signed_zero_gmm();
+        gmm.mean_responsibilities_sorted(&[1.0, 2.0], &[1.0], &mut [0.0; 4], &mut Vec::new());
     }
 
     #[test]

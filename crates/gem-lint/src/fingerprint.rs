@@ -1,7 +1,7 @@
 //! L4 — the protocol-bump rule.
 //!
-//! The wire contract of `gem-proto` is its four body shapes: [`RequestBody`],
-//! [`ResponseBody`], `WireStats` and `WireModelInfo`. This module extracts those
+//! The wire contract of `gem-proto` is its four body shapes: `RequestBody`,
+//! `ResponseBody`, `WireStats` and `WireModelInfo`. This module extracts those
 //! declarations from `crates/gem-proto/src/lib.rs` (via the [`crate::lexer`] code
 //! view, so comments and attributes cannot perturb the result), canonicalizes them to
 //! a whitespace-normalized listing, and digests the listing with FNV-1a 64.

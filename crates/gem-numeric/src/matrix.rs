@@ -382,6 +382,27 @@ impl Matrix {
         Ok(out)
     }
 
+    /// Split the columns at `at` into a left `rows × at` and a right `rows × (cols − at)`
+    /// matrix: the inverse of [`Matrix::hconcat`].
+    ///
+    /// # Panics
+    /// Panics when `at > cols`.
+    pub fn hsplit(&self, at: usize) -> (Matrix, Matrix) {
+        assert!(
+            at <= self.cols,
+            "split column {at} beyond width {}",
+            self.cols
+        );
+        let mut left = Matrix::zeros(self.rows, at);
+        let mut right = Matrix::zeros(self.rows, self.cols - at);
+        for r in 0..self.rows {
+            let (l, rt) = self.row(r).split_at(at);
+            left.row_mut(r).copy_from_slice(l);
+            right.row_mut(r).copy_from_slice(rt);
+        }
+        (left, right)
+    }
+
     /// Vertically concatenate two matrices with the same number of columns.
     ///
     /// # Errors
@@ -536,6 +557,17 @@ mod tests {
         assert_eq!(v.shape(), (4, 3));
         assert!(m.hconcat(&Matrix::zeros(3, 3)).is_err());
         assert!(m.vconcat(&Matrix::zeros(2, 2)).is_err());
+    }
+
+    #[test]
+    fn hsplit_inverts_hconcat() {
+        let m = sample();
+        let wide = m.hconcat(&m.scale(2.0)).unwrap();
+        assert_eq!(wide.hsplit(3), (m.clone(), m.scale(2.0)));
+        let (none, all) = m.hsplit(0);
+        assert_eq!(none.shape(), (2, 0));
+        assert_eq!(all, m);
+        assert_eq!(m.hsplit(3).1.shape(), (2, 0));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! end-to-end latency histograms, per-shape × per-phase (queue wait, decode, execute,
 //! encode) histograms, admission gauges (queue depth, busy workers, pool size, queue
 //! capacity), and a scrape-to-scrape request rate — and renders them, together with the
-//! lifetime [`ServerCounters`](crate::ServerCounters) and the service's cache
+//! lifetime [`ServerCounters`] and the service's cache
 //! statistics, as one Prometheus text exposition document
 //! ([`ServerMetrics::render`]). `gem-served --metrics-addr` serves exactly this
 //! document to scrapers; the `Health` wire request derives its `ok|degraded|overloaded`

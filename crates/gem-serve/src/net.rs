@@ -593,9 +593,9 @@ fn stream_embed(
     let mut encode_time = Duration::ZERO;
     let mut sent_rows = 0usize;
     let mut cols = 0usize;
-    // Zero queries still run one empty transform, so they answer the same 0-row matrix
-    // an in-process transform returns. Each batch's columns move out of `queries`;
-    // none of their values are copied.
+    // Zero queries still run one empty transform, so they get the same `NoColumns`
+    // transform error an in-process transform returns. Each batch's columns move out of
+    // `queries`; none of their values are copied.
     let batches = queries.len().div_ceil(EMBED_STREAM_BATCH).max(1);
     let mut queries = queries.into_iter();
     for _ in 0..batches {
@@ -1319,6 +1319,21 @@ mod tests {
         assert_eq!(server.counters().requests(), 3);
         assert_eq!(server.counters().protocol_errors(), 0);
         assert!(server.metrics().busy_workers_high_water() >= 1);
+    }
+
+    #[test]
+    fn zero_queries_get_the_in_process_transform_error_over_tcp() {
+        let (server, join) = start_server();
+        let mut client = GemClient::connect(server.addr()).unwrap();
+        let cols = corpus();
+        let config = GemConfig::fast();
+        let model = GemModel::fit(&cols, &config, FeatureSet::ds()).unwrap();
+        let in_process = ServeError::Transform(model.transform(&[]).unwrap_err());
+        let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
+        let err = client.embed(fitted.handle, &[]).unwrap_err();
+        assert_eq!(err.code(), Some(in_process.code()), "{err}");
+        server.shutdown();
+        join.join().unwrap().unwrap();
     }
 
     #[test]

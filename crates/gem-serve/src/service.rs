@@ -39,7 +39,7 @@ use gem_store::ModelStore;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One serving request. See the [module docs](self) for the protocol shape; construct
+/// One serving request. See the [crate docs](crate) for the protocol shape; construct
 /// variants with the [`ServeRequest::fit`], [`ServeRequest::fit_update`],
 /// [`ServeRequest::embed`], [`ServeRequest::embed_corpus`] and [`ServeRequest::evict`]
 /// conveniences.
