@@ -277,26 +277,73 @@ fn put_header(buf: &mut Vec<u8>, id: Option<u64>) {
     }
 }
 
+/// The bytes in front of a frame's payload: the `u32` length prefix and the kind.
+const FRAME_HEAD: usize = 5;
+
+/// The length prefix of a frame whose payload is `payload_len` bytes long.
+fn frame_len(payload_len: usize) -> Result<u32, ProtoError> {
+    u32::try_from(payload_len.saturating_add(1))
+        .ok()
+        .filter(|len| *len <= MAX_FRAME_LEN)
+        .ok_or_else(|| {
+            parse_err(format!(
+                "frame payload of {payload_len} bytes exceeds the {MAX_FRAME_LEN}-byte bound"
+            ))
+        })
+}
+
 /// Assemble a complete wire frame (`len` prefix, kind, payload) from a payload the
 /// caller built. Public so tests can craft malformed payloads inside valid framing.
 ///
 /// # Errors
 /// [`ProtoError::Parse`] when the payload would exceed [`MAX_FRAME_LEN`].
 pub fn frame_bytes(kind: u8, payload: &[u8]) -> Result<Vec<u8>, ProtoError> {
-    let len = u32::try_from(payload.len().saturating_add(1))
-        .ok()
-        .filter(|len| *len <= MAX_FRAME_LEN)
-        .ok_or_else(|| {
-            parse_err(format!(
-                "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte bound",
-                payload.len()
-            ))
-        })?;
-    let mut out = Vec::with_capacity(payload.len().saturating_add(5));
-    put_u32(&mut out, len);
+    let mut out = Vec::with_capacity(payload.len().saturating_add(FRAME_HEAD));
+    push_frame(&mut out, kind, payload)?;
+    Ok(out)
+}
+
+/// Append a complete wire frame (`len` prefix, kind, payload) to `out` — how a relay
+/// gathers several frames into one write.
+///
+/// # Errors
+/// [`ProtoError::Parse`] when the payload would exceed [`MAX_FRAME_LEN`].
+pub fn push_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) -> Result<(), ProtoError> {
+    put_u32(out, frame_len(payload.len())?);
     out.push(kind);
     out.extend_from_slice(payload);
-    Ok(out)
+    Ok(())
+}
+
+/// A frame under construction: its payload is written straight after room for the
+/// head, which [`InPlaceFrame::finish`] fills in, so the finished frame is never
+/// copied.
+struct InPlaceFrame {
+    bytes: Vec<u8>,
+}
+
+impl InPlaceFrame {
+    /// Start a frame whose payload will be about `payload_hint` bytes long.
+    fn new(payload_hint: usize) -> Self {
+        let mut bytes = Vec::with_capacity(payload_hint.saturating_add(FRAME_HEAD));
+        bytes.extend_from_slice(&[0; FRAME_HEAD]);
+        InPlaceFrame { bytes }
+    }
+
+    /// The buffer the payload is appended to, behind the room left for the head.
+    fn payload(&mut self) -> &mut Vec<u8> {
+        &mut self.bytes
+    }
+
+    /// Write the head — the length prefix and `kind` — in front of the payload.
+    fn finish(mut self, kind: u8) -> Result<Vec<u8>, ProtoError> {
+        let len = frame_len(self.bytes.len().saturating_sub(FRAME_HEAD))?;
+        if let Some(head) = self.bytes.get_mut(..FRAME_HEAD) {
+            let [a, b, c, d] = len.to_le_bytes();
+            head.copy_from_slice(&[a, b, c, d, kind]);
+        }
+        Ok(self.bytes)
+    }
 }
 
 // --- decoding primitives ----------------------------------------------------------
@@ -455,36 +502,58 @@ fn read_fit_config_fields(
 /// [`ProtoError::Parse`] when a field exceeds the format's bounds (e.g. the frame
 /// would exceed [`MAX_FRAME_LEN`] — stream such corpora as chunks instead).
 pub fn encode_request_frame(envelope: &RequestEnvelope) -> Result<Vec<u8>, ProtoError> {
-    let mut payload = Vec::new();
-    put_header(&mut payload, Some(envelope.id));
-    let kind = match &envelope.body {
+    let id = envelope.id;
+    match &envelope.body {
         RequestBody::Fit {
             corpus,
             config,
             features,
             composition,
         } => {
-            fit_config_fields(&mut payload, config, *features, composition)?;
-            put_columns(&mut payload, corpus)?;
-            KIND_FIT
+            let mut frame = request_frame(id, corpus_wire_bytes(corpus));
+            fit_config_fields(frame.payload(), config, *features, composition)?;
+            put_columns(frame.payload(), corpus)?;
+            frame.finish(KIND_FIT)
         }
         RequestBody::FitUpdate { handle, corpus } => {
-            put_str(&mut payload, handle)?;
-            put_columns(&mut payload, corpus)?;
-            KIND_FIT_UPDATE
+            let mut frame = request_frame(id, corpus_wire_bytes(corpus));
+            put_str(frame.payload(), handle)?;
+            put_columns(frame.payload(), corpus)?;
+            frame.finish(KIND_FIT_UPDATE)
         }
-        RequestBody::Embed { handle, queries } => {
-            put_str(&mut payload, handle)?;
-            put_columns(&mut payload, queries)?;
-            KIND_EMBED
-        }
+        RequestBody::Embed { handle, queries } => encode_embed_frame(id, handle, queries),
         _ => {
             let line = encode_request(envelope);
-            payload.extend_from_slice(line.trim_end_matches('\n').as_bytes());
-            KIND_REQ_JSON
+            let line = line.trim_end_matches('\n');
+            let mut frame = request_frame(id, line.len());
+            frame.payload().extend_from_slice(line.as_bytes());
+            frame.finish(KIND_REQ_JSON)
         }
-    };
-    frame_bytes(kind, &payload)
+    }
+}
+
+/// A request frame under construction, its correlation header already written.
+fn request_frame(id: u64, payload_hint: usize) -> InPlaceFrame {
+    let mut frame = InPlaceFrame::new(payload_hint.saturating_add(64));
+    put_header(frame.payload(), Some(id));
+    frame
+}
+
+/// Encode an `Embed` request for `id` straight from borrowed query columns — the same
+/// bytes [`encode_request_frame`] produces for the owned envelope, without first
+/// copying the columns into one.
+///
+/// # Errors
+/// See [`encode_request_frame`].
+pub fn encode_embed_frame(
+    id: u64,
+    handle: &str,
+    queries: &[GemColumn],
+) -> Result<Vec<u8>, ProtoError> {
+    let mut frame = request_frame(id, corpus_wire_bytes(queries).saturating_add(handle.len()));
+    put_str(frame.payload(), handle)?;
+    put_columns(frame.payload(), queries)?;
+    frame.finish(KIND_EMBED)
 }
 
 /// Encode a request as one or more frames: a `Fit`/`FitUpdate` whose corpus payload
@@ -845,21 +914,23 @@ pub fn embed_rows_frame(
         }
         cols => rows.len() / cols,
     };
-    let mut payload = Vec::with_capacity(rows.len().saturating_mul(8).saturating_add(64));
-    put_header(&mut payload, Some(id));
-    put_str(&mut payload, served_from)?;
+    // The slack leaves room for an `embed_done` frame appended behind this one.
+    let mut frame = InPlaceFrame::new(rows.len().saturating_mul(8).saturating_add(128));
+    let payload = frame.payload();
+    put_header(payload, Some(id));
+    put_str(payload, served_from)?;
     put_u32(
-        &mut payload,
+        payload,
         u32::try_from(cols).map_err(|_| parse_err("embed cols exceed u32"))?,
     );
     put_u32(
-        &mut payload,
+        payload,
         u32::try_from(nrows).map_err(|_| parse_err("embed rows exceed u32"))?,
     );
     for v in rows {
         payload.extend_from_slice(&v.to_le_bytes());
     }
-    frame_bytes(KIND_EMBED_ROWS, &payload)
+    frame.finish(KIND_EMBED_ROWS)
 }
 
 /// Encode the closing frame of a streamed embed response, carrying the totals the
@@ -873,18 +944,19 @@ pub fn embed_done_frame(
     cols: usize,
     total_rows: usize,
 ) -> Result<Vec<u8>, ProtoError> {
-    let mut payload = Vec::new();
-    put_header(&mut payload, Some(id));
-    put_str(&mut payload, served_from)?;
+    let mut frame = InPlaceFrame::new(64);
+    let payload = frame.payload();
+    put_header(payload, Some(id));
+    put_str(payload, served_from)?;
     put_u32(
-        &mut payload,
+        payload,
         u32::try_from(cols).map_err(|_| parse_err("embed cols exceed u32"))?,
     );
     put_u64(
-        &mut payload,
+        payload,
         u64::try_from(total_rows).map_err(|_| parse_err("embed rows exceed u64"))?,
     );
-    frame_bytes(KIND_EMBED_DONE, &payload)
+    frame.finish(KIND_EMBED_DONE)
 }
 
 /// How many result rows ride one [`KIND_EMBED_ROWS`] frame when a materialized matrix
@@ -894,10 +966,11 @@ const EMBED_ROWS_PER_FRAME: usize = 512;
 /// Wrap a complete JSON response line (trailing newline optional) in a
 /// [`KIND_RESP_JSON`] frame.
 fn wrap_response_line(id: Option<u64>, line: &str) -> Result<Vec<u8>, ProtoError> {
-    let mut payload = Vec::new();
-    put_header(&mut payload, id);
-    payload.extend_from_slice(line.trim_end_matches(['\r', '\n']).as_bytes());
-    frame_bytes(KIND_RESP_JSON, &payload)
+    let line = line.trim_end_matches(['\r', '\n']);
+    let mut frame = InPlaceFrame::new(line.len().saturating_add(9));
+    put_header(frame.payload(), id);
+    frame.payload().extend_from_slice(line.as_bytes());
+    frame.finish(KIND_RESP_JSON)
 }
 
 /// Encode one response envelope as wire bytes — possibly several concatenated frames:
@@ -1142,6 +1215,31 @@ mod tests {
                 (a, b) => assert_eq!(a, b),
             }
         }
+    }
+
+    #[test]
+    fn borrowed_embed_frames_match_the_owned_envelope_byte_for_byte() {
+        let handle = "0000000000000001-0000000000000002";
+        let queries = columns();
+        let borrowed = encode_embed_frame(9, handle, &queries).unwrap();
+        let owned = RequestEnvelope::new(
+            9,
+            RequestBody::Embed {
+                handle: handle.into(),
+                queries: queries.clone(),
+            },
+        );
+        assert_eq!(
+            encode_request_frames(&owned, DEFAULT_CHUNK_BYTES).unwrap(),
+            vec![borrowed.clone()]
+        );
+        // The head written in place is the one `frame_bytes` puts in front of the
+        // payload.
+        let payload = &borrowed[FRAME_HEAD..];
+        assert_eq!(frame_bytes(KIND_EMBED, payload).unwrap(), borrowed);
+        let mut gathered = vec![0xAB];
+        push_frame(&mut gathered, KIND_EMBED, payload).unwrap();
+        assert_eq!(&gathered[1..], &borrowed[..]);
     }
 
     #[test]

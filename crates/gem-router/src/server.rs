@@ -12,6 +12,14 @@
 //! router decodes a request once, to route it; it never re-serializes what it forwards,
 //! so a byte-exact round trip through the router is structural, not incidental.
 //!
+//! Every thread that produces a reply writes it to the client itself, through the
+//! client socket's shared [`ReplyWriter`]: the client loop answers `Health` and the
+//! router's own typed errors, and each upstream reader writes all the response frames
+//! one read completes in one write (and a fan-out's merged reply when it folds the
+//! last leg). A client that stops reading is cut off after
+//! [`REPLY_WRITE_TIMEOUT`](gem_serve::framing::REPLY_WRITE_TIMEOUT), and its upstream
+//! links close as an orderly teardown: the replicas stay up.
+//!
 //! Routing is key-aware without extra round trips: the router computes `Fit` model
 //! keys itself with the same [`gem_store::model_key`] the replica will use, derives
 //! `FitUpdate` keys with [`gem_store::updated_model_key`], and peeks the `key` header
@@ -49,7 +57,7 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,7 +66,7 @@ use gem_proto::{
     WireStats,
 };
 use gem_serve::framing::{
-    accept_hello, encode_reply, offer_hello, pump_frames, write_responses, ReadStep,
+    accept_hello, encode_reply, offer_hello, pump_frames, ReadStep, ReplyWriter,
 };
 use gem_serve::sync::lock_or_recover;
 use gem_serve::ModelHandle;
@@ -210,11 +218,14 @@ struct FanGroup {
 
 /// State shared between the client reader and this connection's upstream readers.
 ///
-/// `reply_tx` carries **complete frames**; the writer thread never edits what it is
-/// handed.
+/// Whichever of those threads produces a reply writes it to the client itself, through
+/// the client socket's shared `writer`, in **complete frames**. A write that fails or
+/// times out kills the client connection: its socket is shut down (which ends the
+/// client reader, and with it every upstream link) and `closing` is set first, so the
+/// upstream links' EOFs that follow are an orderly teardown, never a replica death.
 struct ConnShared {
     cluster: Arc<Cluster>,
-    reply_tx: mpsc::Sender<Vec<u8>>,
+    writer: ReplyWriter,
     groups: Mutex<HashMap<u64, FanGroup>>,
     /// Set during orderly teardown so upstream EOFs stop being treated as replica
     /// deaths.
@@ -222,15 +233,18 @@ struct ConnShared {
 }
 
 impl ConnShared {
-    fn send_response(&self, in_reply_to: Option<u64>, body: ResponseBody) {
-        let _ = self.reply_tx.send(encode_reply(in_reply_to, body));
+    /// Write complete frames to the client; `false` once the client connection is
+    /// dead.
+    fn write(&self, bytes: &[u8]) -> bool {
+        let written = self.writer.write(bytes);
+        if !written {
+            self.closing.store(true, Ordering::SeqCst);
+        }
+        written
     }
 
-    /// Forward a replica's response frame to the client verbatim.
-    fn forward_frame(&self, frame: &binary::Frame) {
-        if let Ok(bytes) = binary::frame_bytes(frame.kind, &frame.payload) {
-            let _ = self.reply_tx.send(bytes);
-        }
+    fn send_response(&self, in_reply_to: Option<u64>, body: ResponseBody) {
+        let _ = self.write(&encode_reply(in_reply_to, body));
     }
 
     fn send_error(&self, in_reply_to: Option<u64>, code: &str, message: String) {
@@ -792,10 +806,11 @@ fn read_upstream(
 
 /// The upstream reader loop. Streamed `embed_rows` frames pass through to the client
 /// **without retiring** the in-flight entry — the closing `embed_done` (or a wrapped
-/// JSON response) does that. Returns when the
-/// upstream EOFs, fails, or violates framing (indistinguishable from corruption, so
-/// it is treated as a replica death and everything in flight drains to the retryable
-/// error).
+/// JSON response) does that. Every frame one read completes is forwarded in one write
+/// once that read's frames are handled. Returns when the client connection dies, or
+/// when the upstream EOFs, fails, or violates framing (indistinguishable from
+/// corruption, so it is treated as a replica death and everything in flight drains to
+/// the retryable error).
 fn read_upstream_frames(
     mut reader: BufReader<TcpStream>,
     addr: &str,
@@ -805,14 +820,33 @@ fn read_upstream_frames(
 ) {
     let mut assembler = binary::FrameAssembler::new();
     let mut partials = binary::EmbedPartials::new();
+    // The frames this read step completed, forwarded verbatim in one write.
+    let mut forwarded = Vec::new();
+    let forward = |forwarded: &mut Vec<u8>, frame: &binary::Frame| {
+        let _ = binary::push_frame(forwarded, frame.kind, &frame.payload);
+    };
     loop {
         let frame = match assembler.next_frame() {
             Ok(Some(frame)) => frame,
-            Ok(None) => match pump_frames(&mut reader, &mut assembler) {
-                ReadStep::Bytes(_) | ReadStep::Tick => continue,
-                ReadStep::Eof | ReadStep::Failed => return,
-            },
-            Err(_) => return,
+            Ok(None) => {
+                if !forwarded.is_empty() {
+                    if !shared.write(&forwarded) {
+                        // The client is gone: stop reading, so the replica's writes to
+                        // this link fail once the client reader closes it, instead of
+                        // the replica computing replies nobody will read.
+                        return;
+                    }
+                    forwarded.clear();
+                }
+                match pump_frames(&mut reader, &mut assembler) {
+                    ReadStep::Bytes(_) | ReadStep::Tick => continue,
+                    ReadStep::Eof | ReadStep::Failed => return,
+                }
+            }
+            Err(_) => {
+                let _ = shared.write(&forwarded);
+                return;
+            }
         };
         match frame.kind {
             binary::KIND_EMBED_ROWS => {
@@ -823,7 +857,7 @@ fn read_upstream_frames(
                     .correlation_id()
                     .is_some_and(|id| lock_or_recover(pending).entries.contains_key(&id));
                 if live {
-                    shared.forward_frame(&frame);
+                    forward(&mut forwarded, &frame);
                 }
             }
             binary::KIND_EMBED_DONE => {
@@ -835,7 +869,7 @@ fn read_upstream_frames(
                     None => {}
                     Some(Pending::Forward { started }) | Some(Pending::Tracked { started, .. }) => {
                         instruments.latency.record(started.elapsed());
-                        shared.forward_frame(&frame);
+                        forward(&mut forwarded, &frame);
                     }
                     // Embeds never fan out; fold defensively so a confused replica
                     // cannot wedge a fan group forever.
@@ -855,7 +889,7 @@ fn read_upstream_frames(
                     None => {}
                     Some(Pending::Forward { started }) => {
                         instruments.latency.record(started.elapsed());
-                        shared.forward_frame(&frame);
+                        forward(&mut forwarded, &frame);
                     }
                     Some(Pending::Tracked { started, handle }) => {
                         instruments.latency.record(started.elapsed());
@@ -870,7 +904,7 @@ fn read_upstream_frames(
                             shared.cluster.record_placement(&handle, addr);
                             let _ = shared.cluster.replicate(&handle, addr);
                         }
-                        shared.forward_frame(&frame);
+                        forward(&mut forwarded, &frame);
                     }
                     Some(Pending::Fan { started, group }) => {
                         instruments.latency.record(started.elapsed());
@@ -890,26 +924,28 @@ fn read_upstream_frames(
     }
 }
 
-/// Serve one client connection: reader loop here, writer on its own thread, upstream
-/// readers spawned on demand. The connection's first line must be the hello; after
-/// the accept line it is frames for the rest of its life, and any other first line is
-/// refused with one typed error line before the connection closes.
+/// Serve one client connection: reader loop here, upstream readers spawned on demand,
+/// each thread writing the replies it produces. The connection's first line must be the
+/// hello; after the accept line it is frames for the rest of its life, and any other
+/// first line is refused with one typed error line before the connection closes.
 fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<AtomicBool>) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_TICK)).is_err() {
         return;
     }
-    let Ok(write_half) = stream.try_clone() else {
+    let Some(writer) = stream
+        .try_clone()
+        .and_then(|half| ReplyWriter::new(half, None))
+        .ok()
+    else {
         return;
     };
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer = std::thread::spawn(move || write_responses(write_half, &reply_rx, None));
     let mut reader = BufReader::new(stream);
-    if let Ok(true) = accept_hello(&mut reader, &reply_tx, &shutdown) {
+    if let Ok(true) = accept_hello(&mut reader, &writer, &shutdown) {
         let mut forwarder = Forwarder {
             shared: Arc::new(ConnShared {
                 cluster,
-                reply_tx,
+                writer,
                 groups: Mutex::new(HashMap::new()),
                 closing: AtomicBool::new(false),
             }),
@@ -917,13 +953,9 @@ fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<Atom
             next_group: 0,
         };
         serve_binary_client(reader, &mut forwarder, &shutdown);
+        // The upstream readers, the only other writers, are joined here.
         forwarder.close();
-    } else {
-        drop(reply_tx);
     }
-    // Every reply sender (the forwarder's, and the upstream readers' joined in
-    // `close`) is gone by now, so the writer drains and exits.
-    let _ = writer.join();
 }
 
 /// The client reader loop, entered after an accepted hello.
@@ -1151,6 +1183,107 @@ mod tests {
         let via_direct = direct.embed(fitted.handle, &corpus).expect("direct embed");
         assert_eq!(embedded.matrix, via_direct.matrix);
 
+        handle.shutdown();
+        let _ = thread.join();
+        replica.shutdown();
+        let _ = replica_join.join();
+    }
+
+    #[test]
+    fn a_client_that_stops_reading_is_cut_off_without_blaming_the_replica() {
+        let (replica, replica_join) = real_replica();
+        let (cluster, handle, addr, thread) = router_over(replica.addr());
+        let config = GemConfig::fast();
+        let corpus = test_corpus();
+        let mut client =
+            GemClient::connect_timeout(addr, Duration::from_secs(30)).expect("connect");
+        let fitted = client
+            .fit(&corpus, &config, FeatureSet::ds())
+            .expect("fit through the router");
+
+        // Wide embeds of one-value columns: ~12 MiB of replies from requests the router
+        // reads in full, far more than the client's socket buffers hold; the stalled
+        // client never reads a byte.
+        let mut stalled = TcpStream::connect(addr).expect("connect");
+        stalled
+            .write_all(binary::hello_line().as_bytes())
+            .expect("hello");
+        let mut stalled_reader = BufReader::new(stalled.try_clone().expect("clone"));
+        let mut accept = String::new();
+        stalled_reader.read_line(&mut accept).expect("accept");
+        let wide: Vec<GemColumn> = (0..2048)
+            .map(|i| GemColumn::new(vec![f64::from(i) * 0.5], format!("q{i}")))
+            .collect();
+        for id in 1..=48 {
+            let frame =
+                binary::encode_embed_frame(id, &fitted.handle.to_hex(), &wide).expect("encode");
+            stalled.write_all(&frame).expect("pipeline");
+        }
+        // Once the bytes waiting on the stalled client stop growing, its window is
+        // closed and the router's writes to it are about to block.
+        stalled
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let mut peeked = vec![0u8; 1 << 20];
+        let mut waiting = 0;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = stalled.peek(&mut peeked).expect("peek");
+            if now > 0 && now == waiting {
+                break;
+            }
+            waiting = now;
+        }
+
+        // Another client is served within one write timeout, even if the replica's
+        // executors blocked on the stalled client's upstream link meanwhile.
+        let started = Instant::now();
+        let served = client.embed(fitted.handle, &corpus).expect("embed");
+        let waited = started.elapsed();
+        let direct = gem_core::GemModel::fit(&corpus, &config, FeatureSet::ds())
+            .and_then(|model| model.transform(&corpus))
+            .expect("in-process embed");
+        assert_eq!(served.matrix, direct.matrix);
+        assert!(
+            waited < gem_serve::framing::REPLY_WRITE_TIMEOUT + Duration::from_secs(3),
+            "waited {waited:?}"
+        );
+
+        // Reading now would let the blocked write finish, so wait it out first. The
+        // router shut the stalled connection down: after what it buffered, EOF.
+        let timeout = gem_serve::framing::REPLY_WRITE_TIMEOUT + Duration::from_secs(2);
+        std::thread::sleep(timeout.saturating_sub(started.elapsed()));
+        let mut buffered = Vec::new();
+        stalled_reader
+            .read_to_end(&mut buffered)
+            .expect("the router closes the stalled connection");
+        assert!(
+            buffered.len() < 48 * wide.len() * 15 * 8,
+            "{} bytes",
+            buffered.len()
+        );
+
+        // Closing the stalled client's upstream link was an orderly teardown: the
+        // replica is still up and nothing was counted against it.
+        assert_eq!(
+            cluster.replica_states(),
+            vec![(replica.addr().to_string(), ReplicaState::Up)]
+        );
+        let text = cluster.metrics().render();
+        for line in [
+            "router_no_replica_total 0".to_string(),
+            "router_failover_moves_total 0".to_string(),
+            format!(
+                "router_replica_errors_total{{replica=\"{}\"}} 0",
+                replica.addr()
+            ),
+        ] {
+            assert!(
+                text.lines().any(|l| l == line),
+                "missing `{line}` in:\n{text}"
+            );
+        }
         handle.shutdown();
         let _ = thread.join();
         replica.shutdown();

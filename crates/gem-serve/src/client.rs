@@ -334,16 +334,25 @@ impl GemClient {
     /// # Errors
     /// [`ClientError::Io`] when the write fails.
     pub fn send(&mut self, body: RequestBody) -> Result<u64, ClientError> {
+        let chunk_bytes = self.chunk_bytes;
+        // One frame normally; a corpus above the chunk budget becomes the
+        // begin/chunk/end upload sequence.
+        self.send_with(|id| {
+            binary::encode_request_frames(&proto::RequestEnvelope::new(id, body), chunk_bytes)
+        })
+    }
+
+    /// Allocate the next id, write the frames `encode` produces for it — each frame its
+    /// own `write` on the unbuffered socket — and mark the id in flight.
+    fn send_with(
+        &mut self,
+        encode: impl FnOnce(u64) -> Result<Vec<Vec<u8>>, proto::ProtoError>,
+    ) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        let envelope = proto::RequestEnvelope::new(id, body);
-        // One frame normally; a corpus above the chunk budget becomes the
-        // begin/chunk/end upload sequence. The frames are written back to back and
-        // flushed once: one TCP push per request.
-        for frame in binary::encode_request_frames(&envelope, self.chunk_bytes)? {
+        for frame in encode(id)? {
             self.writer.write_all(&frame)?;
         }
-        self.writer.flush()?;
         self.in_flight.insert(id);
         Ok(id)
     }
@@ -437,6 +446,11 @@ impl GemClient {
     /// become [`ClientError::Server`].
     fn call(&mut self, body: RequestBody) -> Result<ResponseBody, ClientError> {
         let id = self.send(body)?;
+        self.wait_for(id)
+    }
+
+    /// Block for the response to `id`, parking responses to other in-flight ids.
+    fn wait_for(&mut self, id: u64) -> Result<ResponseBody, ClientError> {
         // A freshly allocated id cannot already have a parked response: ids are
         // monotonically increasing and parked entries were correlated against earlier
         // in-flight ids.
@@ -545,10 +559,11 @@ impl GemClient {
         handle: ModelHandle,
         queries: &[GemColumn],
     ) -> Result<EmbedOutcome, ClientError> {
-        match self.call(RequestBody::Embed {
-            handle: handle.to_hex(),
-            queries: queries.to_vec(),
-        })? {
+        // Encoded straight from the borrowed columns: no owned copy of the queries.
+        let handle = handle.to_hex();
+        let id =
+            self.send_with(|id| Ok(vec![binary::encode_embed_frame(id, &handle, queries)?]))?;
+        match self.wait_for(id)? {
             ResponseBody::Embedded {
                 matrix,
                 served_from,

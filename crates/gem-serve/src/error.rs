@@ -50,11 +50,17 @@ pub enum ServeError {
         /// Suggested client backoff before retrying, milliseconds.
         retry_after_ms: u64,
     },
+    /// Handling the request panicked. The server caught the panic and serves on, but
+    /// this request has no answer: retrying it unchanged will most likely panic again.
+    Internal {
+        /// What failed.
+        reason: String,
+    },
 }
 
 impl ServeError {
     /// Every stable error code, in declaration order — the protocol's error taxonomy.
-    pub const CODES: [&'static str; 7] = [
+    pub const CODES: [&'static str; 8] = [
         "unknown_model",
         "unknown_method",
         "invalid_request",
@@ -62,6 +68,7 @@ impl ServeError {
         "transform_failed",
         "store_error",
         "overloaded",
+        "internal",
     ];
 
     /// The stable machine-readable code of this error. Codes never change meaning;
@@ -75,6 +82,7 @@ impl ServeError {
             ServeError::Transform(_) => "transform_failed",
             ServeError::Store { .. } => "store_error",
             ServeError::Overloaded { .. } => "overloaded",
+            ServeError::Internal { .. } => "internal",
         }
     }
 
@@ -120,6 +128,11 @@ impl fmt::Display for ServeError {
                  shed without being executed — retry after {retry_after_ms} ms or send \
                  it to another replica"
             ),
+            ServeError::Internal { reason } => write!(
+                f,
+                "internal server error: {reason} — the server is still serving, but \
+                 this request has no answer; please report it"
+            ),
         }
     }
 }
@@ -150,6 +163,7 @@ mod tests {
                 queue_depth: 64,
                 retry_after_ms: 100,
             },
+            ServeError::Internal { reason: "r".into() },
         ];
         let codes: Vec<&str> = variants.iter().map(|v| v.code()).collect();
         assert_eq!(codes, ServeError::CODES);

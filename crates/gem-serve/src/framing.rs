@@ -1,15 +1,20 @@
 //! Socket plumbing shared by every connection — `gem-served`'s, [`GemClient`]'s and
 //! `gem-routed`'s on both of its sides: the handshake, the frame read step, the reply
-//! encoder and the reply writer.
+//! encoder and the reply write half.
 //!
 //! A connection opens with one text line each way: the dialer sends
 //! [`binary::hello_line`], the listener answers [`binary::accept_line`], and everything
 //! after that is length-prefixed `gem_proto::binary` frames. Both handshake halves read
 //! their line through one bounded reader, so no peer can make either side buffer an
-//! unterminated first line. The writer never re-frames anything: it writes the exact
-//! blobs it is handed, coalescing already-completed replies into one flush so streamed
-//! embed rows and pipelined replies ride a single TCP push (the sockets run
-//! `TCP_NODELAY`, so every flush is a segment on the wire).
+//! unterminated first line.
+//!
+//! A listener answers through one [`ReplyWriter`] per connection: the socket's write
+//! half behind a mutex, shared by every thread that produces a reply for that
+//! connection, so the thread that finishes a reply writes it — there is no writer
+//! thread and no reply queue. Each call writes complete frames in one `write`, never
+//! re-framed, and must finish within [`REPLY_WRITE_TIMEOUT`]; a peer that stops
+//! reading costs the writing threads at most that long, after which the connection is
+//! dead: shut down, and every later write refused without touching the socket.
 //!
 //! This module is inside the lint gate's wire scope (L3 panic-free, L5 bit-exact):
 //! nothing here may panic on foreign bytes, and no float ever passes through a lossy
@@ -19,17 +24,25 @@
 
 use crate::client::ClientError;
 use crate::metrics::ServerMetrics;
+use crate::sync::lock_or_recover;
 use gem_proto::binary::{self, FrameAssembler};
 use gem_proto::{ResponseBody, ResponseEnvelope, PROTOCOL_VERSION};
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// The most a listener reads of a connection's first line: `gem-wire-binary `, the 20
 /// digits of the largest `u64` version, and `\r\n`. A first line that has not ended by
 /// then is not a hello, and the listener stops reading it.
 pub const HELLO_LINE_CAP: usize = 38;
+
+/// How long one reply may take to write, from its first byte to its last: however
+/// slowly the peer's receive window opens, a reply still unwritten by then marks its
+/// connection dead. Long enough for a 64 MiB frame at ~15 MB/s, short enough that a
+/// peer that stops reading frees its writers within seconds.
+pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The most a dialer reads of the listener's verdict: room for the accept line or a
 /// typed error line.
@@ -127,7 +140,7 @@ fn error_line(code: &str, message: String) -> Vec<u8> {
 }
 
 /// The listener's half of the handshake. Reads the connection's first line — across
-/// read-timeout ticks, never past [`HELLO_LINE_CAP`] — and queues the verdict on
+/// read-timeout ticks, never past [`HELLO_LINE_CAP`] — and writes the verdict through
 /// `reply`: the accept line for a hello at [`PROTOCOL_VERSION`], an uncorrelated
 /// `version_mismatch` line for a hello at another version, and an uncorrelated
 /// `protocol_error` line for anything else. Returns whether the connection continues
@@ -137,7 +150,7 @@ fn error_line(code: &str, message: String) -> Vec<u8> {
 /// The peer left, the read failed, or `shutdown` was raised before the line ended.
 pub fn accept_hello(
     reader: &mut BufReader<TcpStream>,
-    reply: &mpsc::Sender<Vec<u8>>,
+    reply: &ReplyWriter,
     shutdown: &AtomicBool,
 ) -> io::Result<bool> {
     let line = read_line_capped(reader, HELLO_LINE_CAP, Some(shutdown))?;
@@ -165,7 +178,7 @@ pub fn accept_hello(
             false,
         ),
     };
-    let _ = reply.send(verdict);
+    reply.write(&verdict);
     Ok(accepted)
 }
 
@@ -222,31 +235,99 @@ pub fn encode_reply(in_reply_to: Option<u64>, body: ResponseBody) -> Vec<u8> {
     binary::encode_response_frames(&envelope).unwrap_or_default()
 }
 
-/// One connection's writer loop: write completed replies in the order they are handed
-/// over, counting every byte into `metrics`' wire-written telemetry when given. Exits
-/// when every sender is gone or on the first write failure (the peer vanished). Replies
-/// already waiting in the channel are coalesced into one flush.
-pub fn write_responses(
-    mut stream: TcpStream,
-    responses: &mpsc::Receiver<Vec<u8>>,
-    metrics: Option<&ServerMetrics>,
-) {
-    for response in responses {
-        if stream.write_all(&response).is_err() {
-            return;
-        }
-        let mut written = response.len() as u64;
-        while let Ok(next) = responses.try_recv() {
-            if stream.write_all(&next).is_err() {
-                return;
-            }
-            written = written.saturating_add(next.len() as u64);
-        }
-        if let Some(metrics) = metrics {
-            metrics.count_wire_written(written);
-        }
-        if stream.flush().is_err() {
-            return;
-        }
+/// The write half of one accepted connection, shared by every thread that answers on
+/// it (see the module docs). Writes are serialized by the mutex, so each call's frames
+/// land on the wire contiguously; a call that fails or outlives [`REPLY_WRITE_TIMEOUT`]
+/// marks the connection dead and shuts the socket down both ways, which also wakes the
+/// connection's reader.
+#[derive(Debug)]
+pub struct ReplyWriter {
+    stream: Mutex<TcpStream>,
+    dead: AtomicBool,
+    /// Counts every byte written into the wire-written telemetry when given.
+    metrics: Option<Arc<ServerMetrics>>,
+}
+
+impl ReplyWriter {
+    /// Take over `stream` (an accepted socket's write half) and arm its write timeout.
+    ///
+    /// # Errors
+    /// Propagates the failure to set the socket's write timeout.
+    pub fn new(stream: TcpStream, metrics: Option<Arc<ServerMetrics>>) -> io::Result<Self> {
+        stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT))?;
+        Ok(ReplyWriter {
+            stream: Mutex::new(stream),
+            dead: AtomicBool::new(false),
+            metrics,
+        })
     }
+
+    /// Whether the connection died: a write failed or timed out, or [`ReplyWriter::kill`]
+    /// was called. A dead connection never writes again.
+    pub fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::Acquire)
+    }
+
+    /// Write `bytes` — any number of complete frames — in one call within
+    /// [`REPLY_WRITE_TIMEOUT`]. Returns whether they were written; `false` when the
+    /// connection was already dead or died in this call.
+    pub fn write(&self, bytes: &[u8]) -> bool {
+        if bytes.is_empty() {
+            return !self.is_dead();
+        }
+        let mut stream = lock_or_recover(&self.stream);
+        if self.is_dead() {
+            return false;
+        }
+        if write_within_deadline(&mut stream, bytes).is_err() {
+            self.mark_dead(&stream);
+            return false;
+        }
+        if let Some(metrics) = &self.metrics {
+            metrics.count_wire_written(bytes.len() as u64);
+        }
+        true
+    }
+
+    /// Mark the connection dead and shut its socket down without writing anything —
+    /// for a reply that cannot be finished after some of its bytes already left.
+    pub fn kill(&self) {
+        let stream = lock_or_recover(&self.stream);
+        self.mark_dead(&stream);
+    }
+
+    fn mark_dead(&self, stream: &TcpStream) {
+        self.dead.store(true, Ordering::Release);
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// Write all of `bytes` before [`REPLY_WRITE_TIMEOUT`] runs out. The socket's own write
+/// timeout bounds one `send`, so after a partial write it is narrowed to the time left
+/// (and restored afterwards): a window that keeps opening a little cannot stretch the
+/// reply past the deadline. A reply that fits the send buffer costs one `send`.
+fn write_within_deadline(stream: &mut TcpStream, mut bytes: &[u8]) -> io::Result<()> {
+    let started = Instant::now();
+    let mut narrowed = false;
+    let result = loop {
+        match stream.write(bytes) {
+            Ok(written) if written == bytes.len() => break Ok(()),
+            Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
+            Ok(written) => bytes = bytes.get(written..).unwrap_or_default(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => break Err(e),
+        }
+        let left = REPLY_WRITE_TIMEOUT.saturating_sub(started.elapsed());
+        if left.is_zero() {
+            break Err(io::ErrorKind::TimedOut.into());
+        }
+        if let Err(e) = stream.set_write_timeout(Some(left)) {
+            break Err(e);
+        }
+        narrowed = true;
+    };
+    if narrowed {
+        let _ = stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT));
+    }
+    result
 }

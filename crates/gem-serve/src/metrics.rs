@@ -423,6 +423,12 @@ impl ServerMetrics {
             counters.lock_recoveries().to_string(),
         );
         push(
+            "gem_executor_panics_total",
+            "counter",
+            "requests whose handling panicked (caught; the executor kept serving)",
+            counters.panics().to_string(),
+        );
+        push(
             "gem_workers_busy_high_water",
             "gauge",
             "most executors ever busy at one instant",
@@ -602,6 +608,7 @@ mod tests {
         for needle in [
             "# TYPE gem_requests_total counter",
             "# TYPE gem_requests_shed_total counter",
+            "gem_executor_panics_total 0",
             "# TYPE gem_queue_depth gauge",
             "# TYPE gem_request_seconds summary",
             "# TYPE gem_request_phase_seconds summary",

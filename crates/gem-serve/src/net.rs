@@ -12,33 +12,38 @@
 //! bounded pool of OS threads *is* the right executor; an async reactor would add a
 //! dependency without adding throughput.
 //!
-//! ## Architecture: reader → shared queue → executor pool → per-connection writer
+//! ## Architecture: reader → shared queue → executor pool, replies written in place
 //!
-//! The PR 4 design ran one thread per connection in lockstep (read a request, execute it,
-//! write the response, repeat), so one slow `Fit` stalled every queued request on that
-//! connection and N clients cost N service threads. Now each connection costs two
-//! *cheap* threads (a blocking reader and a blocking writer — both I/O-bound) while all
+//! Each connection costs one *cheap* thread — a blocking reader, I/O-bound — while all
 //! CPU work is multiplexed onto one bounded pool:
 //!
-//! * the **reader** splits the byte stream into frames and pushes them onto a shared
-//!   MPMC work queue (it never decodes or executes anything);
+//! * the **reader** answers the hello, splits the byte stream into frames and pushes
+//!   them onto a shared MPMC work queue (it never decodes or executes anything);
 //! * **executors** ([`GemServer::with_workers`], default [`default_workers`]) pop
 //!   frames from the queue in arrival order — *across all connections* — decode,
-//!   execute through [`EmbedService`], and hand the encoded response to the owning
-//!   connection's writer;
-//! * the **writer** serializes completed responses onto the socket *as they finish*:
-//!   a cheap `Stats` or `Embed` pipelined behind a slow `Fit` overtakes it (out-of-order
-//!   responses, correlated by envelope id — see the `gem-proto` docs), fits for
-//!   distinct handles run concurrently on distinct executors, and duplicate in-flight
-//!   fits for the *same* handle coalesce onto one EM run (the model cache's
-//!   single-flight, counted in `CacheStats::coalesced_fits`).
+//!   execute through [`EmbedService`], encode, and write the reply to the owning
+//!   connection's socket themselves, through its shared [`ReplyWriter`]. Replies
+//!   therefore leave *as they finish*: a cheap `Stats` or `Embed` pipelined behind a
+//!   slow `Fit` overtakes it (out-of-order responses, correlated by envelope id — see
+//!   the `gem-proto` docs), fits for distinct handles run concurrently on distinct
+//!   executors, and duplicate in-flight fits for the *same* handle coalesce onto one
+//!   EM run (the model cache's single-flight, counted in `CacheStats::coalesced_fits`).
+//!
+//! Nothing queues finished replies, so a peer that stops reading holds no reply memory:
+//! a reply write that does not finish within
+//! [`REPLY_WRITE_TIMEOUT`](crate::framing::REPLY_WRITE_TIMEOUT) marks the connection
+//! dead and shuts it down, and the executors drop its queued frames untransformed.
 //!
 //! Operational properties:
 //!
 //! * **Graceful shutdown** — [`ServerHandle::shutdown`] flips a flag and nudges the
 //!   acceptor awake; readers stop feeding the queue within their read-timeout tick,
-//!   executors drain what was already queued, writers flush every produced response,
-//!   and all of them are joined before [`GemServer::run`] returns.
+//!   executors answer what was already queued, and all of them are joined before
+//!   [`GemServer::run`] returns.
+//! * **Panic containment** — a request that panics is caught on its executor, answered
+//!   with the typed `internal` error (or, if part of its reply already left, its
+//!   connection is closed), counted in [`ServerCounters::panics`], and the executor
+//!   serves on.
 //! * **Request counters** — connections accepted, requests served and protocol errors
 //!   are counted on shared atomics ([`ServerCounters`]) and the executor-pool
 //!   high-water mark on the busy gauge ([`ServerMetrics::busy_workers_high_water`]),
@@ -50,7 +55,7 @@
 //!   one and `in_reply_to: null` when not — instead of a dropped connection.
 
 use crate::error::ServeError;
-use crate::framing::{accept_hello, encode_reply, pump_frames, write_responses, ReadStep};
+use crate::framing::{accept_hello, encode_reply, pump_frames, ReadStep, ReplyWriter};
 use crate::handle::ModelHandle;
 use crate::metrics::{RequestShape, ServerMetrics};
 use crate::service::{EmbedService, ModelInfo, ServeRequest, ServeResponse, ServiceStats};
@@ -59,8 +64,8 @@ use gem_proto::{self as proto, binary, RequestBody, ResponseBody};
 use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -94,6 +99,7 @@ pub struct ServerCounters {
     requests_shed: AtomicU64,
     protocol_errors: AtomicU64,
     lock_recoveries: AtomicU64,
+    panics: AtomicU64,
 }
 
 impl ServerCounters {
@@ -130,6 +136,12 @@ impl ServerCounters {
     fn note_lock_recovery(&self) {
         self.lock_recoveries.fetch_add(1, Ordering::Relaxed);
     }
+
+    /// Requests whose handling panicked. Each was caught on its executor, which kept
+    /// serving; a non-zero value is a bug worth a report.
+    pub fn panics(&self) -> u64 {
+        self.panics.load(Ordering::Relaxed)
+    }
 }
 
 /// The one-line structured record `gem-served` logs on graceful shutdown, so soak runs
@@ -142,7 +154,7 @@ pub fn shutdown_summary(
     format!(
         "gem-served shutdown summary: requests={} requests_shed={} connections={} \
          protocol_errors={} coalesced_fits={} workers_high_water={} lock_recoveries={} \
-         cache_hits={} cache_misses={}",
+         panics={} cache_hits={} cache_misses={}",
         counters.requests(),
         counters.requests_shed(),
         counters.connections(),
@@ -150,6 +162,7 @@ pub fn shutdown_summary(
         stats.cache.coalesced_fits,
         metrics.busy_workers_high_water(),
         counters.lock_recoveries(),
+        counters.panics(),
         stats.cache.hits,
         stats.cache.misses,
     )
@@ -175,26 +188,32 @@ impl FramePayload {
     }
 }
 
-/// One frame read off a connection, awaiting an executor: the undecoded payload and
-/// the sending half of the owning connection's writer channel (so the response lands
-/// on the right socket no matter which executor runs it, and no matter in which order
-/// it finishes).
-struct Frame {
-    payload: FramePayload,
-    reply: mpsc::Sender<Vec<u8>>,
-    /// When the reader queued the frame — the start of the queue-wait phase.
-    enqueued_at: Instant,
-    /// The owning connection's in-flight depth (shared with its reader): incremented
-    /// at enqueue, decremented when the frame is answered or shed — the
-    /// per-connection fairness signal surfaced through `ServerMetrics`.
-    depth: Arc<AtomicU64>,
+/// What every thread answering one connection shares: the socket's write half and the
+/// connection's in-flight depth.
+struct Connection {
+    writer: ReplyWriter,
+    /// Incremented at enqueue, decremented when the frame is answered, shed or dropped
+    /// — the per-connection fairness signal surfaced through `ServerMetrics`.
+    depth: AtomicU64,
 }
 
-/// Mark a frame answered (or shed): drop it from its connection's in-flight `depth`
-/// and surface the new depth.
-fn retire(depth: &AtomicU64, metrics: &ServerMetrics) {
-    let before = depth.fetch_sub(1, Ordering::Relaxed);
-    metrics.observe_connection_depth(before.saturating_sub(1));
+impl Connection {
+    /// Mark a frame answered (or shed, or dropped): take it off the in-flight depth and
+    /// surface the new depth.
+    fn retire(&self, metrics: &ServerMetrics) {
+        let before = self.depth.fetch_sub(1, Ordering::Relaxed);
+        metrics.observe_connection_depth(before.saturating_sub(1));
+    }
+}
+
+/// One frame read off a connection, awaiting an executor: the undecoded payload and
+/// the owning connection, so the reply lands on the right socket no matter which
+/// executor runs it, and no matter in which order it finishes.
+struct Frame {
+    payload: FramePayload,
+    connection: Arc<Connection>,
+    /// When the reader queued the frame — the start of the queue-wait phase.
+    enqueued_at: Instant,
 }
 
 /// The shared MPMC work queue between readers and executors — **bounded**: a push
@@ -257,18 +276,17 @@ impl WorkQueue {
             retry_after_ms: self.metrics.retry_hint_ms(queue_depth),
         };
         let bytes = encode_reply(frame.payload.correlation_id(), error_body(&error));
-        // A send failure means the connection is already gone — nothing to shed to.
-        let _ = frame.reply.send(bytes);
-        retire(&frame.depth, &self.metrics);
+        // A failed write means the connection is already gone — nothing to shed to.
+        frame.connection.writer.write(&bytes);
+        frame.connection.retire(&self.metrics);
     }
 
     /// Pop the next frame, blocking until one arrives. Returns `None` only when
     /// `inputs_closed` is set *and* the queue is drained. The flag must be raised only
     /// after every producer (reader) has been joined — NOT at shutdown-request time —
     /// otherwise all executors could retire in the instant the queue is empty while a
-    /// reader is still finishing a read, stranding its final frame forever (its writer
-    /// would never see channel closure, and `GemServer::run` would hang joining the
-    /// reader). Accepted work is always answered.
+    /// reader is still finishing a read, stranding its final frame unanswered. Accepted
+    /// work is always answered (or dropped with its dead connection).
     fn pop(&self, inputs_closed: &AtomicBool) -> Option<Frame> {
         let mut frames = self.locked();
         loop {
@@ -318,7 +336,7 @@ impl ServerHandle {
     }
 
     /// Ask the server to stop: no new connections are accepted, queued and in-flight
-    /// requests finish and their responses are flushed, idle connections close within
+    /// requests finish and their responses are written, idle connections close within
     /// one read-timeout tick. Safe to call more than once.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -424,10 +442,10 @@ impl GemServer {
     }
 
     /// Accept connections until [`ServerHandle::shutdown`] is called. Each connection
-    /// gets a reader (and, lazily, a writer); all execution happens on the shared
-    /// executor pool. Joins every reader, writer and executor before returning — when
-    /// this returns, every accepted request has been answered and flushed (or its
-    /// connection is gone).
+    /// gets a reader; all execution, and the writing of every reply, happens on the
+    /// shared executor pool. Joins every reader and executor before returning — when
+    /// this returns, every accepted request has been answered (or its connection is
+    /// gone).
     ///
     /// # Errors
     /// Propagates accept failures (transient per-connection errors are skipped).
@@ -451,7 +469,15 @@ impl GemServer {
                 let counters = Arc::clone(&self.counters);
                 let metrics = Arc::clone(&self.metrics);
                 std::thread::spawn(move || {
-                    executor_loop(&queue, &service, &inputs_closed, &counters, &metrics)
+                    executor_loop(
+                        &queue,
+                        &inputs_closed,
+                        &counters,
+                        &metrics,
+                        |payload, reply, queue_wait| {
+                            respond_frame(&service, payload, reply, queue_wait, &counters, &metrics)
+                        },
+                    )
                 })
             })
             .collect();
@@ -479,10 +505,8 @@ impl GemServer {
             }));
             readers.retain(|r| !r.is_finished());
         }
-        // Shutdown: readers stop feeding the queue within one tick (each one joins its
-        // connection's writer, which exits once the executors — guaranteed to still be
-        // running, because `inputs_closed` is not raised yet — have answered
-        // everything that was queued for it).
+        // Shutdown: readers stop feeding the queue within one tick; the executors keep
+        // answering meanwhile, because `inputs_closed` is not raised yet.
         for reader in readers {
             let _ = reader.join();
         }
@@ -497,43 +521,91 @@ impl GemServer {
     }
 }
 
-/// One executor: pop frames (from any connection, in arrival order), decode + execute +
-/// encode, and hand the reply to the owning connection's writer. Replies therefore
-/// complete — and are written — in *finish* order, not request order.
+/// One executor: pop frames (from any connection, in arrival order), hand each to
+/// `respond` and write its final frame to the owning connection. Replies therefore
+/// complete — and are written — in *finish* order, not request order. A frame whose
+/// connection died while it waited is dropped untransformed.
+///
+/// `respond` (in the server, [`respond_frame`]) writes a streamed reply's
+/// intermediate frames itself through the [`Reply`] it is given, but hands the
+/// *final* bytes back, so the gauges drop before the bytes that complete the request
+/// leave: a lockstep client that reacts to the reply instantly must not see its
+/// previous request still counted as busy or in flight.
+///
+/// A panic inside `respond` is caught here: the frame is answered with the typed
+/// `internal` error if none of its reply has left yet, and otherwise its connection
+/// is killed (a torn reply cannot be finished). The executor serves on.
 fn executor_loop(
     queue: &WorkQueue,
-    service: &EmbedService,
     inputs_closed: &AtomicBool,
     counters: &ServerCounters,
     metrics: &ServerMetrics,
+    respond: impl Fn(FramePayload, &mut Reply<'_>, Duration) -> Option<Vec<u8>>,
 ) {
     while let Some(Frame {
         payload,
-        reply,
+        connection,
         enqueued_at,
-        depth,
     }) = queue.pop(inputs_closed)
     {
+        if connection.writer.is_dead() {
+            connection.retire(metrics);
+            continue;
+        }
         let queue_wait = enqueued_at.elapsed();
+        let id = payload.correlation_id();
         metrics.busy_gauge().inc();
         counters.requests.fetch_add(1, Ordering::Relaxed);
-        // `respond_frame` streams intermediate frames (embed rows) to the writer
-        // itself but hands the *final* frame back, so the gauges drop before the
-        // reply that completes the request leaves: a lockstep client that reacts to
-        // the reply instantly must not see its previous request still counted as
-        // busy or in flight. A send failure means the connection (and its writer)
-        // are gone; the work is simply dropped, like any response to a vanished
-        // peer.
-        let final_frame = respond_frame(service, payload, &reply, queue_wait, counters, metrics);
+        let mut reply = Reply {
+            connection: &connection,
+            started: false,
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            respond(payload, &mut reply, queue_wait)
+        }));
+        let started = reply.started;
         metrics.busy_gauge().dec();
-        retire(&depth, metrics);
-        if let Some(bytes) = final_frame {
-            let _ = reply.send(bytes);
+        connection.retire(metrics);
+        match outcome {
+            Ok(Some(bytes)) => {
+                connection.writer.write(&bytes);
+            }
+            Ok(None) => {}
+            Err(_) => {
+                counters.panics.fetch_add(1, Ordering::Relaxed);
+                if started {
+                    connection.writer.kill();
+                } else {
+                    let error = ServeError::Internal {
+                        reason: "the request panicked on its executor".to_string(),
+                    };
+                    connection
+                        .writer
+                        .write(&encode_reply(id, error_body(&error)));
+                }
+            }
         }
     }
 }
 
-/// How many query columns a streamed embed transforms per flushed row frame:
+/// The part of one reply that leaves before it completes: a streamed embed's
+/// intermediate row frames. Remembers whether any byte of the reply was handed to the
+/// socket, which decides how a panic is answered.
+struct Reply<'a> {
+    connection: &'a Connection,
+    started: bool,
+}
+
+impl Reply<'_> {
+    /// Write intermediate frames of this reply now; `false` when the connection is
+    /// dead (stop producing the reply).
+    fn stream(&mut self, bytes: &[u8]) -> bool {
+        self.started = true;
+        self.connection.writer.write(bytes)
+    }
+}
+
+/// How many query columns a streamed embed transforms per written row frame:
 /// small enough that the first rows reach the client while later batches still
 /// compute, large enough that framing overhead stays negligible.
 const EMBED_STREAM_BATCH: usize = 32;
@@ -552,20 +624,20 @@ fn decode_payload(
 }
 
 /// Serve an `Embed` as a row stream: resolve the handle once, transform the
-/// query columns in batches against that model and flush each batch's rows as an
+/// query columns in batches against that model and write each batch's rows as an
 /// `embed_rows` frame the moment it completes, closing with `embed_done` — the client
 /// starts receiving rows while later batches are still computing. A failure mid-stream
 /// becomes the typed error frame; the client discards the partial rows it accumulated
-/// for this id. Returns the closing frame (`embed_done` or the typed error) for the
-/// executor to send after the accounting gauges drop; only intermediate row frames are
-/// sent here.
+/// for this id. Returns the last batch's rows followed by `embed_done` (or the typed
+/// error) for the executor to write in one call after the accounting gauges drop; only
+/// the earlier batches' row frames are written here. Their writes count as encode time.
 #[allow(clippy::too_many_arguments)]
 fn stream_embed(
     service: &EmbedService,
     id: u64,
     handle: ModelHandle,
     queries: Vec<gem_core::GemColumn>,
-    reply: &mpsc::Sender<Vec<u8>>,
+    reply: &mut Reply<'_>,
     queue_wait: Duration,
     decode: Duration,
     metrics: &ServerMetrics,
@@ -593,6 +665,9 @@ fn stream_embed(
     let mut encode_time = Duration::ZERO;
     let mut sent_rows = 0usize;
     let mut cols = 0usize;
+    // The newest batch's row frame, held back until the next batch proves it is not
+    // the last.
+    let mut held = Vec::new();
     // Zero queries still run one empty transform, so they get the same `NoColumns`
     // transform error an in-process transform returns. Each batch's columns move out of
     // `queries`; none of their values are copied.
@@ -620,7 +695,10 @@ fn stream_embed(
             })
         };
         let sent = match frame {
-            Ok(bytes) => reply.send(bytes).is_ok(),
+            Ok(bytes) => {
+                let earlier = std::mem::replace(&mut held, bytes);
+                earlier.is_empty() || reply.stream(&earlier)
+            }
             Err(_) => false,
         };
         encode_time += encode_started.elapsed();
@@ -633,15 +711,19 @@ fn stream_embed(
     }
     let encode_started = Instant::now();
     let done = binary::embed_done_frame(id, served_from, cols, sent_rows).ok();
+    let last = done.map(|done| {
+        held.extend_from_slice(&done);
+        held
+    });
     encode_time += encode_started.elapsed();
     observe(encode_time);
-    done
+    last
 }
 
 /// Decode, execute and encode one frame, recording each phase's duration under the
-/// request's shape. Intermediate frames (streamed embed rows) go to the owning
-/// connection's writer directly; the *final* frame is returned so the executor can
-/// drop the accounting gauges before it leaves. Never panics on foreign input: every
+/// request's shape. Intermediate frames (streamed embed rows) are written through
+/// `reply` directly; the *final* bytes are returned so the executor can drop the
+/// accounting gauges before they leave. Never panics on foreign input: every
 /// failure becomes an error response body with a stable code (malformed payloads are
 /// timed under the `protocol_error` shape), correlated by the frame's header id when
 /// it carries one and `in_reply_to: null` when not — never a sentinel a real id could
@@ -649,7 +731,7 @@ fn stream_embed(
 fn respond_frame(
     service: &EmbedService,
     payload: FramePayload,
-    reply: &mpsc::Sender<Vec<u8>>,
+    reply: &mut Reply<'_>,
     queue_wait: Duration,
     counters: &ServerCounters,
     metrics: &ServerMetrics,
@@ -679,7 +761,7 @@ fn respond_frame(
     };
     let decode = decode_started.elapsed();
     let shape = RequestShape::of_body(&envelope.body);
-    // Embeds stream: rows are flushed as transform batches complete instead of
+    // Embeds stream: rows are written as transform batches complete instead of
     // materializing the whole matrix before the first byte leaves.
     if let RequestBody::Embed { handle, queries } = envelope.body {
         return match parse_handle(&handle) {
@@ -764,19 +846,13 @@ fn health_body(metrics: &ServerMetrics) -> ResponseBody {
 /// covers shed frames too); a full queue refuses it and it is shed with the typed
 /// `overloaded` error instead of blocking the reader (which would stall the connection
 /// and, transitively, the client's pipeline).
-fn enqueue(
-    queue: &WorkQueue,
-    payload: FramePayload,
-    reply: &mpsc::Sender<Vec<u8>>,
-    depth: &Arc<AtomicU64>,
-) {
-    let now_in_flight = depth.fetch_add(1, Ordering::Relaxed) + 1;
+fn enqueue(queue: &WorkQueue, payload: FramePayload, connection: &Arc<Connection>) {
+    let now_in_flight = connection.depth.fetch_add(1, Ordering::Relaxed) + 1;
     queue.metrics.observe_connection_depth(now_in_flight);
     let frame = Frame {
         payload,
-        reply: reply.clone(),
+        connection: Arc::clone(connection),
         enqueued_at: Instant::now(),
-        depth: Arc::clone(depth),
     };
     if let Err(refused) = queue.push(frame) {
         queue.shed(refused);
@@ -784,10 +860,10 @@ fn enqueue(
 }
 
 /// One connection's reader: answer the hello, then split the byte stream into frames
-/// and queue them. Spawns the connection's writer immediately and joins it before
-/// exiting, so a reader finishing (EOF, shutdown, or a refused hello) never abandons
-/// responses that are still in flight. A refused hello counts as a protocol error and
-/// closes the connection once its error line is written.
+/// and queue them. Replies in flight hold the connection's write half, so the reader
+/// finishing (EOF, shutdown, a dead connection or a refused hello) abandons none of
+/// them; the socket closes when the last of them is written. A refused hello counts as
+/// a protocol error and closes the connection once its error line is written.
 fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) {
     // The read timeout is a shutdown tick, not a deadline: on timeout partial input is
     // kept and reading resumes, so slow writers lose nothing.
@@ -797,17 +873,20 @@ fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) 
     // Out-of-order responses are written as many small buffers; Nagle would batch them
     // behind delayed ACKs and hand the latency win right back.
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
+    let Some(writer) = stream
+        .try_clone()
+        .and_then(|half| ReplyWriter::new(half, Some(Arc::clone(&queue.metrics))))
+        .ok()
+    else {
         return;
     };
-    let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
-    let writer_metrics = Arc::clone(&queue.metrics);
-    let writer = std::thread::spawn(move || {
-        write_responses(write_half, &reply_rx, Some(&writer_metrics));
+    let connection = Arc::new(Connection {
+        writer,
+        depth: AtomicU64::new(0),
     });
     let mut reader = BufReader::new(stream);
-    match accept_hello(&mut reader, &reply_tx, shutdown) {
-        Ok(true) => read_binary_frames(&mut reader, queue, shutdown, &reply_tx),
+    match accept_hello(&mut reader, &connection.writer, shutdown) {
+        Ok(true) => read_binary_frames(&mut reader, queue, shutdown, &connection),
         Ok(false) => {
             queue
                 .counters
@@ -816,11 +895,6 @@ fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) 
         }
         Err(_) => {}
     }
-    // Drop this reader's sender; the writer exits once every frame queued for this
-    // connection has been answered (each frame holds a sender clone) — executors keep
-    // draining concurrently, so this join cannot deadlock.
-    drop(reply_tx);
-    let _ = writer.join();
 }
 
 /// The frames after an accepted hello: pump bytes into a [`binary::FrameAssembler`],
@@ -838,10 +912,8 @@ fn read_binary_frames(
     reader: &mut BufReader<TcpStream>,
     queue: &WorkQueue,
     shutdown: &AtomicBool,
-    reply_tx: &mpsc::Sender<Vec<u8>>,
+    connection: &Arc<Connection>,
 ) {
-    // The connection's in-flight depth: shared with every frame this reader queues.
-    let depth = Arc::new(AtomicU64::new(0));
     let mut assembler = binary::FrameAssembler::new();
     let mut chunks = binary::ChunkAssembler::new();
     let protocol_error = |id: Option<u64>, error: proto::ProtoError| {
@@ -854,10 +926,10 @@ fn read_binary_frames(
             message: error.to_string(),
             retry_after_ms: None,
         };
-        let _ = reply_tx.send(encode_reply(id, body));
+        connection.writer.write(&encode_reply(id, body));
     };
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) || connection.writer.is_dead() {
             return;
         }
         // Drain every complete frame the assembler holds before reading again.
@@ -868,8 +940,7 @@ fn read_binary_frames(
                         Ok(Some(envelope)) => enqueue(
                             queue,
                             FramePayload::Assembled(Box::new(envelope)),
-                            reply_tx,
-                            &depth,
+                            connection,
                         ),
                         Ok(None) => {}
                         // The violating upload's state is dropped, but the framing is
@@ -877,7 +948,7 @@ fn read_binary_frames(
                         Err(error) => protocol_error(frame.correlation_id(), error),
                     }
                 }
-                Ok(Some(frame)) => enqueue(queue, FramePayload::Binary(frame), reply_tx, &depth),
+                Ok(Some(frame)) => enqueue(queue, FramePayload::Binary(frame), connection),
                 Ok(None) => break,
                 Err(error) => {
                     // Framing lost: nothing after this point can be trusted.
@@ -1065,7 +1136,7 @@ mod tests {
     use super::*;
     use crate::client::{ClientError, GemClient};
     use gem_core::{FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry};
-    use std::io::{BufRead, Write};
+    use std::io::{BufRead, Read, Write};
 
     fn corpus() -> Vec<GemColumn> {
         (0..5)
@@ -1081,15 +1152,36 @@ mod tests {
     }
 
     fn start_server() -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
+        start_server_with(4)
+    }
+
+    fn start_server_with(
+        workers: usize,
+    ) -> (ServerHandle, std::thread::JoinHandle<std::io::Result<()>>) {
         let config = GemConfig::fast();
         let mut service = EmbedService::new(MethodRegistry::with_gem(&config), 8);
         service.register_gem_family(&config);
         let server = GemServer::bind(Arc::new(service), ("127.0.0.1", 0))
             .unwrap()
-            .with_workers(4);
+            .with_workers(workers);
         let handle = server.handle().unwrap();
         let join = std::thread::spawn(move || server.run());
         (handle, join)
+    }
+
+    /// A connection whose replies go to one end of a loopback socket pair, and a
+    /// reader on the other end. Its depth starts at one, as if a frame were queued.
+    fn loopback_connection() -> (Arc<Connection>, BufReader<TcpStream>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let connection = Arc::new(Connection {
+            writer: ReplyWriter::new(accepted, None).unwrap(),
+            depth: AtomicU64::new(1),
+        });
+        (connection, BufReader::new(peer))
     }
 
     /// A raw connection past the handshake.
@@ -1199,13 +1291,12 @@ mod tests {
         }
         assert!(queue.frames.lock().is_err(), "the mutex must be poisoned");
 
-        let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
+        let (connection, _peer) = loopback_connection();
         let sent = req_json_frame(Some(1), "{}");
         let pushed = queue.push(Frame {
             payload: FramePayload::Binary(sent.clone()),
-            reply: reply_tx,
+            connection,
             enqueued_at: Instant::now(),
-            depth: Arc::new(AtomicU64::new(1)),
         });
         assert!(pushed.is_ok(), "an empty queue admits the frame");
         assert_eq!(metrics.queue_depth(), 1);
@@ -1219,7 +1310,6 @@ mod tests {
         }
         assert_eq!(metrics.queue_depth(), 0, "the depth gauge tracks the drain");
         assert!(counters.lock_recoveries() >= 1);
-        drop(reply_rx);
 
         // Drained + closed: pop still works on the recovered mutex and retires cleanly.
         inputs_closed.store(true, Ordering::SeqCst);
@@ -1231,15 +1321,14 @@ mod tests {
         let counters = Arc::new(ServerCounters::default());
         let metrics = Arc::new(ServerMetrics::new());
         let queue = WorkQueue::new(Arc::clone(&counters), Arc::clone(&metrics), 2);
-        let (reply_tx, reply_rx) = mpsc::channel::<Vec<u8>>();
+        let (connection, mut peer) = loopback_connection();
         let frame = |id: u64| Frame {
             payload: FramePayload::Binary(req_json_frame(
                 Some(id),
                 &format!("{{\"id\":{id},\"version\":5,\"body\":{{\"type\":\"stats\"}}}}"),
             )),
-            reply: reply_tx.clone(),
+            connection: Arc::clone(&connection),
             enqueued_at: Instant::now(),
-            depth: Arc::new(AtomicU64::new(1)),
         };
         assert!(queue.push(frame(1)).is_ok());
         assert!(queue.push(frame(2)).is_ok());
@@ -1253,8 +1342,7 @@ mod tests {
         queue.shed(refused);
         assert_eq!(counters.requests_shed(), 1);
         assert_eq!(counters.requests(), 0, "shed work is never executed");
-        let bytes = reply_rx.try_recv().expect("the shed response is immediate");
-        let response = read_replies(&mut &bytes[..], 1).remove(0);
+        let response = read_replies(&mut peer, 1).remove(0);
         assert_eq!(
             response.in_reply_to,
             Some(7),
@@ -1280,13 +1368,159 @@ mod tests {
         // `in_reply_to: null`.
         let garbage = Frame {
             payload: FramePayload::Binary(req_json_frame(None, "\u{fffd} not even json")),
-            reply: reply_tx.clone(),
+            connection: Arc::clone(&connection),
             enqueued_at: Instant::now(),
-            depth: Arc::new(AtomicU64::new(1)),
         };
         queue.shed(garbage);
-        let bytes = reply_rx.try_recv().unwrap();
-        assert_eq!(read_replies(&mut &bytes[..], 1)[0].in_reply_to, None);
+        assert_eq!(read_replies(&mut peer, 1)[0].in_reply_to, None);
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_internal_and_its_executor_serves_on() {
+        let counters = Arc::new(ServerCounters::default());
+        let metrics = Arc::new(ServerMetrics::new());
+        let queue = WorkQueue::new(Arc::clone(&counters), Arc::clone(&metrics), 8);
+        let (whole, mut whole_peer) = loopback_connection();
+        let (torn, mut torn_peer) = loopback_connection();
+        // Frame 1 panics before any byte of its reply leaves; frame 3 panics after an
+        // intermediate row frame left; frames 2 and 4 are answered normally.
+        for (id, connection) in [(1, &whole), (2, &whole), (3, &torn), (4, &whole)] {
+            let frame = Frame {
+                payload: FramePayload::Binary(req_json_frame(Some(id), "{}")),
+                connection: Arc::clone(connection),
+                enqueued_at: Instant::now(),
+            };
+            assert!(queue.push(frame).is_ok());
+        }
+        let rows = binary::embed_rows_frame(3, "memory_cache", 1, &[0.5]).unwrap();
+        let inputs_closed = AtomicBool::new(true);
+        // One executor serves every frame, panics included, then retires.
+        executor_loop(
+            &queue,
+            &inputs_closed,
+            &counters,
+            &metrics,
+            |payload, reply, _| match payload.correlation_id() {
+                Some(1) => panic!("a request panics before replying"),
+                Some(3) => {
+                    reply.stream(&rows);
+                    panic!("a request panics mid-stream");
+                }
+                id => Some(encode_reply(id, ResponseBody::Evicted { existed: true })),
+            },
+        );
+        assert_eq!(counters.panics(), 2);
+        assert_eq!(counters.requests(), 4);
+        assert_eq!(
+            metrics.busy_workers(),
+            0,
+            "the busy gauge dropped after each panic"
+        );
+
+        let replies = read_replies(&mut whole_peer, 3);
+        let ids: Vec<Option<u64>> = replies.iter().map(|r| r.in_reply_to).collect();
+        assert_eq!(ids, [Some(1), Some(2), Some(4)]);
+        assert_eq!(error_code(&replies[0]), "internal");
+        assert!(matches!(
+            replies[2].body,
+            ResponseBody::Evicted { existed: true }
+        ));
+        assert!(!whole.writer.is_dead());
+
+        // The torn reply cannot be finished: its connection is closed after the rows
+        // that already left.
+        let mut received = Vec::new();
+        torn_peer.read_to_end(&mut received).unwrap();
+        assert_eq!(received, rows);
+        assert!(torn.writer.is_dead());
+
+        let text = metrics.render(&counters, None);
+        assert!(text.contains("gem_executor_panics_total 2"), "{text}");
+        let stats = EmbedService::new(MethodRegistry::with_gem(&GemConfig::fast()), 1).stats();
+        let summary = shutdown_summary(&counters, &metrics, &stats);
+        assert!(summary.contains("panics=2"), "{summary}");
+    }
+
+    /// Wide embeds of one-value columns: small requests whose replies are large.
+    fn wide_queries() -> Vec<GemColumn> {
+        (0..2048)
+            .map(|i| GemColumn::new(vec![f64::from(i) * 0.5], format!("q{i}")))
+            .collect()
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_is_cut_off_within_one_write_timeout() {
+        let (server, join) = start_server_with(2);
+        let cols = corpus();
+        let config = GemConfig::fast();
+        let mut client =
+            GemClient::connect_timeout(server.addr(), Duration::from_secs(30)).unwrap();
+        let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
+
+        // ~12 MiB of replies, far more than both socket buffers hold, from requests
+        // the server reads in full; the stalled peer never reads a byte.
+        let (mut stalled, mut stalled_reader) = raw_connection(server.addr());
+        let wide = wide_queries();
+        let read_before = server.metrics().wire_bytes_read();
+        let mut pipelined = 0;
+        for id in 1..=48 {
+            let frame = binary::encode_embed_frame(id, &fitted.handle.to_hex(), &wide).unwrap();
+            stalled.write_all(&frame).unwrap();
+            pipelined += frame.len() as u64;
+        }
+        // Wait until the server has read (and so queued) every stalled request.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.metrics().wire_bytes_read() < read_before + pipelined
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+
+        // Another client's embed, queued behind all of them, is served within one write
+        // timeout: both executors block on the stalled socket at most that long, then
+        // its remaining frames are dropped.
+        let started = Instant::now();
+        let served = client.embed(fitted.handle, &cols).unwrap();
+        let waited = started.elapsed();
+        let direct = GemModel::fit(&cols, &config, FeatureSet::ds())
+            .unwrap()
+            .transform(&cols)
+            .unwrap();
+        assert_eq!(served.matrix, direct.matrix);
+        assert!(
+            waited < crate::framing::REPLY_WRITE_TIMEOUT + Duration::from_secs(3),
+            "waited {waited:?}"
+        );
+
+        // The stalled connection was shut down: after the replies it buffered, EOF.
+        stalled_reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut buffered = Vec::new();
+        stalled_reader.read_to_end(&mut buffered).unwrap();
+        assert!(
+            buffered.len() < 48 * wide.len() * 15 * 8,
+            "{} bytes",
+            buffered.len()
+        );
+
+        // Nothing of the stalled connection stays queued or in flight.
+        let backlog = || {
+            let inflight = server
+                .render_metrics()
+                .lines()
+                .find_map(|line| line.strip_prefix("gem_connection_inflight_depth "))
+                .and_then(|depth| depth.parse::<u64>().ok());
+            (server.metrics().queue_depth(), inflight)
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while backlog() != (0, Some(0)) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(backlog(), (0, Some(0)), "(queue depth, in-flight depth)");
+        server.shutdown();
+        join.join().unwrap().unwrap();
     }
 
     #[test]
