@@ -16,9 +16,11 @@
 //! client socket's shared [`ReplyWriter`]: the client loop answers `Health` and the
 //! router's own typed errors, and each upstream reader writes all the response frames
 //! one read completes in one write (and a fan-out's merged reply when it folds the
-//! last leg). A client that stops reading is cut off after
-//! [`REPLY_WRITE_TIMEOUT`](gem_serve::framing::REPLY_WRITE_TIMEOUT), and its upstream
-//! links close as an orderly teardown: the replicas stay up.
+//! last leg). Each upstream reader writes on one budget of
+//! [`REPLY_WRITE_TIMEOUT`](gem_serve::framing::REPLY_WRITE_TIMEOUT), refilled whenever
+//! it catches up with its link, so a client that stops reading or drains a trickle is
+//! cut off before the link backs up long enough for a replica to cut it, and its
+//! upstream links close as an orderly teardown: the replicas stay up.
 //!
 //! Routing is key-aware without extra round trips: the router computes `Fit` model
 //! keys itself with the same [`gem_store::model_key`] the replica will use, derives
@@ -66,7 +68,7 @@ use gem_proto::{
     WireStats,
 };
 use gem_serve::framing::{
-    accept_hello, encode_reply, offer_hello, pump_frames, ReadStep, ReplyWriter,
+    accept_hello, encode_reply, offer_hello, pump_frames, ReadStep, ReplyWriter, WriteBudget,
 };
 use gem_serve::sync::lock_or_recover;
 use gem_serve::ModelHandle;
@@ -220,9 +222,10 @@ struct FanGroup {
 ///
 /// Whichever of those threads produces a reply writes it to the client itself, through
 /// the client socket's shared `writer`, in **complete frames**. A write that fails or
-/// times out kills the client connection: its socket is shut down (which ends the
-/// client reader, and with it every upstream link) and `closing` is set first, so the
-/// upstream links' EOFs that follow are an orderly teardown, never a replica death.
+/// runs out of budget kills the client connection: its socket is shut down (which ends
+/// the client reader, and with it every upstream link) and `closing` is set before any
+/// upstream link closes, so the upstream links' EOFs that follow are an orderly
+/// teardown, never a replica death.
 struct ConnShared {
     cluster: Arc<Cluster>,
     writer: ReplyWriter,
@@ -233,21 +236,32 @@ struct ConnShared {
 }
 
 impl ConnShared {
-    /// Write complete frames to the client; `false` once the client connection is
-    /// dead.
-    fn write(&self, bytes: &[u8]) -> bool {
-        let written = self.writer.write(bytes);
+    /// Write complete frames to the client, drawing on `budget`; `false` once the
+    /// client connection is dead.
+    fn write(&self, bytes: &[u8], budget: &mut WriteBudget) -> bool {
+        let written = self.writer.write(bytes, budget);
         if !written {
             self.closing.store(true, Ordering::SeqCst);
         }
         written
     }
 
-    fn send_response(&self, in_reply_to: Option<u64>, body: ResponseBody) {
-        let _ = self.write(&encode_reply(in_reply_to, body));
+    fn send_response(
+        &self,
+        in_reply_to: Option<u64>,
+        body: ResponseBody,
+        budget: &mut WriteBudget,
+    ) {
+        let _ = self.write(&encode_reply(in_reply_to, body), budget);
     }
 
-    fn send_error(&self, in_reply_to: Option<u64>, code: &str, message: String) {
+    fn send_error(
+        &self,
+        in_reply_to: Option<u64>,
+        code: &str,
+        message: String,
+        budget: &mut WriteBudget,
+    ) {
         let retry_after_ms = if code == NO_REPLICA || code == REPLICA_UNAVAILABLE {
             Some(u64::try_from(self.cluster.probe_interval().as_millis()).unwrap_or(1_000))
         } else {
@@ -260,12 +274,14 @@ impl ConnShared {
                 message,
                 retry_after_ms,
             },
+            budget,
         );
     }
 
     /// Fold one fan-out leg (decoded success body, or `None` for a failed leg) into
-    /// its group; emits the merged response when the last leg lands.
-    fn fold_fan_leg(&self, group_id: u64, body: Option<ResponseBody>) {
+    /// its group; emits the merged response, drawing on `budget`, when the last leg
+    /// lands.
+    fn fold_fan_leg(&self, group_id: u64, body: Option<ResponseBody>, budget: &mut WriteBudget) {
         let finished = {
             let mut groups = lock_or_recover(&self.groups);
             let Some(group) = groups.get_mut(&group_id) else {
@@ -294,16 +310,17 @@ impl ConnShared {
             }
         };
         if let Some(group) = finished {
-            self.finish_fan(group);
+            self.finish_fan(group, budget);
         }
     }
 
-    fn finish_fan(&self, group: FanGroup) {
+    fn finish_fan(&self, group: FanGroup, budget: &mut WriteBudget) {
         if group.ok_legs == 0 {
             self.send_error(
                 Some(group.client_id),
                 REPLICA_UNAVAILABLE,
                 "every fan-out leg failed; no replica answered".to_string(),
+                budget,
             );
             return;
         }
@@ -321,7 +338,7 @@ impl ConnShared {
                 }
             }
         };
-        self.send_response(Some(group.client_id), body);
+        self.send_response(Some(group.client_id), body, budget);
     }
 }
 
@@ -502,6 +519,7 @@ impl Forwarder {
             Some(id),
             NO_REPLICA,
             "no live replica can serve this request".to_string(),
+            &mut WriteBudget::default(),
         );
     }
 
@@ -522,6 +540,7 @@ impl Forwarder {
                 Some(id),
                 NO_REPLICA,
                 "no live replica can serve this request".to_string(),
+                &mut WriteBudget::default(),
             );
             return;
         }
@@ -561,7 +580,8 @@ impl Forwarder {
             };
             if !sent {
                 self.forward_failed(&addr);
-                self.shared.fold_fan_leg(group_id, None);
+                self.shared
+                    .fold_fan_leg(group_id, None, &mut WriteBudget::default());
             }
         }
     }
@@ -592,6 +612,7 @@ impl Forwarder {
                         workers: view.workers,
                         retry_after_ms: view.retry_after_ms,
                     },
+                    &mut WriteBudget::default(),
                 );
             }
             RequestBody::Stats => self.fan_out(id, &payload, &envelope, FanKind::Stats, None),
@@ -633,7 +654,12 @@ impl Forwarder {
                 let parent = match ModelHandle::parse(handle) {
                     Ok(parent) => parent,
                     Err(reason) => {
-                        self.shared.send_error(Some(id), "invalid_request", reason);
+                        self.shared.send_error(
+                            Some(id),
+                            "invalid_request",
+                            reason,
+                            &mut WriteBudget::default(),
+                        );
                         return;
                     }
                 };
@@ -658,7 +684,12 @@ impl Forwarder {
             }
             RequestBody::Embed { handle, .. } | RequestBody::PullModel { handle } => {
                 if let Err(reason) = ModelHandle::parse(handle) {
-                    self.shared.send_error(Some(id), "invalid_request", reason);
+                    self.shared.send_error(
+                        Some(id),
+                        "invalid_request",
+                        reason,
+                        &mut WriteBudget::default(),
+                    );
                     return;
                 }
                 let handle = handle.clone();
@@ -762,6 +793,14 @@ fn connect_stream(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 /// One upstream connection's reader: correlate responses with pending requests, run
 /// write-through replication for tracked handles, fold fan-out legs, and — if the
 /// replica dies with requests in flight — drain them to `replica_unavailable`.
+///
+/// Everything it writes to the client draws on one [`WriteBudget`], refilled whenever
+/// a read empties the link: the reader spends at most
+/// [`REPLY_WRITE_TIMEOUT`](gem_serve::framing::REPLY_WRITE_TIMEOUT) writing to a slow
+/// client while the link behind it backs up. A replica's reply can be blocked on the
+/// link only while it is backed up, so the router gives up on a client that stops
+/// reading, or drains a trickle, before any replica gives up on the link, and the
+/// teardown stays orderly.
 fn read_upstream(
     reader: BufReader<TcpStream>,
     addr: &str,
@@ -769,7 +808,8 @@ fn read_upstream(
     pending: &Arc<Mutex<PendingMap>>,
     instruments: &ReplicaInstruments,
 ) {
-    read_upstream_frames(reader, addr, shared, pending, instruments);
+    let mut budget = WriteBudget::default();
+    read_upstream_frames(reader, addr, shared, pending, instruments, &mut budget);
     if shared.closing.load(Ordering::SeqCst) {
         return;
     }
@@ -797,26 +837,37 @@ fn read_upstream(
                     Some(id),
                     REPLICA_UNAVAILABLE,
                     format!("replica {addr} disconnected with the request in flight"),
+                    &mut budget,
                 );
             }
-            Pending::Fan { group, .. } => shared.fold_fan_leg(group, None),
+            Pending::Fan { group, .. } => shared.fold_fan_leg(group, None, &mut budget),
         }
     }
+}
+
+/// Write the frames gathered so far to the client and clear them; `false` once the
+/// client connection is dead.
+fn flush_forwarded(shared: &ConnShared, forwarded: &mut Vec<u8>, budget: &mut WriteBudget) -> bool {
+    let written = shared.write(forwarded, budget);
+    forwarded.clear();
+    written
 }
 
 /// The upstream reader loop. Streamed `embed_rows` frames pass through to the client
 /// **without retiring** the in-flight entry — the closing `embed_done` (or a wrapped
 /// JSON response) does that. Every frame one read completes is forwarded in one write
-/// once that read's frames are handled. Returns when the client connection dies, or
-/// when the upstream EOFs, fails, or violates framing (indistinguishable from
-/// corruption, so it is treated as a replica death and everything in flight drains to
-/// the retryable error).
+/// once that read's frames are handled (a successful tracked reply first writes the
+/// frames before it, so only the reply itself waits for its replication). Returns when
+/// the client connection dies, or when the upstream EOFs, fails, or violates framing
+/// (indistinguishable from corruption, so it is treated as a replica death and
+/// everything in flight drains to the retryable error).
 fn read_upstream_frames(
     mut reader: BufReader<TcpStream>,
     addr: &str,
     shared: &Arc<ConnShared>,
     pending: &Arc<Mutex<PendingMap>>,
     instruments: &ReplicaInstruments,
+    budget: &mut WriteBudget,
 ) {
     let mut assembler = binary::FrameAssembler::new();
     let mut partials = binary::EmbedPartials::new();
@@ -829,22 +880,25 @@ fn read_upstream_frames(
         let frame = match assembler.next_frame() {
             Ok(Some(frame)) => frame,
             Ok(None) => {
-                if !forwarded.is_empty() {
-                    if !shared.write(&forwarded) {
-                        // The client is gone: stop reading, so the replica's writes to
-                        // this link fail once the client reader closes it, instead of
-                        // the replica computing replies nobody will read.
-                        return;
-                    }
-                    forwarded.clear();
+                if !forwarded.is_empty() && !flush_forwarded(shared, &mut forwarded, budget) {
+                    // The client is gone: stop reading, so the replica's writes to this
+                    // link fail once the client reader closes it, instead of the
+                    // replica computing replies nobody will read.
+                    return;
                 }
                 match pump_frames(&mut reader, &mut assembler) {
-                    ReadStep::Bytes(_) | ReadStep::Tick => continue,
+                    // A read with room to spare emptied the link: the replica cannot be
+                    // blocked on it now, so the client gets a whole budget again.
+                    ReadStep::Bytes(read) if read < reader.capacity() => {
+                        *budget = WriteBudget::default();
+                    }
+                    ReadStep::Bytes(_) | ReadStep::Tick => {}
                     ReadStep::Eof | ReadStep::Failed => return,
                 }
+                continue;
             }
             Err(_) => {
-                let _ = shared.write(&forwarded);
+                flush_forwarded(shared, &mut forwarded, budget);
                 return;
             }
         };
@@ -875,7 +929,7 @@ fn read_upstream_frames(
                     // cannot wedge a fan group forever.
                     Some(Pending::Fan { started, group }) => {
                         instruments.latency.record(started.elapsed());
-                        shared.fold_fan_leg(group, None);
+                        shared.fold_fan_leg(group, None, budget);
                     }
                 }
             }
@@ -899,6 +953,11 @@ fn read_upstream_frames(
                                 if !matches!(envelope.body, ResponseBody::Error { .. })
                         );
                         if succeeded {
+                            // Replication waits on other replicas: what this read
+                            // completed before the reply leaves first.
+                            if !flush_forwarded(shared, &mut forwarded, budget) {
+                                return;
+                            }
                             // Write-through BEFORE the client sees success: once the
                             // response is out, fail-over must already be covered.
                             shared.cluster.record_placement(&handle, addr);
@@ -915,7 +974,7 @@ fn read_upstream_frames(
                             },
                             _ => None,
                         };
-                        shared.fold_fan_leg(group, body);
+                        shared.fold_fan_leg(group, body, budget);
                     }
                 }
             }
@@ -983,7 +1042,12 @@ fn serve_binary_client(
             Err(e) => {
                 // A framing violation has no resynchronisation point on a byte
                 // stream: answer the typed error uncorrelated and drop the link.
-                forwarder.shared.send_error(None, e.code(), e.to_string());
+                forwarder.shared.send_error(
+                    None,
+                    e.code(),
+                    e.to_string(),
+                    &mut WriteBudget::default(),
+                );
                 return;
             }
         };
@@ -1013,7 +1077,12 @@ fn serve_binary_client(
                     if let Some(id) = id {
                         hashers.remove(&id);
                     }
-                    forwarder.shared.send_error(id, e.code(), e.to_string());
+                    forwarder.shared.send_error(
+                        id,
+                        e.code(),
+                        e.to_string(),
+                        &mut WriteBudget::default(),
+                    );
                 }
             }
         } else {
@@ -1025,9 +1094,12 @@ fn serve_binary_client(
                     Err(_) => forwarder.dispatch(envelope, ForwardPayload::Reencode, None),
                 },
                 Err(e) => {
-                    forwarder
-                        .shared
-                        .send_error(frame.correlation_id(), e.code(), e.to_string());
+                    forwarder.shared.send_error(
+                        frame.correlation_id(),
+                        e.code(),
+                        e.to_string(),
+                        &mut WriteBudget::default(),
+                    );
                 }
             }
         }
@@ -1288,6 +1360,152 @@ mod tests {
         let _ = thread.join();
         replica.shutdown();
         let _ = replica_join.join();
+    }
+
+    #[test]
+    fn replies_read_with_a_fit_reply_do_not_wait_for_its_replication() {
+        // A stand-in owner answers a pipelined fit and embed in one write, the embed's
+        // frames first, then leaves the replication pull that the fit's success starts
+        // unanswered; a second member gives the fit a ring successor to replicate to.
+        let owner = TcpListener::bind(("127.0.0.1", 0)).expect("bind owner");
+        let successor = TcpListener::bind(("127.0.0.1", 0)).expect("bind successor");
+        let owner_addr = owner.local_addr().expect("owner addr").to_string();
+        let members = [
+            owner_addr.clone(),
+            successor.local_addr().expect("successor addr").to_string(),
+        ];
+        let hold = Duration::from_secs(2);
+        let cluster = Arc::new(Cluster::with_options(
+            &members,
+            Arc::new(RouterMetrics::new()),
+            8,
+            1,
+            Duration::from_millis(50),
+            hold,
+        ));
+        // A fit and an embed handle that the ring places on the owner.
+        let config = GemConfig::fast();
+        let on_owner = |handle: &str| cluster.route_handle(handle) == Some(owner_addr.clone());
+        let (corpus, fit_handle) = (0..64)
+            .map(|shift| {
+                let corpus: Vec<GemColumn> = test_corpus()
+                    .into_iter()
+                    .map(|c| {
+                        GemColumn::new(
+                            c.values.iter().map(|v| v + f64::from(shift)).collect(),
+                            c.header,
+                        )
+                    })
+                    .collect();
+                let handle =
+                    fit_model_key(corpus_fingerprint(&corpus), &config, FeatureSet::ds(), None)
+                        .to_hex();
+                (corpus, handle)
+            })
+            .find(|(_, handle)| on_owner(handle))
+            .expect("a corpus placed on the owner");
+        let embed_handle = (1..64u64)
+            .map(|i| format!("{i:016x}-{i:016x}"))
+            .find(|handle| on_owner(handle))
+            .expect("a handle placed on the owner");
+
+        let (done, wait_done) = std::sync::mpsc::channel::<()>();
+        let fitted = fit_handle.clone();
+        let owner_thread = std::thread::spawn(move || {
+            let (mut link, _) = owner.accept().expect("the router's upstream");
+            let mut reader = BufReader::new(link.try_clone().expect("clone"));
+            let mut hello = String::new();
+            reader.read_line(&mut hello).expect("hello");
+            link.write_all(binary::accept_line().as_bytes())
+                .expect("accept");
+            let mut assembler = binary::FrameAssembler::new();
+            let mut requests = 0;
+            while requests < 2 {
+                if assembler.next_frame().expect("framing").is_some() {
+                    requests += 1;
+                    continue;
+                }
+                let buffered = reader.fill_buf().expect("read");
+                let read = buffered.len();
+                assembler.push(buffered);
+                reader.consume(read);
+            }
+            let mut replies = binary::embed_rows_frame(2, "memory_cache", 1, &[0.5]).expect("rows");
+            replies.extend(binary::embed_done_frame(2, "memory_cache", 1, 1).expect("done"));
+            replies.extend(encode_reply(
+                Some(1),
+                ResponseBody::Fitted {
+                    handle: fitted,
+                    dim: 1,
+                    served_from: "cold_fit".to_string(),
+                },
+            ));
+            link.write_all(&replies).expect("replies");
+            // The listener stays open, so the replication pull connects and then waits
+            // out `hold` for a hello verdict that never comes.
+            let _ = wait_done.recv();
+            drop((owner, link));
+        });
+        let server = RouterServer::bind(Arc::clone(&cluster), ("127.0.0.1", 0)).expect("bind");
+        let handle = server.handle();
+        let addr = server.local_addr();
+        let thread = std::thread::spawn(move || server.run());
+
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(binary::hello_line().as_bytes())
+            .expect("hello");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut accept = String::new();
+        reader.read_line(&mut accept).expect("accept");
+        let fit = RequestEnvelope::new(
+            1,
+            RequestBody::Fit {
+                corpus,
+                config,
+                features: FeatureSet::ds(),
+                composition: None,
+            },
+        );
+        let mut pipelined = binary::encode_request_frame(&fit).expect("fit frame");
+        let query = [GemColumn::new(vec![1.0], "q")];
+        pipelined
+            .extend(binary::encode_embed_frame(2, &embed_handle, &query).expect("embed frame"));
+        let started = Instant::now();
+        stream.write_all(&pipelined).expect("pipeline");
+
+        let mut assembler = binary::FrameAssembler::new();
+        let mut partials = binary::EmbedPartials::new();
+        let mut arrived = Vec::new();
+        while arrived.len() < 2 {
+            if let Some(frame) = assembler.next_frame().expect("framing") {
+                if let Some(reply) =
+                    binary::decode_response_frame(&frame, &mut partials).expect("decode")
+                {
+                    arrived.push((reply.in_reply_to, started.elapsed()));
+                }
+                continue;
+            }
+            let buffered = reader.fill_buf().expect("read");
+            assert!(!buffered.is_empty(), "the router must answer");
+            let read = buffered.len();
+            assembler.push(buffered);
+            reader.consume(read);
+        }
+        let _ = done.send(());
+        let (first, embed_at) = arrived[0];
+        let (second, fit_at) = arrived[1];
+        assert_eq!((first, second), (Some(2), Some(1)), "{arrived:?}");
+        assert!(
+            embed_at < hold / 2,
+            "the embed waited for replication: {arrived:?}"
+        );
+        assert!(fit_at >= hold / 2, "replication was not held: {arrived:?}");
+
+        handle.shutdown();
+        let _ = thread.join();
+        let _ = owner_thread.join();
+        drop(successor);
     }
 
     #[test]

@@ -50,12 +50,10 @@ pub enum ServeError {
         /// Suggested client backoff before retrying, milliseconds.
         retry_after_ms: u64,
     },
-    /// Handling the request panicked. The server caught the panic and serves on, but
-    /// this request has no answer: retrying it unchanged will most likely panic again.
-    Internal {
-        /// What failed.
-        reason: String,
-    },
+    /// Handling the request panicked on its executor. The server caught the panic and
+    /// serves on, but this request has no answer: retrying it unchanged will most likely
+    /// panic again.
+    Internal,
 }
 
 impl ServeError {
@@ -82,7 +80,7 @@ impl ServeError {
             ServeError::Transform(_) => "transform_failed",
             ServeError::Store { .. } => "store_error",
             ServeError::Overloaded { .. } => "overloaded",
-            ServeError::Internal { .. } => "internal",
+            ServeError::Internal => "internal",
         }
     }
 
@@ -128,10 +126,10 @@ impl fmt::Display for ServeError {
                  shed without being executed — retry after {retry_after_ms} ms or send \
                  it to another replica"
             ),
-            ServeError::Internal { reason } => write!(
+            ServeError::Internal => write!(
                 f,
-                "internal server error: {reason} — the server is still serving, but \
-                 this request has no answer; please report it"
+                "internal server error: the request panicked on its executor — the \
+                 server is still serving, but this request has no answer; please report it"
             ),
         }
     }
@@ -163,7 +161,7 @@ mod tests {
                 queue_depth: 64,
                 retry_after_ms: 100,
             },
-            ServeError::Internal { reason: "r".into() },
+            ServeError::Internal,
         ];
         let codes: Vec<&str> = variants.iter().map(|v| v.code()).collect();
         assert_eq!(codes, ServeError::CODES);

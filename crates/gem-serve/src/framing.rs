@@ -9,12 +9,14 @@
 //! unterminated first line.
 //!
 //! A listener answers through one [`ReplyWriter`] per connection: the socket's write
-//! half behind a mutex, shared by every thread that produces a reply for that
-//! connection, so the thread that finishes a reply writes it — there is no writer
-//! thread and no reply queue. Each call writes complete frames in one `write`, never
-//! re-framed, and must finish within [`REPLY_WRITE_TIMEOUT`]; a peer that stops
-//! reading costs the writing threads at most that long, after which the connection is
-//! dead: shut down, and every later write refused without touching the socket.
+//! half, taken in turns by every thread that produces a reply for that connection, so
+//! the thread that finishes a reply writes it — there is no writer thread and no reply
+//! queue. Each call writes complete frames in one `write`, never re-framed. A reply
+//! may spend [`REPLY_WRITE_TIMEOUT`] writing in all — waiting for its turn and blocked
+//! on the socket, summed over its writes (its [`WriteBudget`]); a reply that runs out
+//! kills the connection: shut down, and every later write refused without touching the
+//! socket. So a peer that stops reading, or drains a trickle, holds each of its
+//! writers for at most one budget.
 //!
 //! This module is inside the lint gate's wire scope (L3 panic-free, L5 bit-exact):
 //! nothing here may panic on foreign bytes, and no float ever passes through a lossy
@@ -24,13 +26,13 @@
 
 use crate::client::ClientError;
 use crate::metrics::ServerMetrics;
-use crate::sync::lock_or_recover;
+use crate::sync::{lock_or_recover, wait_timeout_or_recover};
 use gem_proto::binary::{self, FrameAssembler};
 use gem_proto::{ResponseBody, ResponseEnvelope, PROTOCOL_VERSION};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The most a listener reads of a connection's first line: `gem-wire-binary `, the 20
@@ -38,11 +40,18 @@ use std::time::{Duration, Instant};
 /// then is not a hello, and the listener stops reading it.
 pub const HELLO_LINE_CAP: usize = 38;
 
-/// How long one reply may take to write, from its first byte to its last: however
-/// slowly the peer's receive window opens, a reply still unwritten by then marks its
-/// connection dead. Long enough for a 64 MiB frame at ~15 MB/s, short enough that a
-/// peer that stops reading frees its writers within seconds.
+/// How long one reply may spend writing: waiting for its turn at the connection's
+/// write half and blocked on the socket, summed over all of the reply's writes (see
+/// [`WriteBudget`]). However slowly the peer's receive window opens, a reply that has
+/// spent this long writing marks its connection dead. Time a streamed reply spends
+/// computing between its writes is not counted, so a large embed is not cut off for
+/// computing long. Long enough for a 64 MiB frame at ~15 MB/s, short enough that a peer
+/// that stops reading, or drains a trickle, frees its writers within seconds.
 pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long one blocked `send` waits before the writer re-checks its budget: the most a
+/// write can overrun its [`WriteBudget`].
+const WRITE_POLL: Duration = Duration::from_millis(50);
 
 /// The most a dialer reads of the listener's verdict: room for the accept line or a
 /// typed error line.
@@ -178,7 +187,7 @@ pub fn accept_hello(
             false,
         ),
     };
-    reply.write(&verdict);
+    reply.write(&verdict, &mut WriteBudget::default());
     Ok(accepted)
 }
 
@@ -235,14 +244,42 @@ pub fn encode_reply(in_reply_to: Option<u64>, body: ResponseBody) -> Vec<u8> {
     binary::encode_response_frames(&envelope).unwrap_or_default()
 }
 
+/// What is left of one reply's [`REPLY_WRITE_TIMEOUT`]. Every [`ReplyWriter::write`]
+/// of the reply draws on it for as long as the call waits for its turn and for the
+/// socket; a write that runs it out kills the connection. A one-write reply starts
+/// from [`WriteBudget::default`]; a reply written in parts carries one budget across
+/// its parts.
+#[derive(Debug)]
+pub struct WriteBudget {
+    left: Duration,
+}
+
+impl Default for WriteBudget {
+    /// A whole [`REPLY_WRITE_TIMEOUT`].
+    fn default() -> Self {
+        WriteBudget {
+            left: REPLY_WRITE_TIMEOUT,
+        }
+    }
+}
+
+/// Who holds a connection's write half, and how many writers wait for it.
+#[derive(Debug, Default)]
+struct Turn {
+    taken: bool,
+    waiting: usize,
+}
+
 /// The write half of one accepted connection, shared by every thread that answers on
-/// it (see the module docs). Writes are serialized by the mutex, so each call's frames
-/// land on the wire contiguously; a call that fails or outlives [`REPLY_WRITE_TIMEOUT`]
-/// marks the connection dead and shuts the socket down both ways, which also wakes the
-/// connection's reader.
+/// it (see the module docs). Writers take turns, so each call's frames land on the wire
+/// contiguously; a call that fails, or whose reply runs out of [`WriteBudget`] waiting
+/// for its turn or for the socket, marks the connection dead and shuts the socket down
+/// both ways, which also wakes the connection's reader and any writer blocked on it.
 #[derive(Debug)]
 pub struct ReplyWriter {
-    stream: Mutex<TcpStream>,
+    stream: TcpStream,
+    turn: Mutex<Turn>,
+    turn_free: Condvar,
     dead: AtomicBool,
     /// Counts every byte written into the wire-written telemetry when given.
     metrics: Option<Arc<ServerMetrics>>,
@@ -254,80 +291,185 @@ impl ReplyWriter {
     /// # Errors
     /// Propagates the failure to set the socket's write timeout.
     pub fn new(stream: TcpStream, metrics: Option<Arc<ServerMetrics>>) -> io::Result<Self> {
-        stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT))?;
+        stream.set_write_timeout(Some(WRITE_POLL))?;
         Ok(ReplyWriter {
-            stream: Mutex::new(stream),
+            stream,
+            turn: Mutex::new(Turn::default()),
+            turn_free: Condvar::new(),
             dead: AtomicBool::new(false),
             metrics,
         })
     }
 
-    /// Whether the connection died: a write failed or timed out, or [`ReplyWriter::kill`]
-    /// was called. A dead connection never writes again.
+    /// Whether the connection died: a write failed or ran out of budget, or
+    /// [`ReplyWriter::kill`] was called. A dead connection never writes again.
     pub fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
     }
 
-    /// Write `bytes` — any number of complete frames — in one call within
-    /// [`REPLY_WRITE_TIMEOUT`]. Returns whether they were written; `false` when the
-    /// connection was already dead or died in this call.
-    pub fn write(&self, bytes: &[u8]) -> bool {
+    /// Write `bytes` — any number of complete frames — in one call, drawing the time
+    /// spent waiting for the turn and for the socket from `budget`. Returns whether
+    /// they were written; `false` when the connection was already dead or died in this
+    /// call.
+    pub fn write(&self, bytes: &[u8], budget: &mut WriteBudget) -> bool {
         if bytes.is_empty() {
             return !self.is_dead();
         }
-        let mut stream = lock_or_recover(&self.stream);
-        if self.is_dead() {
-            return false;
-        }
-        if write_within_deadline(&mut stream, bytes).is_err() {
-            self.mark_dead(&stream);
-            return false;
-        }
-        if let Some(metrics) = &self.metrics {
+        let started = Instant::now();
+        let limit = budget.left;
+        let written = match self.take_turn(started, limit) {
+            Some(_turn) if self.is_dead() => false,
+            Some(_turn) => {
+                let written = write_within(&self.stream, bytes, started, limit).is_ok();
+                if !written {
+                    // Before the turn passes on, so no writer appends to a torn frame.
+                    self.kill();
+                }
+                written
+            }
+            None => {
+                self.kill();
+                false
+            }
+        };
+        budget.left = limit.saturating_sub(started.elapsed());
+        if let Some(metrics) = self.metrics.as_ref().filter(|_| written) {
             metrics.count_wire_written(bytes.len() as u64);
         }
-        true
+        written
     }
 
     /// Mark the connection dead and shut its socket down without writing anything —
     /// for a reply that cannot be finished after some of its bytes already left.
     pub fn kill(&self) {
-        let stream = lock_or_recover(&self.stream);
-        self.mark_dead(&stream);
+        self.dead.store(true, Ordering::Release);
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
 
-    fn mark_dead(&self, stream: &TcpStream) {
-        self.dead.store(true, Ordering::Release);
-        let _ = stream.shutdown(Shutdown::Both);
+    /// Wait until no other writer holds the write half, for at most what is left of
+    /// `limit` since `started`. `None` when the wait ran the budget out.
+    fn take_turn(&self, started: Instant, limit: Duration) -> Option<TurnGuard<'_>> {
+        let mut turn = lock_or_recover(&self.turn);
+        while turn.taken {
+            let left = limit.saturating_sub(started.elapsed());
+            if left.is_zero() {
+                return None;
+            }
+            turn.waiting += 1;
+            turn = wait_timeout_or_recover(&self.turn_free, turn, left, || {});
+            turn.waiting -= 1;
+        }
+        turn.taken = true;
+        Some(TurnGuard(self))
     }
 }
 
-/// Write all of `bytes` before [`REPLY_WRITE_TIMEOUT`] runs out. The socket's own write
-/// timeout bounds one `send`, so after a partial write it is narrowed to the time left
-/// (and restored afterwards): a window that keeps opening a little cannot stretch the
-/// reply past the deadline. A reply that fits the send buffer costs one `send`.
-fn write_within_deadline(stream: &mut TcpStream, mut bytes: &[u8]) -> io::Result<()> {
-    let started = Instant::now();
-    let mut narrowed = false;
-    let result = loop {
-        match stream.write(bytes) {
-            Ok(written) if written == bytes.len() => break Ok(()),
-            Ok(0) => break Err(io::ErrorKind::WriteZero.into()),
-            Ok(written) => bytes = bytes.get(written..).unwrap_or_default(),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => break Err(e),
+/// A writer's turn at the write half, handed to the next waiter when dropped.
+struct TurnGuard<'a>(&'a ReplyWriter);
+
+impl Drop for TurnGuard<'_> {
+    fn drop(&mut self) {
+        let mut turn = lock_or_recover(&self.0.turn);
+        turn.taken = false;
+        if turn.waiting > 0 {
+            self.0.turn_free.notify_one();
         }
-        let left = REPLY_WRITE_TIMEOUT.saturating_sub(started.elapsed());
-        if left.is_zero() {
-            break Err(io::ErrorKind::TimedOut.into());
-        }
-        if let Err(e) = stream.set_write_timeout(Some(left)) {
-            break Err(e);
-        }
-        narrowed = true;
-    };
-    if narrowed {
-        let _ = stream.set_write_timeout(Some(REPLY_WRITE_TIMEOUT));
     }
-    result
+}
+
+/// Write all of `bytes` before `limit` has passed since `started`. The socket's write
+/// timeout is [`WRITE_POLL`], so a `send` blocked on a closed window returns (with what
+/// it wrote, or nothing) at least that often and the deadline is re-checked: a window
+/// that keeps opening a little cannot stretch the write past it. Bytes that fit the
+/// send buffer cost one `send`.
+fn write_within(
+    mut stream: &TcpStream,
+    mut bytes: &[u8],
+    started: Instant,
+    limit: Duration,
+) -> io::Result<()> {
+    loop {
+        match stream.write(bytes) {
+            Ok(written) if written == bytes.len() => return Ok(()),
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(written) => bytes = bytes.get(written..).unwrap_or_default(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted || is_tick(&e) => {}
+            Err(e) => return Err(e),
+        }
+        if started.elapsed() >= limit {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// More than the loopback socket buffers of both ends hold.
+    const OVERFLOW: usize = 32 << 20;
+
+    /// A writer on an accepted socket, and the dialing end, which never reads.
+    fn loopback() -> (Arc<ReplyWriter>, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (Arc::new(ReplyWriter::new(accepted, None).unwrap()), peer)
+    }
+
+    #[test]
+    fn a_write_blocked_on_the_socket_ends_when_its_budget_runs_out() {
+        let (writer, _peer) = loopback();
+        let mut budget = WriteBudget {
+            left: Duration::from_millis(300),
+        };
+        let started = Instant::now();
+        assert!(!writer.write(&vec![0u8; OVERFLOW], &mut budget));
+        let spent = started.elapsed();
+        assert!(spent >= Duration::from_millis(300), "{spent:?}");
+        assert!(
+            spent < Duration::from_millis(300) + WRITE_POLL * 4,
+            "{spent:?}"
+        );
+        assert_eq!(budget.left, Duration::ZERO);
+        assert!(writer.is_dead());
+        assert!(!writer.write(b"late", &mut WriteBudget::default()));
+    }
+
+    #[test]
+    fn waiting_for_the_turn_draws_on_the_budget_and_running_out_kills_the_connection() {
+        let (writer, _peer) = loopback();
+        // A writer that blocks on the full socket while holding the turn, with a budget
+        // far longer than the test.
+        let holder = {
+            let writer = Arc::clone(&writer);
+            std::thread::spawn(move || {
+                let mut budget = WriteBudget {
+                    left: Duration::from_secs(60),
+                };
+                let started = Instant::now();
+                let written = writer.write(&vec![0u8; OVERFLOW], &mut budget);
+                (written, started.elapsed())
+            })
+        };
+        while !lock_or_recover(&writer.turn).taken {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A reply with 300 ms left never gets the turn: it runs out waiting.
+        let mut budget = WriteBudget {
+            left: Duration::from_millis(300),
+        };
+        let started = Instant::now();
+        assert!(!writer.write(b"reply", &mut budget));
+        let waited = started.elapsed();
+        assert!(waited >= Duration::from_millis(300), "{waited:?}");
+        assert!(waited < Duration::from_secs(2), "{waited:?}");
+        assert_eq!(budget.left, Duration::ZERO);
+        assert!(writer.is_dead());
+        // Killing the connection freed the holder too, long before its own budget.
+        let (written, held) = holder.join().unwrap();
+        assert!(!written);
+        assert!(held < Duration::from_secs(10), "{held:?}");
+    }
 }

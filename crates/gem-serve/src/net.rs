@@ -30,9 +30,11 @@
 //!   EM run (the model cache's single-flight, counted in `CacheStats::coalesced_fits`).
 //!
 //! Nothing queues finished replies, so a peer that stops reading holds no reply memory:
-//! a reply write that does not finish within
-//! [`REPLY_WRITE_TIMEOUT`](crate::framing::REPLY_WRITE_TIMEOUT) marks the connection
-//! dead and shuts it down, and the executors drop its queued frames untransformed.
+//! a reply that spends [`REPLY_WRITE_TIMEOUT`](crate::framing::REPLY_WRITE_TIMEOUT)
+//! writing — waiting for its turn at the socket plus blocked on it, over all of its
+//! writes — marks the connection dead and shuts it down, and the executors drop its
+//! queued frames untransformed. A peer that stops reading, or drains a trickle, holds
+//! each executor for at most that long.
 //!
 //! Operational properties:
 //!
@@ -55,7 +57,7 @@
 //!   one and `in_reply_to: null` when not — instead of a dropped connection.
 
 use crate::error::ServeError;
-use crate::framing::{accept_hello, encode_reply, pump_frames, ReadStep, ReplyWriter};
+use crate::framing::{accept_hello, encode_reply, pump_frames, ReadStep, ReplyWriter, WriteBudget};
 use crate::handle::ModelHandle;
 use crate::metrics::{RequestShape, ServerMetrics};
 use crate::service::{EmbedService, ModelInfo, ServeRequest, ServeResponse, ServiceStats};
@@ -277,7 +279,10 @@ impl WorkQueue {
         };
         let bytes = encode_reply(frame.payload.correlation_id(), error_body(&error));
         // A failed write means the connection is already gone — nothing to shed to.
-        frame.connection.writer.write(&bytes);
+        frame
+            .connection
+            .writer
+            .write(&bytes, &mut WriteBudget::default());
         frame.connection.retire(&self.metrics);
     }
 
@@ -530,7 +535,9 @@ impl GemServer {
 /// intermediate frames itself through the [`Reply`] it is given, but hands the
 /// *final* bytes back, so the gauges drop before the bytes that complete the request
 /// leave: a lockstep client that reacts to the reply instantly must not see its
-/// previous request still counted as busy or in flight.
+/// previous request still counted as busy or in flight. The final write draws on the
+/// same [`WriteBudget`] as the intermediate ones, so the whole reply spends at most
+/// [`REPLY_WRITE_TIMEOUT`](crate::framing::REPLY_WRITE_TIMEOUT) writing.
 ///
 /// A panic inside `respond` is caught here: the frame is answered with the typed
 /// `internal` error if none of its reply has left yet, and otherwise its connection
@@ -559,6 +566,7 @@ fn executor_loop(
         let mut reply = Reply {
             connection: &connection,
             started: false,
+            budget: WriteBudget::default(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             respond(payload, &mut reply, queue_wait)
@@ -568,7 +576,7 @@ fn executor_loop(
         connection.retire(metrics);
         match outcome {
             Ok(Some(bytes)) => {
-                connection.writer.write(&bytes);
+                connection.writer.write(&bytes, &mut reply.budget);
             }
             Ok(None) => {}
             Err(_) => {
@@ -576,24 +584,22 @@ fn executor_loop(
                 if started {
                     connection.writer.kill();
                 } else {
-                    let error = ServeError::Internal {
-                        reason: "the request panicked on its executor".to_string(),
-                    };
-                    connection
-                        .writer
-                        .write(&encode_reply(id, error_body(&error)));
+                    let bytes = encode_reply(id, error_body(&ServeError::Internal));
+                    connection.writer.write(&bytes, &mut reply.budget);
                 }
             }
         }
     }
 }
 
-/// The part of one reply that leaves before it completes: a streamed embed's
-/// intermediate row frames. Remembers whether any byte of the reply was handed to the
-/// socket, which decides how a panic is answered.
+/// One reply in progress: where it goes, whether any byte of it was handed to the
+/// socket (which decides how a panic is answered), and its [`WriteBudget`], which every
+/// write of the reply draws on — a streamed embed's intermediate row frames here, then
+/// its final bytes in [`executor_loop`].
 struct Reply<'a> {
     connection: &'a Connection,
     started: bool,
+    budget: WriteBudget,
 }
 
 impl Reply<'_> {
@@ -601,7 +607,7 @@ impl Reply<'_> {
     /// dead (stop producing the reply).
     fn stream(&mut self, bytes: &[u8]) -> bool {
         self.started = true;
-        self.connection.writer.write(bytes)
+        self.connection.writer.write(bytes, &mut self.budget)
     }
 }
 
@@ -630,7 +636,8 @@ fn decode_payload(
 /// becomes the typed error frame; the client discards the partial rows it accumulated
 /// for this id. Returns the last batch's rows followed by `embed_done` (or the typed
 /// error) for the executor to write in one call after the accounting gauges drop; only
-/// the earlier batches' row frames are written here. Their writes count as encode time.
+/// the earlier batches' row frames are written here. Time spent writing them counts as
+/// neither encode nor execute time, like the final write.
 #[allow(clippy::too_many_arguments)]
 fn stream_embed(
     service: &EmbedService,
@@ -643,12 +650,15 @@ fn stream_embed(
     metrics: &ServerMetrics,
 ) -> Option<Vec<u8>> {
     let execute_started = Instant::now();
-    let observe = |encode_time: Duration| {
+    let observe = |encode_time: Duration, write_time: Duration| {
         metrics.observe(
             RequestShape::Embed,
             queue_wait,
             decode,
-            execute_started.elapsed().saturating_sub(encode_time),
+            execute_started
+                .elapsed()
+                .saturating_sub(encode_time)
+                .saturating_sub(write_time),
             encode_time,
         );
     };
@@ -657,12 +667,13 @@ fn stream_embed(
     let (model, served_from) = match service.resolve_embed(handle) {
         Ok(resolved) => resolved,
         Err(error) => {
-            observe(Duration::ZERO);
+            observe(Duration::ZERO, Duration::ZERO);
             return error_frame(&error);
         }
     };
     let served_from = served_from.wire_name();
     let mut encode_time = Duration::ZERO;
+    let mut write_time = Duration::ZERO;
     let mut sent_rows = 0usize;
     let mut cols = 0usize;
     // The newest batch's row frame, held back until the next batch proves it is not
@@ -680,7 +691,7 @@ fn stream_embed(
             Err(error) => {
                 // The error frame supersedes any rows already streamed: the client
                 // drops its partial accumulation for this id on seeing it.
-                observe(encode_time);
+                observe(encode_time, write_time);
                 return error_frame(&ServeError::Transform(error));
             }
         };
@@ -694,18 +705,21 @@ fn stream_embed(
                 message: "embed produced rows without columns".to_string(),
             })
         };
+        encode_time += encode_started.elapsed();
         let sent = match frame {
             Ok(bytes) => {
                 let earlier = std::mem::replace(&mut held, bytes);
-                earlier.is_empty() || reply.stream(&earlier)
+                let write_started = Instant::now();
+                let sent = earlier.is_empty() || reply.stream(&earlier);
+                write_time += write_started.elapsed();
+                sent
             }
             Err(_) => false,
         };
-        encode_time += encode_started.elapsed();
         if !sent {
             // The connection is gone (or the frame was unencodable); stop
             // transforming for a peer that cannot receive the rows.
-            observe(encode_time);
+            observe(encode_time, write_time);
             return None;
         }
     }
@@ -716,7 +730,7 @@ fn stream_embed(
         held
     });
     encode_time += encode_started.elapsed();
-    observe(encode_time);
+    observe(encode_time, write_time);
     last
 }
 
@@ -926,7 +940,9 @@ fn read_binary_frames(
             message: error.to_string(),
             retry_after_ms: None,
         };
-        connection.writer.write(&encode_reply(id, body));
+        connection
+            .writer
+            .write(&encode_reply(id, body), &mut WriteBudget::default());
     };
     loop {
         if shutdown.load(Ordering::SeqCst) || connection.writer.is_dead() {
@@ -1443,13 +1459,29 @@ mod tests {
 
     /// Wide embeds of one-value columns: small requests whose replies are large.
     fn wide_queries() -> Vec<GemColumn> {
-        (0..2048)
+        (0..16384)
             .map(|i| GemColumn::new(vec![f64::from(i) * 0.5], format!("q{i}")))
             .collect()
     }
 
-    #[test]
-    fn a_peer_that_stops_reading_is_cut_off_within_one_write_timeout() {
+    /// How a stalled peer treats the replies it asked for.
+    #[derive(Clone, Copy)]
+    enum SlowPeer {
+        /// Never reads a byte until the test looks for EOF.
+        Stopped,
+        /// Reads 512 KiB a second: each second's read frees enough of the socket
+        /// buffers to reopen the window, so no single write waits long, but a ~2 MiB
+        /// reply, sharing the socket with another executor's, spends well over its
+        /// budget writing.
+        Trickling,
+    }
+
+    /// A raw connection pipelines 12 embeds of 16384 one-value columns (~23 MiB of
+    /// replies, far more than both socket buffers hold) and reads them as `peer` says.
+    /// Another client's embed, queued behind all of them, must be served bit-exactly
+    /// within one write timeout plus a margin; the slow connection must reach EOF, and
+    /// none of its frames may stay queued or in flight.
+    fn a_slow_peer_is_cut_off_within_one_write_timeout(peer: SlowPeer) {
         let (server, join) = start_server_with(2);
         let cols = corpus();
         let config = GemConfig::fast();
@@ -1457,17 +1489,48 @@ mod tests {
             GemClient::connect_timeout(server.addr(), Duration::from_secs(30)).unwrap();
         let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
 
-        // ~12 MiB of replies, far more than both socket buffers hold, from requests
-        // the server reads in full; the stalled peer never reads a byte.
         let (mut stalled, mut stalled_reader) = raw_connection(server.addr());
+        stalled_reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
         let wide = wide_queries();
         let read_before = server.metrics().wire_bytes_read();
         let mut pipelined = 0;
-        for id in 1..=48 {
+        for id in 1..=12 {
             let frame = binary::encode_embed_frame(id, &fitted.handle.to_hex(), &wide).unwrap();
             stalled.write_all(&frame).unwrap();
             pipelined += frame.len() as u64;
         }
+        // Reads until EOF, pausing a second after each 512 KiB while `slow` is
+        // raised; returns how many bytes arrived.
+        let drain = |reader: &mut BufReader<TcpStream>, slow: &AtomicBool| {
+            let mut received = 0;
+            let mut chunk = vec![0u8; 64 << 10];
+            let mut since_pause = 0;
+            loop {
+                match reader.read(&mut chunk).unwrap() {
+                    0 => return received,
+                    read => {
+                        received += read;
+                        since_pause += read;
+                    }
+                }
+                if since_pause >= 512 << 10 && slow.load(Ordering::SeqCst) {
+                    since_pause = 0;
+                    std::thread::sleep(Duration::from_secs(1));
+                }
+            }
+        };
+        let slow = Arc::new(AtomicBool::new(true));
+        let (trickle, mut stopped) = match peer {
+            SlowPeer::Stopped => (None, Some(stalled_reader)),
+            SlowPeer::Trickling => {
+                let slow = Arc::clone(&slow);
+                let trickle = std::thread::spawn(move || drain(&mut stalled_reader, &slow));
+                (Some(trickle), None)
+            }
+        };
         // Wait until the server has read (and so queued) every stalled request.
         let deadline = Instant::now() + Duration::from_secs(30);
         while server.metrics().wire_bytes_read() < read_before + pipelined
@@ -1476,9 +1539,14 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
 
-        // Another client's embed, queued behind all of them, is served within one write
-        // timeout: both executors block on the stalled socket at most that long, then
-        // its remaining frames are dropped.
+        // Both executors spend at most one write budget on the slow connection's
+        // replies, then its remaining frames are dropped. A trickling peer gets more
+        // margin: its socket buffers grow as it reads, so its replies back up later, and
+        // the compute between a reply's writes does not count against the budget.
+        let margin = match peer {
+            SlowPeer::Stopped => Duration::from_secs(3),
+            SlowPeer::Trickling => crate::framing::REPLY_WRITE_TIMEOUT + Duration::from_secs(3),
+        };
         let started = Instant::now();
         let served = client.embed(fitted.handle, &cols).unwrap();
         let waited = started.elapsed();
@@ -1488,24 +1556,20 @@ mod tests {
             .unwrap();
         assert_eq!(served.matrix, direct.matrix);
         assert!(
-            waited < crate::framing::REPLY_WRITE_TIMEOUT + Duration::from_secs(3),
+            waited < crate::framing::REPLY_WRITE_TIMEOUT + margin,
             "waited {waited:?}"
         );
 
-        // The stalled connection was shut down: after the replies it buffered, EOF.
-        stalled_reader
-            .get_ref()
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut buffered = Vec::new();
-        stalled_reader.read_to_end(&mut buffered).unwrap();
-        assert!(
-            buffered.len() < 48 * wide.len() * 15 * 8,
-            "{} bytes",
-            buffered.len()
-        );
+        // The slow connection was shut down: after the replies it got, EOF. What the
+        // socket buffers still hold is read at full speed.
+        slow.store(false, Ordering::SeqCst);
+        let received = match trickle {
+            Some(trickle) => trickle.join().unwrap(),
+            None => drain(stopped.as_mut().unwrap(), &slow),
+        };
+        assert!(received < 12 * wide.len() * 15 * 8, "{received} bytes");
 
-        // Nothing of the stalled connection stays queued or in flight.
+        // Nothing of the slow connection stays queued or in flight.
         let backlog = || {
             let inflight = server
                 .render_metrics()
@@ -1521,6 +1585,16 @@ mod tests {
         assert_eq!(backlog(), (0, Some(0)), "(queue depth, in-flight depth)");
         server.shutdown();
         join.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_is_cut_off_within_one_write_timeout() {
+        a_slow_peer_is_cut_off_within_one_write_timeout(SlowPeer::Stopped);
+    }
+
+    #[test]
+    fn a_peer_that_drains_a_trickle_is_cut_off_within_one_write_timeout() {
+        a_slow_peer_is_cut_off_within_one_write_timeout(SlowPeer::Trickling);
     }
 
     #[test]
