@@ -20,8 +20,8 @@
 //!   components, no EM and no per-column work, so it costs a model clone. The ratio to
 //!   `refit` is what incremental serving buys at that growth factor.
 //!
-//! Transform level (one 32-column × 1000-value stream batch against a k = 16 D+S+C
-//! model, the shape a bulk embed streams):
+//! Transform level (one 32-column × 1000-value transform against a k = 16 D+S+C model,
+//! an eighth of the 256-column bulk embed a server transforms as one batch):
 //!
 //! * `transform_integer` — integer-valued columns with 23 distinct values each, so
 //!   `d · k ≤ n` and the signature evaluates the GMM once per distinct value,
@@ -69,10 +69,10 @@ fn synthetic_columns(count: usize, offset: usize) -> Vec<GemColumn> {
         .collect()
 }
 
-/// A stream batch of [`BATCH_COLUMNS`] columns × [`BATCH_VALUES`] values, each column at
+/// A query batch of [`BATCH_COLUMNS`] columns × [`BATCH_VALUES`] values, each column at
 /// its own offset: integer values cycling through 23 distinct numbers, or continuous
 /// values that are all distinct.
-fn stream_batch(integer: bool) -> Vec<GemColumn> {
+fn query_batch(integer: bool) -> Vec<GemColumn> {
     (0..BATCH_COLUMNS)
         .map(|c| {
             let base = (c * 37 % 400) as f64;
@@ -154,7 +154,7 @@ fn bench_kernels(criterion: &mut Criterion) {
         });
     }
 
-    // One stream batch on each side of the distinct-value gate.
+    // One query batch on each side of the distinct-value gate.
     let batch_model = GemModel::fit(
         &synthetic_columns(BASE_COLUMNS, 0),
         &gem_config_with_components(BATCH_COMPONENTS),
@@ -163,7 +163,7 @@ fn bench_kernels(criterion: &mut Criterion) {
     .expect("batch model fits");
     let label = format!("{BATCH_COLUMNS}x{BATCH_VALUES}");
     for (name, integer) in [("transform_integer", true), ("transform_continuous", false)] {
-        let batch = stream_batch(integer);
+        let batch = query_batch(integer);
         group.bench_function(BenchmarkId::new(name, &label), |b| {
             b.iter(|| batch_model.transform(&batch).expect("transform"))
         });

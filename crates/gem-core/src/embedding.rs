@@ -44,6 +44,9 @@ pub enum GemError {
     NoValues,
     /// The requested feature set selects nothing.
     EmptyFeatureSet,
+    /// The configured header embedding dimension (`text_dim`) is below the embedder's
+    /// minimum of 2.
+    TextDimTooSmall(usize),
     /// The underlying GMM fit failed.
     Gmm(GmmError),
     /// A supervised method was invoked without training labels (carries the method name).
@@ -68,6 +71,10 @@ impl fmt::Display for GemError {
             GemError::NoColumns => write!(f, "no columns to embed"),
             GemError::NoValues => write!(f, "all columns are empty; cannot fit a GMM"),
             GemError::EmptyFeatureSet => write!(f, "feature set selects no evidence type"),
+            GemError::TextDimTooSmall(dim) => write!(
+                f,
+                "text embedding dimension {dim} is below the minimum of 2"
+            ),
             GemError::Gmm(e) => write!(f, "GMM fit failed: {e}"),
             GemError::MissingLabels(method) => {
                 write!(f, "supervised method `{method}` needs training labels")

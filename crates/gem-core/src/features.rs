@@ -29,8 +29,9 @@ pub const STATISTICAL_FEATURE_NAMES: [&str; 7] = [
 /// fan-out ~40 µs of spawn and join: with 60-, 250- and 1000-value columns the fan-out
 /// lost up to 1,440 values (1.3–9.5× slower), was mixed around 2,000 (0.93–1.14×), and
 /// won from 2,880 values up (0.73–0.93× at 2,880–4,000, ~0.55× from 8,000). The gate
-/// sits just above the mixed band, so a few query columns never spawn, while a 32-column
-/// × 1000-value stream batch (32,000 values) uses every thread.
+/// sits just above the mixed band, so a few query columns never spawn, while a bulk
+/// embed's 256-column × 1000-value batch (256,000 values; a served embed transforms up to
+/// 512 columns per batch) uses every thread.
 pub(crate) const STATISTICAL_FANOUT_VALUES: usize = 4_096;
 
 /// Compute the raw (un-standardised) statistical feature matrix: one row per column, one

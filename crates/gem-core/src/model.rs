@@ -30,7 +30,7 @@ use crate::signature::{signature_matrix, stack_values};
 use gem_gmm::UnivariateGmm;
 use gem_json::{number, object, FromJson, Json, JsonError, ToJson};
 use gem_nn::Autoencoder;
-use gem_numeric::standardize::l1_normalize_rows;
+use gem_numeric::standardize::l1_normalize_rows_in_place;
 use gem_numeric::Matrix;
 use gem_text::{HashEmbedder, TextEmbedder};
 
@@ -138,6 +138,7 @@ impl GemModel {
     /// # Errors
     /// * [`GemError::NoColumns`] when `columns` is empty,
     /// * [`GemError::EmptyFeatureSet`] when `features` selects nothing,
+    /// * [`GemError::TextDimTooSmall`] when `config.text_dim` is below 2,
     /// * [`GemError::NoValues`] when D or S is selected but every column is empty,
     /// * [`GemError::Gmm`] when the EM fit fails.
     pub fn fit(
@@ -174,6 +175,9 @@ impl GemModel {
         }
         if !features.is_non_empty() {
             return Err(GemError::EmptyFeatureSet);
+        }
+        if config.text_dim < 2 {
+            return Err(GemError::TextDimTooSmall(config.text_dim));
         }
         let values: Vec<&[f64]> = columns.iter().map(|c| c.values.as_slice()).collect();
 
@@ -308,7 +312,7 @@ impl GemModel {
         let n = columns.len();
 
         // 3. Statistical features, standardised with the frozen Equation 7 parameters.
-        let statistical = match &self.scaler {
+        let mut statistical = match &self.scaler {
             Some(scaler) => scaler.transform(raw_stats),
             None => Matrix::zeros(n, 0),
         };
@@ -317,26 +321,31 @@ impl GemModel {
         // statistical block is first brought onto the same per-row mass as the signature
         // (whose rows are probability vectors summing to 1); without this balancing the
         // seven statistical z-scores carry several times the L1 mass of the signature and
-        // drown out the distributional evidence in cosine space.
+        // drown out the distributional evidence in cosine space. Both normalisations run
+        // in place: the concatenation is the block's only copy.
         let value_block = if self.features.distributional || self.features.statistical {
-            let balanced_stats = if self.features.distributional && statistical.cols() > 0 {
-                l1_normalize_rows(&statistical)
-            } else {
-                statistical.clone()
-            };
-            let augmented = signature
-                .hconcat(&balanced_stats)
+            if self.features.distributional {
+                l1_normalize_rows_in_place(&mut statistical);
+            }
+            let mut augmented = signature
+                .hconcat(&statistical)
                 .expect("same number of columns by construction");
-            l1_normalize_rows(&augmented)
+            l1_normalize_rows_in_place(&mut augmented);
+            augmented
         } else {
             Matrix::zeros(n, 0)
         };
 
         // 5. Contextual block, L1-normalised (Equation 10).
         let header_block = if self.features.contextual {
-            let rows: Vec<Vec<f64>> = columns.iter().map(|c| self.text.embed(&c.header)).collect();
-            let m = Matrix::from_rows(&rows).expect("uniform embedder output width");
-            l1_normalize_rows(&m)
+            let mut block = Matrix::zeros(n, self.text.dim());
+            for (r, column) in columns.iter().enumerate() {
+                block
+                    .row_mut(r)
+                    .copy_from_slice(&self.text.embed(&column.header));
+            }
+            l1_normalize_rows_in_place(&mut block);
+            block
         } else {
             Matrix::zeros(n, 0)
         };
@@ -644,6 +653,7 @@ mod tests {
         statistical_feature_matrix, value_rows_serial_values, STATISTICAL_FANOUT_VALUES,
     };
     use crate::signature::SIGNATURE_FANOUT_CELLS;
+    use gem_numeric::standardize::{l1_normalize, l1_normalize_rows};
 
     fn corpus() -> Vec<GemColumn> {
         let mut cols = Vec::new();
@@ -1104,6 +1114,80 @@ mod tests {
                     let got = &embedding.matrix;
                     assert_eq!(bits(got.as_slice()), bits(matrix.as_slice()), "{label}");
                 }
+            }
+        }
+    }
+
+    /// Row-wise L1 normalisation into a fresh matrix, one row vector at a time: the
+    /// copying form the in-place blocks replaced.
+    fn l1_rows_copied(m: &Matrix) -> Matrix {
+        let rows: Vec<Vec<f64>> = m.iter_rows().map(l1_normalize).collect();
+        Matrix::from_rows(&rows).unwrap_or_else(|_| m.clone())
+    }
+
+    #[test]
+    fn in_place_blocks_equal_the_copying_composition() {
+        let cols = corpus();
+        let n = cols.len();
+        for features in [FeatureSet::dsc(), FeatureSet::dc(), FeatureSet::cs()] {
+            let model = GemModel::fit(&cols, &GemConfig::fast(), features).unwrap();
+            let embedding = model.transform(&cols).unwrap();
+            let values: Vec<&[f64]> = cols.iter().map(|c| c.values.as_slice()).collect();
+            let signature = model.gmm().map_or_else(
+                || Matrix::zeros(n, 0),
+                |gmm| signature_matrix(gmm, &values, false),
+            );
+            let stats = model.scaler().map_or_else(
+                || Matrix::zeros(n, 0),
+                |scaler| scaler.transform(&statistical_feature_matrix(&values)),
+            );
+            let balanced = if features.distributional && stats.cols() > 0 {
+                l1_rows_copied(&stats)
+            } else {
+                stats.clone()
+            };
+            let value_block = l1_rows_copied(&signature.hconcat(&balanced).unwrap());
+            let text = HashEmbedder::new(model.config().text_dim);
+            let headers: Vec<Vec<f64>> = cols.iter().map(|c| text.embed(&c.header)).collect();
+            let header_block = l1_rows_copied(&Matrix::from_rows(&headers).unwrap());
+            let label = features.label();
+            assert_eq!(
+                embedding.value_block.shape(),
+                value_block.shape(),
+                "{label}"
+            );
+            assert_eq!(
+                bits(embedding.value_block.as_slice()),
+                bits(value_block.as_slice()),
+                "{label}"
+            );
+            assert_eq!(
+                embedding.header_block.shape(),
+                header_block.shape(),
+                "{label}"
+            );
+            assert_eq!(
+                bits(embedding.header_block.as_slice()),
+                bits(header_block.as_slice()),
+                "{label}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_text_dim_below_two_is_a_typed_fit_error() {
+        let cols = corpus();
+        for text_dim in [0, 1] {
+            let config = GemConfig {
+                text_dim,
+                ..GemConfig::fast()
+            };
+            for features in [FeatureSet::ds(), FeatureSet::dsc()] {
+                assert_eq!(
+                    GemModel::fit(&cols, &config, features).unwrap_err(),
+                    GemError::TextDimTooSmall(text_dim)
+                );
+                assert!(GemModel::fit_transform(&cols, &config, features).is_err());
             }
         }
     }

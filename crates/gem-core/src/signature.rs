@@ -32,8 +32,9 @@ pub fn stack_values<S: AsRef<[f64]>>(columns: &[S]) -> Vec<f64> {
 /// fan-out lost at 2 columns (1,200 cells, 2.6× slower) through 12 columns (7,200 cells,
 /// 1.15–1.2× slower), was mixed at 9,600 cells and won from 19,200 cells up (0.76–0.88×);
 /// 128,000 cells ran in 0.56–0.58× the serial time. The gate sits inside that
-/// break-even band, so a few 60-value query columns never spawn, while a 32-column ×
-/// 1000-value stream batch (512,000 cells) still fans out.
+/// break-even band, so a few 60-value query columns never spawn, while a bulk embed's
+/// 256-column × 1000-value batch (4,096,000 cells at k = 16; a served embed transforms up
+/// to 512 columns per batch) fans out.
 pub const SIGNATURE_FANOUT_CELLS: usize = 16_384;
 
 /// Compute the signature matrix: one row per column, one column per Gaussian component,

@@ -82,8 +82,28 @@ pub fn min_max_scale(values: &[f64]) -> Vec<f64> {
 
 /// L1-normalise every row of a matrix (used for embedding matrices).
 pub fn l1_normalize_rows(matrix: &Matrix) -> Matrix {
-    let rows: Vec<Vec<f64>> = matrix.iter_rows().map(l1_normalize).collect();
-    Matrix::from_rows(&rows).unwrap_or_else(|_| matrix.clone())
+    let mut out = matrix.clone();
+    l1_normalize_rows_in_place(&mut out);
+    out
+}
+
+/// [`l1_normalize_rows`] without the copy: each row is divided by its own L1 norm where
+/// it lives, bit-identical to [`l1_normalize`] on that row (a row with a norm below
+/// `1e-300` stays as it is).
+pub fn l1_normalize_rows_in_place(matrix: &mut Matrix) {
+    let cols = matrix.cols();
+    if cols == 0 {
+        return;
+    }
+    for row in matrix.as_mut_slice().chunks_mut(cols) {
+        let norm = norm_l1(row);
+        if norm < 1e-300 {
+            continue;
+        }
+        for x in row.iter_mut() {
+            *x /= norm;
+        }
+    }
 }
 
 /// L2-normalise every row of a matrix.
@@ -212,6 +232,35 @@ mod tests {
             let n: f64 = l2.row(r).iter().map(|x| x * x).sum::<f64>().sqrt();
             assert!((n - 1.0).abs() < EPS);
         }
+    }
+
+    #[test]
+    fn in_place_l1_rows_match_the_per_row_normaliser_bit_for_bit() {
+        let rows = [
+            vec![0.0, 0.0, 0.0],
+            vec![1e-301, -2e-302, 0.0],
+            vec![-1.5, 2.25, -0.125],
+            vec![f64::INFINITY, 1.0, -2.0],
+            vec![f64::NEG_INFINITY, f64::INFINITY, 3.0],
+            vec![f64::NAN, 1.0, 2.0],
+            vec![-0.0, 5e-324, -7.0],
+        ];
+        let m = Matrix::from_rows(&rows).unwrap();
+        let mut in_place = m.clone();
+        l1_normalize_rows_in_place(&mut in_place);
+        let copied = l1_normalize_rows(&m);
+        for (r, row) in rows.iter().enumerate() {
+            let expected: Vec<u64> = l1_normalize(row).iter().map(|x| x.to_bits()).collect();
+            let got: Vec<u64> = in_place.row(r).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, expected, "row {r}");
+            let via_copy: Vec<u64> = copied.row(r).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(via_copy, expected, "row {r}");
+        }
+        // Zero-width and zero-row matrices pass through untouched.
+        let mut empty = Matrix::zeros(3, 0);
+        l1_normalize_rows_in_place(&mut empty);
+        assert_eq!(empty.shape(), (3, 0));
+        assert_eq!(l1_normalize_rows(&Matrix::zeros(0, 4)).shape(), (0, 4));
     }
 
     #[test]

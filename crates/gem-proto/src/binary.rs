@@ -52,9 +52,10 @@
 //!
 //! ## Streamed embed responses
 //!
-//! An `Embed` answer streams as [`KIND_EMBED_ROWS`] frames (rows flushed as the
-//! server's batches complete) closed by one [`KIND_EMBED_DONE`] carrying the
-//! expected totals. The client side ([`EmbedPartials`] +
+//! An `Embed` answer streams as [`KIND_EMBED_ROWS`] frames of up to
+//! [`EMBED_ROWS_PER_FRAME`] rows ([`embed_rows_per_frame`] at the matrix's width; the
+//! server transforms one frame's rows per batch) closed by one [`KIND_EMBED_DONE`]
+//! carrying the expected totals. The client side ([`EmbedPartials`] +
 //! [`decode_response_frame`]) accumulates rows per id and synthesizes the final
 //! `Embedded` body when the totals check out.
 
@@ -959,9 +960,36 @@ pub fn embed_done_frame(
     frame.finish(KIND_EMBED_DONE)
 }
 
-/// How many result rows ride one [`KIND_EMBED_ROWS`] frame when a materialized matrix
-/// is encoded.
-const EMBED_ROWS_PER_FRAME: usize = 512;
+/// The most result rows one [`KIND_EMBED_ROWS`] frame carries, however narrow; a
+/// larger matrix travels as several frames.
+pub const EMBED_ROWS_PER_FRAME: usize = 512;
+
+/// Room an `embed_rows` frame keeps beside its row data: the kind byte, the correlation
+/// header, the two counts and a `served_from` tag of up to 1 KiB.
+const EMBED_ROWS_FRAME_FIELDS: usize = 1024 + 1 + 9 + 4 + 4 + 4;
+
+/// How many `cols`-wide result rows one [`KIND_EMBED_ROWS`] frame carries:
+/// [`EMBED_ROWS_PER_FRAME`], or as many as fit in [`MAX_FRAME_LEN`] when the rows are
+/// wider than that allows. Both a streamed embed's batches and
+/// [`encode_response_frames`] slice by this.
+///
+/// # Errors
+/// [`ProtoError::Parse`] when not even one row fits in a frame: such a matrix cannot be
+/// framed at all.
+pub fn embed_rows_per_frame(cols: usize) -> Result<usize, ProtoError> {
+    let room = MAX_FRAME_LEN as usize - EMBED_ROWS_FRAME_FIELDS;
+    let rows = match cols.checked_mul(8) {
+        Some(0) => EMBED_ROWS_PER_FRAME,
+        Some(row_bytes) => (room / row_bytes).min(EMBED_ROWS_PER_FRAME),
+        None => 0,
+    };
+    if rows == 0 {
+        return Err(parse_err(format!(
+            "an embed row of {cols} values exceeds the {MAX_FRAME_LEN}-byte frame bound"
+        )));
+    }
+    Ok(rows)
+}
 
 /// Wrap a complete JSON response line (trailing newline optional) in a
 /// [`KIND_RESP_JSON`] frame.
@@ -974,12 +1002,13 @@ fn wrap_response_line(id: Option<u64>, line: &str) -> Result<Vec<u8>, ProtoError
 }
 
 /// Encode one response envelope as wire bytes — possibly several concatenated frames:
-/// a correlated `Embedded` body becomes [`KIND_EMBED_ROWS`] frames of up to 512 rows
-/// each (none when the matrix has no columns) closed by one [`KIND_EMBED_DONE`],
-/// everything else one [`KIND_RESP_JSON`].
+/// a correlated `Embedded` body becomes [`KIND_EMBED_ROWS`] frames of
+/// [`embed_rows_per_frame`] rows each (none when the matrix has no columns) closed by
+/// one [`KIND_EMBED_DONE`], everything else one [`KIND_RESP_JSON`].
 ///
 /// # Errors
-/// [`ProtoError::Parse`] when a frame would exceed the format's bounds.
+/// [`ProtoError::Parse`] when a frame would exceed the format's bounds: a JSON body over
+/// [`MAX_FRAME_LEN`], or a matrix row too wide for one frame.
 pub fn encode_response_frames(envelope: &ResponseEnvelope) -> Result<Vec<u8>, ProtoError> {
     if let (
         Some(id),
@@ -992,10 +1021,7 @@ pub fn encode_response_frames(envelope: &ResponseEnvelope) -> Result<Vec<u8>, Pr
         let cols = matrix.cols();
         let mut out = Vec::new();
         if cols > 0 {
-            for rows in matrix
-                .as_slice()
-                .chunks(EMBED_ROWS_PER_FRAME.saturating_mul(cols))
-            {
+            for rows in matrix.as_slice().chunks(embed_rows_per_frame(cols)? * cols) {
                 out.extend_from_slice(&embed_rows_frame(id, served_from, cols, rows)?);
             }
         }
@@ -1446,6 +1472,42 @@ mod tests {
         assert_eq!(encode(1025, 2), 4, "three row frames and the done");
         assert_eq!(encode(3, 0), 1, "no row frame without columns");
         assert_eq!(encode(0, 5), 1, "no row frame without rows");
+    }
+
+    #[test]
+    fn rows_per_frame_shrink_to_what_one_frame_holds() {
+        assert_eq!(embed_rows_per_frame(0).unwrap(), EMBED_ROWS_PER_FRAME);
+        assert_eq!(embed_rows_per_frame(23).unwrap(), EMBED_ROWS_PER_FRAME);
+        let fits = |rows: usize, cols: usize| {
+            rows * cols * 8 + EMBED_ROWS_FRAME_FIELDS <= MAX_FRAME_LEN as usize
+        };
+        // A 16,384-dimension header block beside a k = 16 value block: one row fewer.
+        let wide = 16_384 + 23;
+        assert_eq!(embed_rows_per_frame(wide).unwrap(), 511);
+        assert!(fits(511, wide) && !fits(512, wide));
+        // The widest row that still fits alone, and the first that does not.
+        let widest = (MAX_FRAME_LEN as usize - EMBED_ROWS_FRAME_FIELDS) / 8;
+        assert_eq!(embed_rows_per_frame(widest).unwrap(), 1);
+        for cols in [widest + 1, usize::MAX] {
+            let error = embed_rows_per_frame(cols).unwrap_err();
+            assert_eq!(error.code(), "protocol_error");
+        }
+    }
+
+    #[test]
+    fn a_matrix_row_wider_than_one_frame_is_a_typed_encode_error() {
+        // Zeroed pages the encoder never touches: the refusal comes before any copy.
+        let matrix = Matrix::zeros(1, MAX_FRAME_LEN as usize / 8 + 1);
+        let envelope = ResponseEnvelope::new(
+            8,
+            ResponseBody::Embedded {
+                matrix,
+                served_from: "memory_cache".into(),
+            },
+        );
+        let error = encode_response_frames(&envelope).unwrap_err();
+        assert_eq!(error.code(), "protocol_error");
+        assert!(error.to_string().contains("frame bound"), "{error}");
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::client::ClientError;
 use crate::metrics::ServerMetrics;
 use crate::sync::{lock_or_recover, wait_timeout_or_recover};
 use gem_proto::binary::{self, FrameAssembler};
-use gem_proto::{ResponseBody, ResponseEnvelope, PROTOCOL_VERSION};
+use gem_proto::{ProtoError, ResponseBody, ResponseEnvelope, PROTOCOL_VERSION};
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -234,14 +234,27 @@ pub fn offer_hello(
 }
 
 /// Encode one reply as complete frames: correlated to `in_reply_to`, or uncorrelated
-/// when no request id is known. Empty when the reply cannot be framed — sending
-/// nothing is better than corrupting the stream.
+/// when no request id is known. A reply that cannot be framed (a body over the frame
+/// bound) is answered instead with a `protocol_error` naming the bound, under the same
+/// correlation, so the peer is never left waiting.
 pub fn encode_reply(in_reply_to: Option<u64>, body: ResponseBody) -> Vec<u8> {
-    let envelope = match in_reply_to {
+    let envelope = |body| match in_reply_to {
         Some(id) => ResponseEnvelope::new(id, body),
         None => ResponseEnvelope::uncorrelated(body),
     };
-    binary::encode_response_frames(&envelope).unwrap_or_default()
+    binary::encode_response_frames(&envelope(body)).unwrap_or_else(|error| {
+        let refusal = unframeable_reply(&error);
+        binary::encode_response_frames(&envelope(refusal)).unwrap_or_default()
+    })
+}
+
+/// The error body that stands in for a reply the codec refused to frame.
+pub(crate) fn unframeable_reply(error: &ProtoError) -> ResponseBody {
+    ResponseBody::Error {
+        code: error.code().to_string(),
+        message: format!("the reply cannot be framed: {error}"),
+        retry_after_ms: None,
+    }
 }
 
 /// What is left of one reply's [`REPLY_WRITE_TIMEOUT`]. Every [`ReplyWriter::write`]
@@ -416,6 +429,30 @@ mod tests {
         let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
         (Arc::new(ReplyWriter::new(accepted, None).unwrap()), peer)
+    }
+
+    #[test]
+    fn a_reply_over_the_frame_bound_is_answered_with_a_correlated_typed_error() {
+        // One row wider than a frame: zeroed pages the encoder refuses before touching.
+        let too_wide = ResponseBody::Embedded {
+            matrix: gem_numeric::Matrix::zeros(1, binary::MAX_FRAME_LEN as usize / 8 + 1),
+            served_from: "memory_cache".to_string(),
+        };
+        let bytes = encode_reply(Some(41), too_wide);
+        let mut assembler = FrameAssembler::new();
+        assembler.push(&bytes);
+        let frame = assembler.next_frame().unwrap().expect("one whole frame");
+        assert!(assembler.next_frame().unwrap().is_none());
+        let mut partials = binary::EmbedPartials::new();
+        let reply = binary::decode_response_frame(&frame, &mut partials)
+            .unwrap()
+            .expect("a complete reply");
+        assert_eq!(reply.in_reply_to, Some(41));
+        let ResponseBody::Error { code, message, .. } = reply.body else {
+            panic!("expected an error body, got {:?}", reply.body);
+        };
+        assert_eq!(code, "protocol_error");
+        assert!(message.contains("cannot be framed"), "{message}");
     }
 
     #[test]

@@ -5,9 +5,14 @@
 //! the accept line and everything after it is `[u32 len][u8 kind][payload]` frames —
 //! f64 payloads as raw little-endian IEEE-754 bytes, `Fit`/`FitUpdate` corpora too
 //! large for one frame streamed as chunked uploads (reassembled in the reader, in
-//! order), and `Embed` responses streamed as row slices while the transform batches
-//! complete. A first line that is not a hello at this protocol version is answered
-//! with one typed error line, and the connection closes. The server is deliberately
+//! order), and `Embed` responses streamed one reply frame per transform batch: a batch
+//! is as many query columns as one `embed_rows` frame carries (512 at the usual widths,
+//! [`binary::embed_rows_per_frame`]), so a request of up to 512 columns is one
+//! transform, one fan-out across threads and one write. A first line that is not a
+//! hello at this protocol version is answered with one typed error line, and the
+//! connection closes. A `Fit` or pushed model whose header embeddings are wider than
+//! 16,384 (`MAX_TEXT_DIM`) is refused with `invalid_request`, so every batch's rows fit
+//! one frame. The server is deliberately
 //! `std::net`-only — the expensive work (EM fits, transforms) is CPU-bound, so a
 //! bounded pool of OS threads *is* the right executor; an async reactor would add a
 //! dependency without adding throughput.
@@ -57,7 +62,9 @@
 //!   one and `in_reply_to: null` when not — instead of a dropped connection.
 
 use crate::error::ServeError;
-use crate::framing::{accept_hello, encode_reply, pump_frames, ReadStep, ReplyWriter, WriteBudget};
+use crate::framing::{
+    accept_hello, encode_reply, pump_frames, unframeable_reply, ReadStep, ReplyWriter, WriteBudget,
+};
 use crate::handle::ModelHandle;
 use crate::metrics::{RequestShape, ServerMetrics};
 use crate::service::{EmbedService, ModelInfo, ServeRequest, ServeResponse, ServiceStats};
@@ -611,11 +618,6 @@ impl Reply<'_> {
     }
 }
 
-/// How many query columns a streamed embed transforms per written row frame:
-/// small enough that the first rows reach the client while later batches still
-/// compute, large enough that framing overhead stays negligible.
-const EMBED_STREAM_BATCH: usize = 32;
-
 /// Obtain the request envelope from whatever shape the reader queued, or the id to
 /// correlate the decode error with. An assembled upload moves out, never cloned.
 fn decode_payload(
@@ -629,15 +631,18 @@ fn decode_payload(
     }
 }
 
-/// Serve an `Embed` as a row stream: resolve the handle once, transform the
-/// query columns in batches against that model and write each batch's rows as an
-/// `embed_rows` frame the moment it completes, closing with `embed_done` — the client
-/// starts receiving rows while later batches are still computing. A failure mid-stream
-/// becomes the typed error frame; the client discards the partial rows it accumulated
-/// for this id. Returns the last batch's rows followed by `embed_done` (or the typed
-/// error) for the executor to write in one call after the accounting gauges drop; only
-/// the earlier batches' row frames are written here. Time spent writing them counts as
-/// neither encode nor execute time, like the final write.
+/// Serve an `Embed` as a row stream: resolve the handle once, then transform the query
+/// columns one reply frame at a time — [`binary::embed_rows_per_frame`] columns at the
+/// model's width, so each batch is one transform (one fan-out) and one `embed_rows`
+/// frame, written the moment the next batch proves it is not the last. A request that
+/// fits one frame — up to 512 columns, fewer only for a model over 16,383 values wide —
+/// is one transform and one write. A failure mid-stream becomes the typed error frame; the
+/// client discards the partial rows it accumulated for this id. Rows that cannot be
+/// framed are answered with the codec's typed `protocol_error`, never with silence.
+/// Returns the last batch's rows followed by `embed_done` (or the typed error) for the
+/// executor to write in one call after the accounting gauges drop; only the earlier
+/// batches' row frames are written here. Time spent writing them counts as neither
+/// encode nor execute time, like the final write.
 #[allow(clippy::too_many_arguments)]
 fn stream_embed(
     service: &EmbedService,
@@ -662,13 +667,20 @@ fn stream_embed(
             encode_time,
         );
     };
-    let error_frame = |error: &ServeError| Some(encode_reply(Some(id), error_body(error)));
+    let error_frame = |body: ResponseBody| Some(encode_reply(Some(id), body));
     // One request, one resolve: the stream's batches all transform against this model.
     let (model, served_from) = match service.resolve_embed(handle) {
         Ok(resolved) => resolved,
         Err(error) => {
             observe(Duration::ZERO, Duration::ZERO);
-            return error_frame(&error);
+            return error_frame(error_body(&error));
+        }
+    };
+    let batch_len = match binary::embed_rows_per_frame(model.dim()) {
+        Ok(rows) => rows,
+        Err(error) => {
+            observe(Duration::ZERO, Duration::ZERO);
+            return error_frame(unframeable_reply(&error));
         }
     };
     let served_from = served_from.wire_name();
@@ -682,17 +694,17 @@ fn stream_embed(
     // Zero queries still run one empty transform, so they get the same `NoColumns`
     // transform error an in-process transform returns. Each batch's columns move out of
     // `queries`; none of their values are copied.
-    let batches = queries.len().div_ceil(EMBED_STREAM_BATCH).max(1);
+    let batches = queries.len().div_ceil(batch_len).max(1);
     let mut queries = queries.into_iter();
     for _ in 0..batches {
-        let batch: Vec<gem_core::GemColumn> = queries.by_ref().take(EMBED_STREAM_BATCH).collect();
+        let batch: Vec<gem_core::GemColumn> = queries.by_ref().take(batch_len).collect();
         let matrix = match model.transform(&batch) {
             Ok(embedding) => embedding.matrix,
             Err(error) => {
                 // The error frame supersedes any rows already streamed: the client
                 // drops its partial accumulation for this id on seeing it.
                 observe(encode_time, write_time);
-                return error_frame(&ServeError::Transform(error));
+                return error_frame(error_body(&ServeError::Transform(error)));
             }
         };
         cols = matrix.cols();
@@ -706,32 +718,34 @@ fn stream_embed(
             })
         };
         encode_time += encode_started.elapsed();
-        let sent = match frame {
-            Ok(bytes) => {
-                let earlier = std::mem::replace(&mut held, bytes);
-                let write_started = Instant::now();
-                let sent = earlier.is_empty() || reply.stream(&earlier);
-                write_time += write_started.elapsed();
-                sent
+        let earlier = match frame {
+            Ok(bytes) => std::mem::replace(&mut held, bytes),
+            Err(error) => {
+                observe(encode_time, write_time);
+                return error_frame(unframeable_reply(&error));
             }
-            Err(_) => false,
         };
+        let write_started = Instant::now();
+        let sent = earlier.is_empty() || reply.stream(&earlier);
+        write_time += write_started.elapsed();
         if !sent {
-            // The connection is gone (or the frame was unencodable); stop
-            // transforming for a peer that cannot receive the rows.
+            // The connection is gone; stop transforming for a peer that cannot
+            // receive the rows.
             observe(encode_time, write_time);
             return None;
         }
     }
     let encode_started = Instant::now();
-    let done = binary::embed_done_frame(id, served_from, cols, sent_rows).ok();
-    let last = done.map(|done| {
-        held.extend_from_slice(&done);
-        held
-    });
+    let last = match binary::embed_done_frame(id, served_from, cols, sent_rows) {
+        Ok(done) => {
+            held.extend_from_slice(&done);
+            held
+        }
+        Err(error) => encode_reply(Some(id), unframeable_reply(&error)),
+    };
     encode_time += encode_started.elapsed();
     observe(encode_time, write_time);
-    last
+    Some(last)
 }
 
 /// Decode, execute and encode one frame, recording each phase's duration under the
@@ -775,8 +789,8 @@ fn respond_frame(
     };
     let decode = decode_started.elapsed();
     let shape = RequestShape::of_body(&envelope.body);
-    // Embeds stream: rows are written as transform batches complete instead of
-    // materializing the whole matrix before the first byte leaves.
+    // Embeds stream: a request wider than one reply frame is transformed and written
+    // one frame's batch at a time instead of materializing the whole matrix first.
     if let RequestBody::Embed { handle, queries } = envelope.body {
         return match parse_handle(&handle) {
             Ok(handle) => stream_embed(
@@ -985,6 +999,27 @@ fn parse_handle(text: &str) -> Result<ModelHandle, ServeError> {
     ModelHandle::parse(text).map_err(|reason| ServeError::InvalidRequest { reason })
 }
 
+/// The widest header embedding (`text_dim`) a replica accepts for a model with
+/// contextual features: at this width a full batch's header block, 512 rows of 8-byte
+/// values, fills one `MAX_FRAME_LEN` frame (16,384). A wider model could not stream one
+/// frame per batch, and its embeds would allocate header blocks without a bound.
+pub(crate) const MAX_TEXT_DIM: usize =
+    binary::MAX_FRAME_LEN as usize / (8 * binary::EMBED_ROWS_PER_FRAME);
+
+/// Refuse a model whose header block the replica could not stream.
+fn check_text_dim(features: gem_core::FeatureSet, text_dim: usize) -> Result<(), ServeError> {
+    if features.contextual && text_dim > MAX_TEXT_DIM {
+        return Err(ServeError::InvalidRequest {
+            reason: format!(
+                "text_dim {text_dim} exceeds {MAX_TEXT_DIM}, the widest header embedding \
+                 whose {}-row block fits one frame",
+                binary::EMBED_ROWS_PER_FRAME
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Lower a wire request body into the service's typed request.
 pub(crate) fn wire_to_request(body: RequestBody) -> Result<ServeRequest, ServeError> {
     Ok(match body {
@@ -993,12 +1028,15 @@ pub(crate) fn wire_to_request(body: RequestBody) -> Result<ServeRequest, ServeEr
             config,
             features,
             composition,
-        } => ServeRequest::Fit {
-            corpus: Arc::new(corpus),
-            config,
-            features,
-            composition,
-        },
+        } => {
+            check_text_dim(features, config.text_dim)?;
+            ServeRequest::Fit {
+                corpus: Arc::new(corpus),
+                config,
+                features,
+                composition,
+            }
+        }
         RequestBody::FitUpdate { handle, corpus } => ServeRequest::FitUpdate {
             handle: parse_handle(&handle)?,
             corpus: Arc::new(corpus),
@@ -1027,6 +1065,7 @@ pub(crate) fn wire_to_request(body: RequestBody) -> Result<ServeRequest, ServeEr
                     reason: format!("snapshot rejected: {e}"),
                 }
             })?;
+            check_text_dim(model.features(), model.config().text_dim)?;
             ServeRequest::PushModel {
                 handle: ModelHandle::from(key),
                 model: Arc::new(model),
@@ -1163,6 +1202,16 @@ mod tests {
                         .collect(),
                     format!("col_{c}"),
                 )
+            })
+            .collect()
+    }
+
+    /// `count` query columns: the corpus's columns in turn, each shifted by its index.
+    fn queries_from(cols: &[GemColumn], count: usize) -> Vec<GemColumn> {
+        (0..count)
+            .map(|i| {
+                let values = cols[i % cols.len()].values.iter().map(|v| v + i as f64);
+                GemColumn::new(values.collect(), format!("q{i}"))
             })
             .collect()
     }
@@ -1895,12 +1944,7 @@ mod tests {
         // also when the rows stream back over several batches, the last one partial.
         let model = GemModel::fit(&cols, &config, FeatureSet::ds()).unwrap();
         assert_eq!(served.matrix, model.transform(&cols).unwrap().matrix);
-        let many: Vec<GemColumn> = (0..2 * EMBED_STREAM_BATCH + 1)
-            .map(|i| {
-                let values = cols[i % cols.len()].values.iter().map(|v| v + i as f64);
-                GemColumn::new(values.collect(), format!("q{i}"))
-            })
-            .collect();
+        let many = queries_from(&cols, 2 * binary::EMBED_ROWS_PER_FRAME + 1);
         let before = client.stats().unwrap();
         let streamed = client.embed(fitted.handle, &many).unwrap();
         let after = client.stats().unwrap();
@@ -2051,5 +2095,141 @@ mod tests {
         replica.shutdown();
         origin_join.join().unwrap().unwrap();
         replica_join.join().unwrap().unwrap();
+    }
+    /// The row count an `embed_rows` frame carries: after the correlation header, the
+    /// `served_from` string and the column count.
+    fn embed_rows_in(frame: &binary::Frame) -> usize {
+        let field = |at: usize| {
+            let bytes: [u8; 4] = frame.payload[at..at + 4].try_into().unwrap();
+            u32::from_le_bytes(bytes) as usize
+        };
+        let served_from_len = field(9);
+        field(9 + 4 + served_from_len + 4)
+    }
+
+    #[test]
+    fn an_embed_streams_one_row_frame_per_512_columns() {
+        let (server, join) = start_server();
+        let cols = corpus();
+        let config = GemConfig::fast();
+        let handle = GemClient::connect(server.addr())
+            .unwrap()
+            .fit(&cols, &config, FeatureSet::ds())
+            .unwrap()
+            .handle;
+        let queries = queries_from(&cols, 2 * binary::EMBED_ROWS_PER_FRAME + 1);
+        let (mut stream, mut reader) = raw_connection(server.addr());
+        let embed = proto::RequestEnvelope::new(
+            7,
+            RequestBody::Embed {
+                handle: handle.to_string(),
+                queries: queries.clone(),
+            },
+        );
+        stream
+            .write_all(&binary::encode_request_frame(&embed).unwrap())
+            .unwrap();
+        let mut assembler = binary::FrameAssembler::new();
+        let mut partials = binary::EmbedPartials::new();
+        let mut rows_per_frame = Vec::new();
+        let reply = loop {
+            let Some(frame) = assembler.next_frame().unwrap() else {
+                let buffered = reader.fill_buf().unwrap();
+                assert!(!buffered.is_empty(), "server must answer, not hang up");
+                let read = buffered.len();
+                assembler.push(buffered);
+                reader.consume(read);
+                continue;
+            };
+            if frame.kind == binary::KIND_EMBED_ROWS {
+                rows_per_frame.push(embed_rows_in(&frame));
+            }
+            if let Some(reply) = binary::decode_response_frame(&frame, &mut partials).unwrap() {
+                break reply;
+            }
+        };
+        assert_eq!(rows_per_frame, vec![512, 512, 1]);
+        assert_eq!(reply.in_reply_to, Some(7));
+        let ResponseBody::Embedded { matrix, .. } = reply.body else {
+            panic!("expected embedded rows, got {:?}", reply.body);
+        };
+        let direct = GemModel::fit(&cols, &config, FeatureSet::ds())
+            .unwrap()
+            .transform(&queries)
+            .unwrap()
+            .matrix;
+        let bits = |m: &gem_numeric::Matrix| -> Vec<u64> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&matrix), bits(&direct));
+        server.shutdown();
+        join.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn header_blocks_too_wide_for_512_rows_stream_in_frames_that_fit() {
+        // At the widest accepted text_dim a 512-row header block alone fills a frame,
+        // so each batch carries fewer rows; 513 columns still arrive bit-identically.
+        let (server, join) = start_server_with(2);
+        let cols = corpus();
+        let config = GemConfig {
+            text_dim: MAX_TEXT_DIM,
+            ..GemConfig::fast()
+        };
+        let mut client = GemClient::connect(server.addr()).unwrap();
+        let fitted = client.fit(&cols, &config, FeatureSet::c()).unwrap();
+        assert_eq!(fitted.dim, MAX_TEXT_DIM);
+        assert!(binary::embed_rows_per_frame(fitted.dim).unwrap() < binary::EMBED_ROWS_PER_FRAME);
+        let queries = queries_from(&cols, binary::EMBED_ROWS_PER_FRAME + 1);
+        let served = client.embed(fitted.handle, &queries).unwrap().matrix;
+        let direct = GemModel::fit(&cols, &config, FeatureSet::c())
+            .unwrap()
+            .transform(&queries)
+            .unwrap()
+            .matrix;
+        assert!(served
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .eq(direct.as_slice().iter().map(|v| v.to_bits())));
+        server.shutdown();
+        join.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn text_dims_the_replica_cannot_embed_are_typed_refusals() {
+        let (server, join) = start_server();
+        let cols = corpus();
+        let mut client = GemClient::connect(server.addr()).unwrap();
+        let with_text_dim = |text_dim| GemConfig {
+            text_dim,
+            ..GemConfig::fast()
+        };
+        // Below the embedder's minimum: a typed fit failure, not a caught panic.
+        let error = client
+            .fit(&cols, &with_text_dim(1), FeatureSet::ds())
+            .unwrap_err();
+        assert_eq!(error.code(), Some("fit_failed"), "{error}");
+        // Above the one-frame bound, for a model with a header block: refused before
+        // anything is fitted or allocated, whether fitted here or pushed.
+        for text_dim in [MAX_TEXT_DIM + 1, 1 << 40] {
+            let error = client
+                .fit(&cols, &with_text_dim(text_dim), FeatureSet::dsc())
+                .unwrap_err();
+            assert_eq!(error.code(), Some("invalid_request"), "{error}");
+        }
+        let wide = with_text_dim(MAX_TEXT_DIM + 1);
+        let model = GemModel::fit(&cols, &wide, FeatureSet::dsc()).unwrap();
+        let key = crate::model_key(&cols, &wide, FeatureSet::dsc());
+        let error = client
+            .push_model(&gem_store::encode_snapshot(key, &model))
+            .unwrap_err();
+        assert_eq!(error.code(), Some("invalid_request"), "{error}");
+        // A model without a header block has nothing to stream at that width.
+        client.fit(&cols, &wide, FeatureSet::ds()).unwrap();
+        assert_eq!(client.stats().unwrap().resident_models, 1);
+        server.shutdown();
+        join.join().unwrap().unwrap();
+        assert_eq!(server.counters().panics(), 0);
     }
 }
