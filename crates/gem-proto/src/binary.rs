@@ -72,9 +72,10 @@ use std::collections::HashMap;
 /// single-frame request; corpora larger than this stream as chunked uploads.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// Upper bound on the bytes a chunked upload may accumulate before `EndFit` — the
-/// assembler refuses to buffer more, so a malicious or runaway `BeginFit` cannot
-/// grow server memory without bound.
+/// Upper bound on what one connection's open chunked uploads may hold in memory
+/// together before their `EndFit`s — the assembler refuses to buffer more, so no peer
+/// can grow server memory without bound by opening uploads or by sending many small
+/// columns.
 pub const MAX_CHUNKED_CORPUS_BYTES: u64 = 1024 * 1024 * 1024;
 
 /// Default client-side threshold: a `Fit`/`FitUpdate` whose corpus payload would
@@ -168,12 +169,25 @@ impl Frame {
     }
 }
 
-/// Incremental frame splitter: push raw socket bytes in, pop complete [`Frame`]s out.
-/// Pure bytes — no I/O — so both ends (and the router) share one implementation, and
-/// a read-timeout tick mid-frame loses nothing.
+/// The most one read asks for while no frame is in progress, so an idle connection's
+/// buffer stays this small.
+const IDLE_READ: usize = 8 << 10;
+
+/// The most one read asks for while a frame is in progress, so a peer that announces a
+/// large frame and stalls costs at most this much beyond the bytes it sent.
+const FRAME_READ: usize = 256 << 10;
+
+/// Incremental frame splitter: push raw socket bytes in (or read them straight into
+/// [`FrameAssembler::room`]), pop complete [`Frame`]s out. Pure bytes — no I/O — so both
+/// ends (and the router) share one implementation, and a read-timeout tick mid-frame
+/// loses nothing. Popping a frame copies its payload out once and moves an offset; the
+/// consumed bytes are compacted away only when more bytes come in.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
+    /// `start..end` is read but not consumed; `end..` is room for the next read.
     buf: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameAssembler {
@@ -184,12 +198,50 @@ impl FrameAssembler {
 
     /// Absorb bytes read off the socket.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.compact();
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
+    }
+
+    /// Room for the next read, in the buffer itself: 8 KiB while no frame is in
+    /// progress, otherwise the frame's missing bytes and 8 KiB more, at most 256 KiB.
+    /// The 8 KiB past a frame's end take in what follows it, and make a read that
+    /// emptied the socket come back short of the room. Write what arrives at its front,
+    /// then report the count to [`FrameAssembler::filled`].
+    pub fn room(&mut self) -> &mut [u8] {
+        self.compact();
+        let wanted = self.end.saturating_add(self.read_size());
+        if self.buf.len() < wanted {
+            self.buf.reserve_exact(wanted - self.buf.len());
+            self.buf.resize(wanted, 0);
+        }
+        self.buf.get_mut(self.end..wanted).unwrap_or_default()
+    }
+
+    /// Take in `count` bytes that a read wrote at the front of [`FrameAssembler::room`].
+    pub fn filled(&mut self, count: usize) {
+        self.end = self.end.saturating_add(count).min(self.buf.len());
     }
 
     /// Bytes buffered but not yet formed into a frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.end - self.start
+    }
+
+    /// Pop the text line in front of the frames — a connection's handshake — through
+    /// its newline, or its first `cap` bytes when no newline comes within them. `None`
+    /// while neither is buffered.
+    pub fn next_line(&mut self, cap: usize) -> Option<Vec<u8>> {
+        let unread = self.buf.get(self.start..self.end)?;
+        let take = match unread.iter().take(cap).position(|&b| b == b'\n') {
+            Some(at) => at + 1,
+            None if unread.len() >= cap => cap,
+            None => return None,
+        };
+        let line = unread.get(..take)?.to_vec();
+        self.start += take;
+        Some(line)
     }
 
     /// Pop the next complete frame, if one is buffered.
@@ -198,7 +250,8 @@ impl FrameAssembler {
     /// [`ProtoError::Parse`] for a zero or oversized `len` header — the stream cannot
     /// be resynchronized past it, so the caller should answer a typed error and close.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
-        let Some(head) = self.buf.get(0..4) else {
+        let unread = self.buf.get(self.start..self.end).unwrap_or_default();
+        let Some(head) = unread.get(0..4) else {
             return Ok(None);
         };
         let len_bytes: [u8; 4] = head.try_into().map_err(|_| short("frame length"))?;
@@ -212,13 +265,40 @@ impl FrameAssembler {
             )));
         }
         let total = 4usize.saturating_add(len as usize);
-        if self.buf.len() < total {
+        let Some(frame) = unread.get(..total) else {
             return Ok(None);
-        }
-        let mut frame: Vec<u8> = self.buf.drain(..total).collect();
+        };
         let kind = frame.get(4).copied().ok_or_else(|| short("frame kind"))?;
-        let payload = frame.split_off(5);
+        let payload = frame.get(FRAME_HEAD..).unwrap_or_default().to_vec();
+        self.start += total;
         Ok(Some(Frame { kind, payload }))
+    }
+
+    /// How many bytes the next read asks for (see [`FrameAssembler::room`]). A frame is
+    /// in progress once a length prefix within the frame bound is buffered and the
+    /// frame's bytes are not all there.
+    fn read_size(&self) -> usize {
+        let unread = self.buf.get(self.start..self.end).unwrap_or_default();
+        let len = unread
+            .get(0..4)
+            .and_then(|head| head.try_into().ok())
+            .map(u32::from_le_bytes)
+            .filter(|len| (1..=MAX_FRAME_LEN).contains(len));
+        match len.map(|len| 4 + len as usize) {
+            Some(total) if total > unread.len() => {
+                (total - unread.len() + IDLE_READ).min(FRAME_READ)
+            }
+            _ => IDLE_READ,
+        }
+    }
+
+    /// Move the unconsumed bytes to the front of the buffer.
+    fn compact(&mut self) {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
     }
 }
 
@@ -728,16 +808,33 @@ struct FitAssembly {
     mode: FitMode,
     total_columns: u64,
     columns: Vec<GemColumn>,
+    /// What `columns` holds in memory ([`columns_in_memory`]).
     bytes: u64,
 }
 
 /// Server-side state machine reassembling chunked `Fit`/`FitUpdate` uploads, keyed by
-/// correlation id so several uploads can interleave on one pipelined connection. Any
-/// protocol violation drops that id's partial state and surfaces a typed error — the
-/// connection (and other in-flight uploads) survive.
-#[derive(Debug, Default)]
+/// correlation id so several uploads can interleave on one pipelined connection. Its
+/// open uploads together hold at most [`MAX_CHUNKED_CORPUS_BYTES`] of columns in
+/// memory. Any protocol violation, the chunk that would cross that bound included,
+/// drops that id's partial state and surfaces a typed error — the connection (and
+/// other in-flight uploads) survive.
+#[derive(Debug)]
 pub struct ChunkAssembler {
     active: HashMap<u64, FitAssembly>,
+    /// The sum of the open uploads' `bytes`.
+    held: u64,
+    /// The bound on `held`: [`MAX_CHUNKED_CORPUS_BYTES`].
+    limit: u64,
+}
+
+impl Default for ChunkAssembler {
+    fn default() -> Self {
+        ChunkAssembler {
+            active: HashMap::new(),
+            held: 0,
+            limit: MAX_CHUNKED_CORPUS_BYTES,
+        }
+    }
 }
 
 impl ChunkAssembler {
@@ -756,9 +853,11 @@ impl ChunkAssembler {
         self.active.len()
     }
 
-    /// Drop the partial state for `id` (after answering an error for it).
-    pub fn abort(&mut self, id: u64) {
-        self.active.remove(&id);
+    /// Close the upload `id`, releasing what it held.
+    fn remove(&mut self, id: u64) -> Option<FitAssembly> {
+        let assembly = self.active.remove(&id)?;
+        self.held = self.held.saturating_sub(assembly.bytes);
+        Some(assembly)
     }
 
     /// Accept one chunk-sequence frame. Returns the assembled request envelope when
@@ -830,24 +929,27 @@ impl ChunkAssembler {
                             assembly.total_columns
                         )));
                     }
-                    assembly.bytes = assembly
-                        .bytes
-                        .saturating_add(corpus_wire_bytes(&columns) as u64);
-                    if assembly.bytes > MAX_CHUNKED_CORPUS_BYTES {
+                    let bytes = columns_in_memory(&columns);
+                    let held = self.held.saturating_add(bytes);
+                    if held > self.limit {
                         return Err(parse_err(format!(
-                            "upload {id} exceeds the {MAX_CHUNKED_CORPUS_BYTES}-byte bound"
+                            "upload {id} would bring this connection's open uploads to \
+                             {held} bytes in memory, over the {}-byte bound",
+                            self.limit
                         )));
                     }
                     observe(ChunkEvent::Columns {
                         id,
                         columns: &columns,
                     });
+                    self.held = held;
+                    assembly.bytes = assembly.bytes.saturating_add(bytes);
                     assembly.columns.extend(columns);
                     Ok(None)
                 }
                 KIND_END_FIT => {
                     cur.expect_end()?;
-                    let assembly = self.active.remove(&id).ok_or_else(|| {
+                    let assembly = self.remove(id).ok_or_else(|| {
                         parse_err(format!("end_fit for id {id} without a begin_fit"))
                     })?;
                     let received = assembly.columns.len() as u64;
@@ -887,10 +989,22 @@ impl ChunkAssembler {
         let mut run = step;
         let result = run();
         if result.is_err() {
-            self.active.remove(&id);
+            self.remove(id);
         }
         result
     }
+}
+
+/// What decoded columns hold in memory: each `GemColumn` itself, plus its header's and
+/// its values' bytes. An empty column costs the struct, not the 8 bytes it took on the
+/// wire.
+fn columns_in_memory(columns: &[GemColumn]) -> u64 {
+    columns.iter().fold(0u64, |acc, c| {
+        let bytes = std::mem::size_of::<GemColumn>()
+            .saturating_add(c.header.len())
+            .saturating_add(c.values.len().saturating_mul(8));
+        acc.saturating_add(bytes as u64)
+    })
 }
 
 // --- response frames --------------------------------------------------------------
@@ -1636,5 +1750,211 @@ mod tests {
         let mut payload = Vec::new();
         put_columns(&mut payload, &cols).unwrap();
         assert_eq!(payload.len(), corpus_wire_bytes(&cols));
+    }
+
+    /// Feed `stream` through [`FrameAssembler::room`] as reads of the given sizes would,
+    /// popping frames between reads; returns the frames.
+    fn read_in_steps(stream: &[u8], steps: &[usize]) -> Vec<Frame> {
+        let mut assembler = FrameAssembler::new();
+        let mut frames = Vec::new();
+        let mut sent = 0;
+        for &step in steps.iter().cycle() {
+            while let Some(frame) = assembler.next_frame().unwrap() {
+                frames.push(frame);
+            }
+            if sent == stream.len() {
+                break;
+            }
+            let room = assembler.room();
+            let count = step.min(room.len()).min(stream.len() - sent);
+            room[..count].copy_from_slice(&stream[sent..sent + count]);
+            assembler.filled(count);
+            sent += count;
+        }
+        assert_eq!(assembler.buffered(), 0);
+        frames
+    }
+
+    #[test]
+    fn frames_read_into_the_buffer_in_any_steps_match_the_pushed_ones() {
+        let small = encode_request_frame(&RequestEnvelope::new(1, RequestBody::Stats)).unwrap();
+        let wide: Vec<GemColumn> = (0..4)
+            .map(|c| GemColumn::values_only(vec![f64::from(c) + 0.5; 20_000]))
+            .collect();
+        let large = encode_embed_frame(2, "0000000000000001-0000000000000002", &wide).unwrap();
+        assert!(large.len() > FRAME_READ, "one frame spans several reads");
+        let stream = [&small[..], &large, &small, &small, &large, &small].concat();
+        let pushed = reassemble(&stream);
+        assert_eq!(pushed.len(), 6);
+        for steps in [
+            &[1usize][..],
+            &[7, 300, 70_000],
+            &[usize::MAX],
+            &[5, usize::MAX],
+        ] {
+            assert_eq!(read_in_steps(&stream, steps), pushed, "steps {steps:?}");
+        }
+    }
+
+    #[test]
+    fn reads_take_8_kib_between_frames_and_at_most_256_kib_within_one() {
+        let mut assembler = FrameAssembler::new();
+        assert_eq!(assembler.room().len(), IDLE_READ);
+        // Ten small frames in one read leave an idle connection's buffer as it was.
+        let small = encode_request_frame(&RequestEnvelope::new(1, RequestBody::Stats)).unwrap();
+        let pipelined = small.repeat(10);
+        assembler.room()[..pipelined.len()].copy_from_slice(&pipelined);
+        assembler.filled(pipelined.len());
+        for _ in 0..10 {
+            assert!(assembler.next_frame().unwrap().is_some());
+        }
+        assert_eq!(assembler.room().len(), IDLE_READ);
+        assert_eq!(assembler.buf.capacity(), IDLE_READ);
+        // A frame in progress: its missing bytes and 8 KiB more, so a read that takes
+        // exactly the rest of the frame comes back short of the room.
+        let wide = [GemColumn::values_only(vec![0.5; 3_000])];
+        let frame = encode_embed_frame(2, "0000000000000001-0000000000000002", &wide).unwrap();
+        assembler.push(&frame[..100]);
+        assert_eq!(assembler.room().len(), frame.len() - 100 + IDLE_READ);
+        assembler.push(&frame[100..]);
+        assert!(assembler.next_frame().unwrap().is_some());
+        // A peer announces a 64 MiB frame and stalls after 1 MiB of it: each read
+        // offers at most 256 KiB, and the buffer never grows more than one such read
+        // beyond the bytes that arrived.
+        let mut arrived = 0;
+        while arrived < 1 << 20 {
+            let room = assembler.room();
+            assert!(room.len() <= FRAME_READ, "{}", room.len());
+            if arrived == 0 {
+                room[..4].copy_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+                room[4] = KIND_FIT;
+            }
+            let count = room.len();
+            assembler.filled(count);
+            arrived += count;
+            assert!(assembler.buf.capacity() <= arrived + FRAME_READ);
+        }
+        assert!(assembler.next_frame().unwrap().is_none());
+        assert_eq!(assembler.room().len(), FRAME_READ);
+        assert!(assembler.buf.capacity() <= arrived + FRAME_READ);
+    }
+
+    #[test]
+    fn the_handshake_line_comes_off_before_the_frames_behind_it() {
+        let hello = hello_line().into_bytes();
+        let frame = encode_request_frame(&RequestEnvelope::new(3, RequestBody::Stats)).unwrap();
+        let mut assembler = FrameAssembler::new();
+        assembler.push(&hello[..5]);
+        assert_eq!(
+            assembler.next_line(38),
+            None,
+            "half a line waits for its newline"
+        );
+        assembler.push(&[&hello[5..], &frame[..]].concat());
+        assert_eq!(assembler.next_line(38), Some(hello));
+        let frame = assembler
+            .next_frame()
+            .unwrap()
+            .expect("the frame behind the line");
+        assert_eq!(frame.correlation_id(), Some(3));
+        // No newline within the cap: the first `cap` bytes, and nothing past them.
+        let mut assembler = FrameAssembler::new();
+        assembler.push(&[b'x'; 50]);
+        assert_eq!(assembler.next_line(38), Some(vec![b'x'; 38]));
+        assert_eq!(assembler.buffered(), 12);
+    }
+
+    /// A chunked `Fit` upload of `corpus` under `id`, frame by frame.
+    fn upload(id: u64, corpus: Vec<GemColumn>) -> Vec<Frame> {
+        let envelope = RequestEnvelope::new(
+            id,
+            RequestBody::Fit {
+                corpus,
+                config: GemConfig::fast(),
+                features: FeatureSet::ds(),
+                composition: None,
+            },
+        );
+        let frames = encode_request_frames(&envelope, 1024).unwrap();
+        assert!(frames.len() > 3, "expected begin + chunks + end");
+        frames.iter().flat_map(|bytes| reassemble(bytes)).collect()
+    }
+
+    #[test]
+    fn interleaved_uploads_share_one_memory_bound() {
+        // Eight 64-value columns hold 8 × (size_of::<GemColumn>() + 512) bytes: one
+        // upload fits the bound, two do not.
+        let corpus = |shift: f64| -> Vec<GemColumn> {
+            (0..8)
+                .map(|c| GemColumn::values_only(vec![f64::from(c) + shift; 64]))
+                .collect()
+        };
+        let one = columns_in_memory(&corpus(0.0));
+        let limit = one * 3 / 2;
+        let bounded = || ChunkAssembler {
+            limit,
+            ..ChunkAssembler::default()
+        };
+        let first = upload(1, corpus(0.0));
+        let second = upload(2, corpus(0.5));
+        for frames in [&first, &second] {
+            let mut alone = bounded();
+            let results: Vec<_> = frames.iter().map(|f| alone.accept(f, |_| {})).collect();
+            assert!(results.iter().all(Result::is_ok), "alone, an upload fits");
+            assert!(matches!(results.last(), Some(Ok(Some(_)))));
+        }
+        // Both open at once: the second upload's chunk that crosses the bound is
+        // refused and only that upload is dropped.
+        let mut assembler = bounded();
+        for begin in [&first[0], &second[0]] {
+            assert_eq!(assembler.accept(begin, |_| {}).unwrap(), None);
+        }
+        let (end, chunks) = first[1..].split_last().unwrap();
+        for chunk in chunks {
+            assert_eq!(assembler.accept(chunk, |_| {}).unwrap(), None);
+        }
+        let refused = second[1..]
+            .iter()
+            .find_map(|chunk| assembler.accept(chunk, |_| {}).err())
+            .expect("the bound refuses a chunk of the second upload");
+        assert_eq!(refused.code(), "protocol_error");
+        assert!(refused.to_string().contains("bound"), "{refused}");
+        assert_eq!(assembler.in_progress(), 1);
+        let assembled = assembler
+            .accept(end, |_| {})
+            .unwrap()
+            .expect("the first upload");
+        let RequestBody::Fit { corpus: back, .. } = assembled.body else {
+            panic!("not a fit");
+        };
+        assert_eq!(bits_of(&back), bits_of(&corpus(0.0)));
+        assert_eq!((assembler.in_progress(), assembler.held), (0, 0));
+        // The released bytes are free again: the second upload now fits whole.
+        let last = second
+            .iter()
+            .map(|f| assembler.accept(f, |_| {}).unwrap())
+            .last();
+        assert!(matches!(last, Some(Some(_))));
+    }
+
+    #[test]
+    fn empty_columns_count_what_they_hold_in_memory_not_their_wire_bytes() {
+        let empty: Vec<GemColumn> = (0..200)
+            .map(|_| GemColumn::values_only(Vec::new()))
+            .collect();
+        let limit = 4_000;
+        assert!((corpus_wire_bytes(&empty) as u64) < limit);
+        assert!(columns_in_memory(&empty) > limit);
+        let frames = upload(7, empty);
+        let mut assembler = ChunkAssembler {
+            limit,
+            ..ChunkAssembler::default()
+        };
+        let refused = frames
+            .iter()
+            .find_map(|frame| assembler.accept(frame, |_| {}).err())
+            .expect("the empty columns cross the bound in memory");
+        assert_eq!(refused.code(), "protocol_error");
+        assert_eq!((assembler.in_progress(), assembler.held), (0, 0));
     }
 }

@@ -32,7 +32,8 @@
 //! Both sides speak what `gem-served` speaks, through [`gem_serve::framing`]:
 //! a client opens with the `gem_proto::binary` hello exactly as against `gem-served`
 //! (any other first line is refused with one typed error line), and each of that
-//! connection's upstreams offers the same hello to its replica. Frames then forward
+//! connection's upstreams dials its replica with the same hello; both sides read
+//! through a [`FrameReader`]. Frames then forward
 //! **verbatim** — streamed `embed_rows` frames pass through without retiring the
 //! in-flight entry (the closing `embed_done` does), and chunked corpus uploads are
 //! reassembled here once, **fingerprinted incrementally while the chunks arrive**
@@ -56,7 +57,7 @@
 //! re-routes.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -68,7 +69,7 @@ use gem_proto::{
     WireStats,
 };
 use gem_serve::framing::{
-    accept_hello, encode_reply, offer_hello, pump_frames, ReadStep, ReplyWriter, WriteBudget,
+    accept_hello, dial, encode_reply, is_tick, FrameReader, ReplyWriter, WriteBudget,
 };
 use gem_serve::sync::lock_or_recover;
 use gem_serve::ModelHandle;
@@ -342,13 +343,13 @@ impl ConnShared {
     }
 }
 
-/// What the router has in hand for one request when it forwards it: the verbatim
-/// frame, or — for a reassembled chunked upload, which has no single verbatim form —
-/// only the decoded envelope to re-encode from.
+/// What the router has in hand for one request when it forwards it: the client's
+/// frame, or — for a reassembled chunked upload, which has no single frame — only the
+/// decoded envelope to re-encode from.
 enum ForwardPayload<'a> {
-    /// The client's original frame, re-serialized byte-for-byte.
-    Frame(&'a [u8]),
-    /// No verbatim bytes exist: re-encode from the envelope (re-chunking the corpus).
+    /// The client's frame, framed into the upstream write byte-for-byte.
+    Frame(&'a binary::Frame),
+    /// No single frame exists: re-encode from the envelope (re-chunking the corpus).
     Reencode,
 }
 
@@ -367,17 +368,17 @@ impl Upstream {
         payload: &ForwardPayload<'_>,
         envelope: &RequestEnvelope,
     ) -> std::io::Result<()> {
-        match payload {
-            ForwardPayload::Frame(bytes) => self.write.write_all(bytes)?,
-            ForwardPayload::Reencode => {
-                let frames = binary::encode_request_frames(envelope, binary::DEFAULT_CHUNK_BYTES)
-                    .map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                for frame in &frames {
-                    self.write.write_all(frame)?;
-                }
+        let frames = match payload {
+            ForwardPayload::Frame(frame) => {
+                binary::frame_bytes(frame.kind, &frame.payload).map(|bytes| vec![bytes])
             }
+            ForwardPayload::Reencode => {
+                binary::encode_request_frames(envelope, binary::DEFAULT_CHUNK_BYTES)
+            }
+        }
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        for frame in &frames {
+            self.write.write_all(frame)?;
         }
         self.write.flush()
     }
@@ -416,17 +417,12 @@ impl Forwarder {
     /// declined hello fails like a refused connect.
     fn upstream(&mut self, addr: &str) -> Result<&mut Upstream, ()> {
         if !self.upstreams.contains_key(addr) {
-            let timeout = self.cluster().connect_timeout();
-            let mut stream = connect_stream(addr, timeout).map_err(|_| ())?;
-            let mut buffered = BufReader::new(stream.try_clone().map_err(|_| ())?);
             // The verdict read is the one upstream read this thread performs itself;
-            // bound it so a stalled replica cannot wedge the client's request.
-            buffered
-                .get_ref()
-                .set_read_timeout(Some(timeout))
-                .map_err(|_| ())?;
-            offer_hello(&mut stream, &mut buffered).map_err(|_| ())?;
-            buffered.get_ref().set_read_timeout(None).map_err(|_| ())?;
+            // bound it so a stalled replica cannot wedge the client's request. The
+            // upstream reader's reads after it wait without a deadline.
+            let timeout = self.cluster().connect_timeout();
+            let (stream, reader) = dial(addr, Some(timeout)).map_err(|_| ())?;
+            stream.set_read_timeout(None).map_err(|_| ())?;
             let pending = Arc::new(Mutex::new(PendingMap::default()));
             let instruments = self.cluster().metrics().replica(addr);
             let reader = {
@@ -435,7 +431,7 @@ impl Forwarder {
                 let instruments = instruments.clone();
                 let addr = addr.to_string();
                 std::thread::spawn(move || {
-                    read_upstream(buffered, &addr, &shared, &pending, &instruments);
+                    read_upstream(reader, &addr, &shared, &pending, &instruments);
                 })
             };
             self.upstreams.insert(
@@ -768,28 +764,6 @@ impl Forwarder {
     }
 }
 
-/// Resolve and connect with a timeout (mirrors `GemClient::connect_timeout`, but for
-/// the raw forwarding stream).
-fn connect_stream(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    let mut last: Option<std::io::Error> = None;
-    for resolved in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&resolved, timeout) {
-            Ok(stream) => {
-                stream.set_nodelay(true)?;
-                stream.set_write_timeout(Some(timeout))?;
-                return Ok(stream);
-            }
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "address resolved to no socket addresses",
-        )
-    }))
-}
-
 /// One upstream connection's reader: correlate responses with pending requests, run
 /// write-through replication for tracked handles, fold fan-out legs, and — if the
 /// replica dies with requests in flight — drain them to `replica_unavailable`.
@@ -802,7 +776,7 @@ fn connect_stream(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 /// reading, or drains a trickle, before any replica gives up on the link, and the
 /// teardown stays orderly.
 fn read_upstream(
-    reader: BufReader<TcpStream>,
+    reader: FrameReader,
     addr: &str,
     shared: &Arc<ConnShared>,
     pending: &Arc<Mutex<PendingMap>>,
@@ -862,14 +836,13 @@ fn flush_forwarded(shared: &ConnShared, forwarded: &mut Vec<u8>, budget: &mut Wr
 /// (indistinguishable from corruption, so it is treated as a replica death and
 /// everything in flight drains to the retryable error).
 fn read_upstream_frames(
-    mut reader: BufReader<TcpStream>,
+    mut reader: FrameReader,
     addr: &str,
     shared: &Arc<ConnShared>,
     pending: &Arc<Mutex<PendingMap>>,
     instruments: &ReplicaInstruments,
     budget: &mut WriteBudget,
 ) {
-    let mut assembler = binary::FrameAssembler::new();
     let mut partials = binary::EmbedPartials::new();
     // The frames this read step completed, forwarded verbatim in one write.
     let mut forwarded = Vec::new();
@@ -877,7 +850,7 @@ fn read_upstream_frames(
         let _ = binary::push_frame(forwarded, frame.kind, &frame.payload);
     };
     loop {
-        let frame = match assembler.next_frame() {
+        let frame = match reader.next_frame() {
             Ok(Some(frame)) => frame,
             Ok(None) => {
                 if !forwarded.is_empty() && !flush_forwarded(shared, &mut forwarded, budget) {
@@ -886,14 +859,12 @@ fn read_upstream_frames(
                     // replica computing replies nobody will read.
                     return;
                 }
-                match pump_frames(&mut reader, &mut assembler) {
+                match reader.read() {
                     // A read with room to spare emptied the link: the replica cannot be
                     // blocked on it now, so the client gets a whole budget again.
-                    ReadStep::Bytes(read) if read < reader.capacity() => {
-                        *budget = WriteBudget::default();
-                    }
-                    ReadStep::Bytes(_) | ReadStep::Tick => {}
-                    ReadStep::Eof | ReadStep::Failed => return,
+                    Ok(received) if received.emptied => *budget = WriteBudget::default(),
+                    Ok(_) => {}
+                    Err(_) => return,
                 }
                 continue;
             }
@@ -999,7 +970,7 @@ fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<Atom
     else {
         return;
     };
-    let mut reader = BufReader::new(stream);
+    let mut reader = FrameReader::new(stream);
     if let Ok(true) = accept_hello(&mut reader, &writer, &shutdown) {
         let mut forwarder = Forwarder {
             shared: Arc::new(ConnShared {
@@ -1025,19 +996,18 @@ fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<Atom
 /// [`gem_store::model_key`]) costs two hash finishes instead of a second multi-
 /// megabyte corpus walk.
 fn serve_binary_client(
-    mut reader: BufReader<TcpStream>,
+    mut reader: FrameReader,
     forwarder: &mut Forwarder,
     shutdown: &Arc<AtomicBool>,
 ) {
-    let mut assembler = binary::FrameAssembler::new();
     let mut chunks = binary::ChunkAssembler::new();
     let mut hashers: HashMap<u64, CorpusHasher> = HashMap::new();
     while !shutdown.load(Ordering::SeqCst) {
-        let frame = match assembler.next_frame() {
+        let frame = match reader.next_frame() {
             Ok(Some(frame)) => frame,
-            Ok(None) => match pump_frames(&mut reader, &mut assembler) {
-                ReadStep::Bytes(_) | ReadStep::Tick => continue,
-                ReadStep::Eof | ReadStep::Failed => return, // client hung up
+            Ok(None) => match reader.read() {
+                Err(e) if !is_tick(&e) => return, // client hung up
+                _ => continue,
             },
             Err(e) => {
                 // A framing violation has no resynchronisation point on a byte
@@ -1087,12 +1057,7 @@ fn serve_binary_client(
             }
         } else {
             match binary::decode_request_frame(&frame) {
-                Ok(envelope) => match binary::frame_bytes(frame.kind, &frame.payload) {
-                    Ok(raw) => {
-                        forwarder.dispatch(envelope, ForwardPayload::Frame(&raw), None);
-                    }
-                    Err(_) => forwarder.dispatch(envelope, ForwardPayload::Reencode, None),
-                },
+                Ok(envelope) => forwarder.dispatch(envelope, ForwardPayload::Frame(&frame), None),
                 Err(e) => {
                     forwarder.shared.send_error(
                         frame.correlation_id(),
@@ -1115,7 +1080,7 @@ mod tests {
     use gem_proto::ResponseEnvelope;
     use gem_serve::client::{ClientError, GemClient};
     use gem_serve::{model_key, EmbedService, GemServer, ServerHandle};
-    use std::io::{BufRead, Read};
+    use std::io::{BufRead, BufReader, Read};
 
     fn empty_router() -> (RouterHandle, SocketAddr, JoinHandle<std::io::Result<()>>) {
         let metrics = Arc::new(RouterMetrics::new());
@@ -1255,6 +1220,48 @@ mod tests {
         let via_direct = direct.embed(fitted.handle, &corpus).expect("direct embed");
         assert_eq!(embedded.matrix, via_direct.matrix);
 
+        handle.shutdown();
+        let _ = thread.join();
+        replica.shutdown();
+        let _ = replica_join.join();
+    }
+
+    #[test]
+    fn a_frame_sent_in_the_same_write_as_the_hello_is_served() {
+        let (replica, replica_join) = real_replica();
+        let (_cluster, handle, addr, thread) = router_over(replica.addr());
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let stats = RequestEnvelope::new(5, RequestBody::Stats);
+        let frame = binary::encode_request_frame(&stats).expect("frame");
+        stream
+            .write_all(&[binary::hello_line().as_bytes(), &frame].concat())
+            .expect("hello and frame in one write");
+        let mut reader = BufReader::new(stream);
+        let mut accept = String::new();
+        reader.read_line(&mut accept).expect("accept");
+        assert_eq!(
+            binary::parse_accept(&accept),
+            Some(gem_proto::PROTOCOL_VERSION)
+        );
+        let mut assembler = binary::FrameAssembler::new();
+        let frame = loop {
+            if let Some(frame) = assembler.next_frame().expect("framing") {
+                break frame;
+            }
+            let buffered = reader.fill_buf().expect("read");
+            assert!(!buffered.is_empty(), "the router must answer");
+            let read = buffered.len();
+            assembler.push(buffered);
+            reader.consume(read);
+        };
+        let reply = binary::decode_response_frame(&frame, &mut binary::EmbedPartials::new())
+            .expect("decode")
+            .expect("a complete reply");
+        assert_eq!(reply.in_reply_to, Some(5));
+        assert!(matches!(reply.body, ResponseBody::Stats(_)), "{reply:?}");
         handle.shutdown();
         let _ = thread.join();
         replica.shutdown();

@@ -26,9 +26,11 @@
 //! strings, no per-value allocation), oversized `Fit` corpora go up as chunked uploads
 //! ([`GemClient::with_chunk_bytes`]), and `Embed` responses stream back as row frames
 //! that are reassembled here. A server that declines the hello answers one typed error
-//! line, which `connect` returns as [`ClientError::Server`].
+//! line, which `connect` returns as [`ClientError::Server`]. Replies are read through
+//! the same [`FrameReader`] the servers read requests with; a read that times out (see
+//! [`GemClient::connect_timeout`]) is returned as the [`ClientError::Io`] it is.
 
-use crate::framing::offer_hello;
+use crate::framing::{dial, FrameReader};
 use crate::handle::ModelHandle;
 use crate::net::served_from_of;
 use crate::ServedFrom;
@@ -38,7 +40,7 @@ use gem_numeric::Matrix;
 use gem_proto::{self as proto, binary, RequestBody, ResponseBody};
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Errors from a client call.
@@ -239,15 +241,13 @@ pub struct PipelinedReply {
 /// executor pool.
 #[derive(Debug)]
 pub struct GemClient {
-    reader: BufReader<TcpStream>,
+    reader: FrameReader,
     writer: TcpStream,
     next_id: u64,
     /// Ids sent but not yet answered.
     in_flight: HashSet<u64>,
     /// Correlated responses read while waiting for a different id, in arrival order.
     parked: VecDeque<(u64, ResponseBody)>,
-    /// Frame reassembly.
-    assembler: binary::FrameAssembler,
     /// Streamed embed rows accumulated per in-flight id.
     partials: binary::EmbedPartials,
     /// Corpus payloads above this many wire bytes go up as chunked uploads.
@@ -262,7 +262,7 @@ impl GemClient {
     /// [`ClientError::Server`] when the server declines the hello (its typed error),
     /// and [`ClientError::Unexpected`] when its verdict does not decode.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
-        Self::from_stream(TcpStream::connect(addr)?)
+        dial(addr, None).map(Self::new)
     }
 
     /// [`GemClient::connect`] with a deadline on *every* socket operation: the connect
@@ -279,44 +279,19 @@ impl GemClient {
         addr: impl ToSocketAddrs,
         timeout: std::time::Duration,
     ) -> Result<Self, ClientError> {
-        let mut last: Option<std::io::Error> = None;
-        for resolved in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&resolved, timeout) {
-                Ok(stream) => {
-                    stream.set_read_timeout(Some(timeout))?;
-                    stream.set_write_timeout(Some(timeout))?;
-                    return Self::from_stream(stream);
-                }
-                Err(e) => last = Some(e),
-            }
-        }
-        Err(ClientError::Io(last.unwrap_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "address resolved to no socket addresses",
-            )
-        })))
+        dial(addr, Some(timeout)).map(Self::new)
     }
 
-    fn from_stream(stream: TcpStream) -> Result<Self, ClientError> {
-        // Pipelining lives or dies on this: with Nagle's algorithm on, a burst of
-        // small request frames is held back waiting for ACKs (≈40ms of delayed-ACK
-        // stall per burst), which would serialize exactly the traffic pipelining
-        // exists to overlap.
-        stream.set_nodelay(true)?;
-        let mut writer = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        offer_hello(&mut writer, &mut reader)?;
-        Ok(GemClient {
+    fn new((writer, reader): (TcpStream, FrameReader)) -> Self {
+        GemClient {
             reader,
             writer,
             next_id: 1,
             in_flight: HashSet::new(),
             parked: VecDeque::new(),
-            assembler: binary::FrameAssembler::new(),
             partials: binary::EmbedPartials::new(),
             chunk_bytes: binary::DEFAULT_CHUNK_BYTES,
-        })
+        }
     }
 
     /// Set the chunk budget (in wire bytes) for corpus uploads: a `Fit`/`FitUpdate`
@@ -392,27 +367,19 @@ impl GemClient {
 
     /// Read one complete response off the socket — however many frames it takes to
     /// finish one (streamed embed row frames accumulate in [`binary::EmbedPartials`]
-    /// until their `embed_done`) — and correlate it against the in-flight set. The
-    /// loop is this client's own rather than the servers' read step, so a read
-    /// timeout (`connect_timeout`'s deadline) surfaces as the `io::Error` it is.
+    /// until their `embed_done`) — and correlate it against the in-flight set. A read
+    /// timeout (`connect_timeout`'s deadline) and the server closing the connection
+    /// first surface as the `io::Error`s they are.
     fn read_correlated(&mut self) -> Result<(u64, ResponseBody), ClientError> {
         let envelope = loop {
-            if let Some(frame) = self.assembler.next_frame()? {
-                match binary::decode_response_frame(&frame, &mut self.partials)? {
-                    Some(envelope) => break envelope,
-                    None => continue, // a row frame; keep accumulating
-                }
+            let Some(frame) = self.reader.next_frame()? else {
+                self.reader.read()?;
+                continue;
+            };
+            // A row frame decodes to nothing yet; keep accumulating.
+            if let Some(envelope) = binary::decode_response_frame(&frame, &mut self.partials)? {
+                break envelope;
             }
-            let buffered = self.reader.fill_buf()?;
-            if buffered.is_empty() {
-                return Err(ClientError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed the connection before responding",
-                )));
-            }
-            let read = buffered.len();
-            self.assembler.push(buffered);
-            self.reader.consume(read);
         };
         let Some(id) = envelope.in_reply_to else {
             // An uncorrelatable framing error: the server could not tell which request
@@ -750,5 +717,59 @@ fn unexpected(wanted: &str, got: &ResponseBody) -> ClientError {
     };
     ClientError::Unexpected {
         detail: format!("wanted a `{wanted}` response, got `{got}`"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpListener;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn a_stalled_reply_is_a_timeout_not_a_hang() {
+        // A stand-in server accepts the hello, writes half of a reply frame and stops,
+        // holding the connection open until the client gave up.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (gave_up, wait_for_client) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut hello = String::new();
+            BufReader::new(stream.try_clone().unwrap())
+                .read_line(&mut hello)
+                .unwrap();
+            stream.write_all(binary::accept_line().as_bytes()).unwrap();
+            let reply = binary::embed_rows_frame(1, "memory_cache", 2, &[0.5; 2048]).unwrap();
+            stream.write_all(&reply[..reply.len() / 2]).unwrap();
+            let _ = wait_for_client.recv();
+        });
+        let deadline = Duration::from_millis(300);
+        let mut client = GemClient::connect_timeout(addr, deadline).unwrap();
+        let handle = ModelHandle::parse("00000000000000aa-00000000000000bb").unwrap();
+        // The call runs on its own thread, so a client that hangs fails the test.
+        let (done, returned) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            let outcome = client.embed(handle, &[GemColumn::values_only(vec![1.0])]);
+            let _ = done.send((outcome, started.elapsed()));
+        });
+        let (outcome, waited) = returned
+            .recv_timeout(deadline + Duration::from_secs(5))
+            .expect("the embed returns instead of hanging");
+        let _ = gave_up.send(());
+        server.join().unwrap();
+        match outcome {
+            Err(ClientError::Io(e)) => assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "{e}"
+            ),
+            other => panic!("expected a read timeout, got {other:?}"),
+        }
+        assert!(waited < deadline + Duration::from_secs(1), "{waited:?}");
     }
 }

@@ -1,12 +1,14 @@
 //! Socket plumbing shared by every connection — `gem-served`'s, [`GemClient`]'s and
-//! `gem-routed`'s on both of its sides: the handshake, the frame read step, the reply
-//! encoder and the reply write half.
+//! `gem-routed`'s on both of its sides: the handshake, the read half ([`FrameReader`]),
+//! the reply encoder and the reply write half.
 //!
 //! A connection opens with one text line each way: the dialer sends
 //! [`binary::hello_line`], the listener answers [`binary::accept_line`], and everything
-//! after that is length-prefixed `gem_proto::binary` frames. Both handshake halves read
-//! their line through one bounded reader, so no peer can make either side buffer an
-//! unterminated first line.
+//! after that is length-prefixed `gem_proto::binary` frames. Every connection reads its
+//! line, never past a fixed cap, and then every frame through one [`FrameReader`]. Its
+//! read step reads straight into the frame buffer (8 KiB while no frame is in progress,
+//! up to 256 KiB of one that is) and returns the socket's `io::Result`, so the
+//! listeners can tick on read timeouts where [`GemClient`] fails on them.
 //!
 //! A listener answers through one [`ReplyWriter`] per connection: the socket's write
 //! half, taken in turns by every thread that produces a reply for that connection, so
@@ -27,10 +29,10 @@
 use crate::client::ClientError;
 use crate::metrics::ServerMetrics;
 use crate::sync::{lock_or_recover, wait_timeout_or_recover};
-use gem_proto::binary::{self, FrameAssembler};
+use gem_proto::binary::{self, Frame, FrameAssembler};
 use gem_proto::{ProtoError, ResponseBody, ResponseEnvelope, PROTOCOL_VERSION};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{Shutdown, TcpStream};
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -57,78 +59,98 @@ const WRITE_POLL: Duration = Duration::from_millis(50);
 /// typed error line.
 const VERDICT_LINE_CAP: usize = 4096;
 
-/// What one pump step observed on the socket.
-pub enum ReadStep {
-    /// This many bytes arrived and were pushed into the assembler.
-    Bytes(usize),
-    /// The read timed out (the shutdown-check tick) — nothing was lost.
-    Tick,
-    /// The peer closed the stream.
-    Eof,
-    /// The read failed for good (connection reset, …).
-    Failed,
-}
-
-fn is_tick(error: &io::Error) -> bool {
+/// Whether a socket error is a timeout: for a read, the listeners' shutdown-check tick,
+/// which loses nothing.
+pub fn is_tick(error: &io::Error) -> bool {
     matches!(
         error.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
 }
 
-/// Pull whatever the socket has buffered into the frame assembler. A read-timeout tick
-/// loses nothing: the assembler keeps partial frames across calls.
-pub fn pump_frames(reader: &mut BufReader<TcpStream>, assembler: &mut FrameAssembler) -> ReadStep {
-    match reader.fill_buf() {
-        Ok([]) => ReadStep::Eof,
-        Ok(bytes) => {
-            let read = bytes.len();
-            assembler.push(bytes);
-            reader.consume(read);
-            ReadStep::Bytes(read)
-        }
-        Err(e) if is_tick(&e) => ReadStep::Tick,
-        Err(_) => ReadStep::Failed,
-    }
+/// What one [`FrameReader::read`] took off the socket.
+#[derive(Debug, Clone, Copy)]
+pub struct Received {
+    /// How many bytes arrived; never zero (the end of the stream is an error).
+    pub bytes: usize,
+    /// Whether they fell short of the room the read offered, so the socket held no
+    /// more: the peer's link is empty.
+    pub emptied: bool,
 }
 
-/// Read one line of at most `cap` bytes, newline included. Returns the line, or the
-/// first `cap` bytes when no newline came within them; nothing past the line is
-/// consumed. With a `shutdown` flag, read timeouts are ticks: partial bytes are kept
-/// and reading resumes until the flag is raised. Without one, a timeout is an error.
-fn read_line_capped(
-    reader: &mut BufReader<TcpStream>,
-    cap: usize,
-    shutdown: Option<&AtomicBool>,
-) -> io::Result<Vec<u8>> {
-    let mut line = Vec::new();
-    while line.len() < cap {
-        if shutdown.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-            return Err(io::ErrorKind::Interrupted.into());
-        }
-        let available = match reader.fill_buf() {
-            Ok([]) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "the peer closed the connection during the handshake",
-                ))
-            }
-            Ok(bytes) => bytes,
-            Err(e) if shutdown.is_some() && is_tick(&e) => continue,
-            Err(e) => return Err(e),
-        };
-        let room = cap.saturating_sub(line.len());
-        let (take, ended) = match available.iter().take(room).position(|&b| b == b'\n') {
-            Some(at) => (at + 1, true),
-            None => (available.len().min(room), false),
-        };
-        line.extend(available.iter().take(take));
-        reader.consume(take);
-        if ended {
-            break;
+/// A connection's read half: the socket and every byte read off it but not yet
+/// consumed. It serves the handshake line ([`accept_hello`], [`dial`]) and every frame
+/// after it (see the module docs).
+#[derive(Debug)]
+pub struct FrameReader {
+    stream: TcpStream,
+    frames: FrameAssembler,
+}
+
+impl FrameReader {
+    /// Take over `stream`, a connection's read half, with nothing read yet.
+    pub fn new(stream: TcpStream) -> Self {
+        FrameReader {
+            stream,
+            frames: FrameAssembler::new(),
         }
     }
-    Ok(line)
+
+    /// Bytes read but not consumed yet.
+    pub fn buffered(&self) -> usize {
+        self.frames.buffered()
+    }
+
+    /// Pop the next complete frame already read, without reading.
+    ///
+    /// # Errors
+    /// A framing violation (see [`FrameAssembler::next_frame`]): the stream cannot be
+    /// resynchronized past it.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, ProtoError> {
+        self.frames.next_frame()
+    }
+
+    /// Read once, straight into the frame buffer ([`FrameAssembler::room`]).
+    ///
+    /// # Errors
+    /// The read's own error — a read timeout arrives as `WouldBlock` or `TimedOut`, and
+    /// loses nothing read before it — or `UnexpectedEof` when the peer closed the stream.
+    pub fn read(&mut self) -> io::Result<Received> {
+        let room = self.frames.room();
+        let offered = room.len();
+        let bytes = self.stream.read(room)?;
+        if bytes == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "the peer closed the connection",
+            ));
+        }
+        self.frames.filled(bytes);
+        Ok(Received {
+            bytes,
+            emptied: bytes < offered,
+        })
+    }
+
+    /// Read one line of at most `cap` bytes, newline included. Returns the line, or the
+    /// first `cap` bytes when no newline came within them; nothing past the line is
+    /// consumed. With a `shutdown` flag, read timeouts are ticks: partial bytes are kept
+    /// and reading resumes until the flag is raised. Without one, a timeout is an error.
+    fn read_line(&mut self, cap: usize, shutdown: Option<&AtomicBool>) -> io::Result<Vec<u8>> {
+        loop {
+            if let Some(line) = self.frames.next_line(cap) {
+                return Ok(line);
+            }
+            if shutdown.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            match self.read() {
+                Ok(_) => {}
+                Err(e) if shutdown.is_some() && is_tick(&e) => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
 /// A complete line as text: `None` when it has no newline or is not UTF-8.
@@ -158,11 +180,11 @@ fn error_line(code: &str, message: String) -> Vec<u8> {
 /// # Errors
 /// The peer left, the read failed, or `shutdown` was raised before the line ended.
 pub fn accept_hello(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut FrameReader,
     reply: &ReplyWriter,
     shutdown: &AtomicBool,
 ) -> io::Result<bool> {
-    let line = read_line_capped(reader, HELLO_LINE_CAP, Some(shutdown))?;
+    let line = reader.read_line(HELLO_LINE_CAP, Some(shutdown))?;
     let (verdict, accepted) = match line_text(&line).and_then(binary::parse_hello) {
         Some(PROTOCOL_VERSION) => (binary::accept_line().into_bytes(), true),
         Some(version) => (
@@ -191,24 +213,58 @@ pub fn accept_hello(
     Ok(accepted)
 }
 
-/// The dialer's half of the handshake: send the hello and read the verdict through the
-/// same bounded reader. Only an accept at [`PROTOCOL_VERSION`] succeeds; the stream's
-/// read timeout, if any, bounds the wait.
+/// Open a connection as its dialer: connect to the first address that accepts — each
+/// attempt within `timeout`, when one is given — and offer the hello. Only an accept at
+/// [`PROTOCOL_VERSION`] succeeds. The `timeout` also bounds the wait for the verdict and
+/// every later read and write of the connection. Returns the write half and the
+/// [`FrameReader`].
 ///
 /// # Errors
 /// [`ClientError::Server`] carrying a declining peer's typed error,
 /// [`ClientError::Unexpected`] when the verdict does not decode, and
-/// [`ClientError::Io`] when the socket fails, times out or closes first.
-pub fn offer_hello(
-    write: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-) -> Result<(), ClientError> {
-    write.write_all(binary::hello_line().as_bytes())?;
-    write.flush()?;
-    let line = read_line_capped(reader, VERDICT_LINE_CAP, None)?;
+/// [`ClientError::Io`] when no address accepts, or the socket fails, times out or
+/// closes before the verdict.
+pub fn dial(
+    addr: impl ToSocketAddrs,
+    timeout: Option<Duration>,
+) -> Result<(TcpStream, FrameReader), ClientError> {
+    let mut last = None;
+    for resolved in addr.to_socket_addrs()? {
+        let connected = match timeout {
+            Some(timeout) => TcpStream::connect_timeout(&resolved, timeout),
+            None => TcpStream::connect(resolved),
+        };
+        match connected {
+            Ok(stream) => return offer_hello(stream, timeout),
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(ClientError::Io(last.unwrap_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "address resolved to no socket addresses",
+        )
+    })))
+}
+
+/// The dialer's half of the handshake on a connected `stream`: send the hello and read
+/// the verdict, never past a fixed cap.
+fn offer_hello(
+    mut stream: TcpStream,
+    timeout: Option<Duration>,
+) -> Result<(TcpStream, FrameReader), ClientError> {
+    // Pipelining lives or dies on this: with Nagle's algorithm on, a burst of small
+    // request frames is held back waiting for ACKs (≈40ms of delayed-ACK stall per
+    // burst), which would serialize exactly the traffic pipelining exists to overlap.
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(timeout)?;
+    stream.set_write_timeout(timeout)?;
+    let mut reader = FrameReader::new(stream.try_clone()?);
+    stream.write_all(binary::hello_line().as_bytes())?;
+    let line = reader.read_line(VERDICT_LINE_CAP, None)?;
     let text = line_text(&line);
     if text.and_then(binary::parse_accept) == Some(PROTOCOL_VERSION) {
-        return Ok(());
+        return Ok((stream, reader));
     }
     match text.map(gem_proto::decode_response) {
         Some(Ok(ResponseEnvelope {

@@ -22,8 +22,9 @@
 //! Each connection costs one *cheap* thread — a blocking reader, I/O-bound — while all
 //! CPU work is multiplexed onto one bounded pool:
 //!
-//! * the **reader** answers the hello, splits the byte stream into frames and pushes
-//!   them onto a shared MPMC work queue (it never decodes or executes anything);
+//! * the **reader** answers the hello, reads every frame after it through the
+//!   connection's [`FrameReader`] and pushes complete frames onto a shared MPMC work
+//!   queue (it never decodes or executes anything);
 //! * **executors** ([`GemServer::with_workers`], default [`default_workers`]) pop
 //!   frames from the queue in arrival order — *across all connections* — decode,
 //!   execute through [`EmbedService`], encode, and write the reply to the owning
@@ -63,7 +64,7 @@
 
 use crate::error::ServeError;
 use crate::framing::{
-    accept_hello, encode_reply, pump_frames, unframeable_reply, ReadStep, ReplyWriter, WriteBudget,
+    accept_hello, encode_reply, is_tick, unframeable_reply, FrameReader, ReplyWriter, WriteBudget,
 };
 use crate::handle::ModelHandle;
 use crate::metrics::{RequestShape, ServerMetrics};
@@ -71,7 +72,6 @@ use crate::service::{EmbedService, ModelInfo, ServeRequest, ServeResponse, Servi
 use crate::{CacheTier, ServedFrom};
 use gem_proto::{self as proto, binary, RequestBody, ResponseBody};
 use std::collections::VecDeque;
-use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -912,9 +912,13 @@ fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) 
         writer,
         depth: AtomicU64::new(0),
     });
-    let mut reader = BufReader::new(stream);
+    let mut reader = FrameReader::new(stream);
     match accept_hello(&mut reader, &connection.writer, shutdown) {
-        Ok(true) => read_binary_frames(&mut reader, queue, shutdown, &connection),
+        Ok(true) => {
+            // What arrived behind the hello line is the first frames' bytes.
+            queue.metrics.count_wire_read(reader.buffered() as u64);
+            read_binary_frames(&mut reader, queue, shutdown, &connection);
+        }
         Ok(false) => {
             queue
                 .counters
@@ -925,10 +929,10 @@ fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) 
     }
 }
 
-/// The frames after an accepted hello: pump bytes into a [`binary::FrameAssembler`],
-/// queue complete frames, and reassemble chunked corpus uploads in arrival order
-/// (chunk sequencing is stateful, so it *must* happen here in the reader — executors
-/// see only complete requests).
+/// The frames after an accepted hello: read them through the connection's
+/// [`FrameReader`], queue complete frames, and reassemble chunked corpus uploads in
+/// arrival order (chunk sequencing is stateful, so it *must* happen here in the reader —
+/// executors see only complete requests). A read timeout is a shutdown-check tick.
 ///
 /// Error discipline mirrors the codec's: a payload-level violation inside valid
 /// framing (a chunk out of sequence, an unknown upload id) is answered with a
@@ -937,12 +941,11 @@ fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) 
 /// stream position is unrecoverable, so the error is sent uncorrelated and the
 /// connection closes.
 fn read_binary_frames(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut FrameReader,
     queue: &WorkQueue,
     shutdown: &AtomicBool,
     connection: &Arc<Connection>,
 ) {
-    let mut assembler = binary::FrameAssembler::new();
     let mut chunks = binary::ChunkAssembler::new();
     let protocol_error = |id: Option<u64>, error: proto::ProtoError| {
         queue
@@ -962,9 +965,9 @@ fn read_binary_frames(
         if shutdown.load(Ordering::SeqCst) || connection.writer.is_dead() {
             return;
         }
-        // Drain every complete frame the assembler holds before reading again.
+        // Drain every complete frame read so far before reading again.
         loop {
-            match assembler.next_frame() {
+            match reader.next_frame() {
                 Ok(Some(frame)) if binary::ChunkAssembler::is_chunk_kind(frame.kind) => {
                     match chunks.accept(&frame, |_| {}) {
                         Ok(Some(envelope)) => enqueue(
@@ -987,10 +990,10 @@ fn read_binary_frames(
                 }
             }
         }
-        match pump_frames(reader, &mut assembler) {
-            ReadStep::Bytes(read) => queue.metrics.count_wire_read(read as u64),
-            ReadStep::Tick => {}
-            ReadStep::Eof | ReadStep::Failed => return,
+        match reader.read() {
+            Ok(received) => queue.metrics.count_wire_read(received.bytes as u64),
+            Err(e) if is_tick(&e) => {}
+            Err(_) => return,
         }
     }
 }
@@ -1191,7 +1194,7 @@ mod tests {
     use super::*;
     use crate::client::{ClientError, GemClient};
     use gem_core::{FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry};
-    use std::io::{BufRead, Read, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
 
     fn corpus() -> Vec<GemColumn> {
         (0..5)
@@ -1331,6 +1334,63 @@ mod tests {
         server.shutdown();
         join.join().unwrap().unwrap();
         assert_eq!(server.counters().protocol_errors(), 3);
+    }
+
+    #[test]
+    fn a_frame_sent_in_the_same_write_as_the_hello_is_served() {
+        let (server, join) = start_server();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let stats = proto::RequestEnvelope::new(5, RequestBody::Stats);
+        let frame = binary::encode_request_frame(&stats).unwrap();
+        stream
+            .write_all(&[binary::hello_line().as_bytes(), &frame].concat())
+            .unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut accept = String::new();
+        reader.read_line(&mut accept).unwrap();
+        assert_eq!(binary::parse_accept(&accept), Some(proto::PROTOCOL_VERSION));
+        let reply = read_replies(&mut reader, 1).remove(0);
+        assert_eq!(reply.in_reply_to, Some(5));
+        assert!(matches!(reply.body, ResponseBody::Stats(_)), "{reply:?}");
+        // Every byte after the hello line counts as read off the wire, the frame's too.
+        assert_eq!(server.metrics().wire_bytes_read(), frame.len() as u64);
+        server.shutdown();
+        join.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_frame_split_across_a_read_tick_is_assembled() {
+        let (server, join) = start_server();
+        let cols = corpus();
+        let config = GemConfig::fast();
+        let mut client = GemClient::connect(server.addr()).unwrap();
+        let fitted = client.fit(&cols, &config, FeatureSet::ds()).unwrap();
+        let (mut stream, mut reader) = raw_connection(server.addr());
+        let frame = binary::encode_embed_frame(9, &fitted.handle.to_hex(), &cols).unwrap();
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        stream.write_all(head).unwrap();
+        // The reader's read times out at least once with half the frame buffered.
+        std::thread::sleep(READ_TICK * 2);
+        stream.write_all(tail).unwrap();
+        let reply = read_replies(&mut reader, 1).remove(0);
+        assert_eq!(reply.in_reply_to, Some(9));
+        let ResponseBody::Embedded { matrix, .. } = reply.body else {
+            panic!("expected an embedding, got {:?}", reply.body);
+        };
+        let direct = GemModel::fit(&cols, &config, FeatureSet::ds())
+            .unwrap()
+            .transform(&cols)
+            .unwrap();
+        let bits = |m: &gem_numeric::Matrix| -> Vec<u64> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(matrix.shape(), direct.matrix.shape());
+        assert_eq!(bits(&matrix), bits(&direct.matrix));
+        server.shutdown();
+        join.join().unwrap().unwrap();
     }
 
     #[test]
