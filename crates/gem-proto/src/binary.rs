@@ -42,13 +42,10 @@
 //! ## Chunked corpus upload
 //!
 //! A `Fit` or `FitUpdate` too large for one frame streams as `BeginFit`,
-//! `CorpusChunk`*, `EndFit` — all carrying the same id. The server side
-//! ([`ChunkAssembler`]) reassembles the envelope and reports each chunk's columns
-//! through a [`ChunkEvent`] callback so a routing tier can fingerprint the corpus
-//! **incrementally** (via `gem-store`'s hasher) and place the fit without a second
-//! pass over the assembled columns — the resulting handle is bit-identical to the
-//! client's own `ModelKey` because the chunk boundaries are not hashed, only the
-//! column stream is.
+//! `CorpusChunk`*, `EndFit` — all carrying the same id. The listening side
+//! ([`ChunkAssembler`]) reassembles the envelope, which is then keyed like a one-frame
+//! request: the handle is computed from the reassembled corpus, so it equals the
+//! client's own offline `ModelKey` whatever the chunk boundaries were.
 //!
 //! ## Streamed embed responses
 //!
@@ -227,6 +224,17 @@ impl FrameAssembler {
     /// Bytes buffered but not yet formed into a frame.
     pub fn buffered(&self) -> usize {
         self.end - self.start
+    }
+
+    /// With nothing buffered, shrink the buffer back to one idle read (8 KiB), giving
+    /// back the room a large frame grew. A listener calls this when a read times out, so
+    /// an idle connection stops holding its largest frame's buffer.
+    pub fn shrink_to_idle(&mut self) {
+        if self.start == self.end && self.buf.capacity() > IDLE_READ {
+            self.buf.clear();
+            self.buf.shrink_to(IDLE_READ);
+            (self.start, self.end) = (0, 0);
+        }
     }
 
     /// Pop the text line in front of the frames — a connection's handshake — through
@@ -770,27 +778,6 @@ pub fn decode_request_frame(frame: &Frame) -> Result<RequestEnvelope, ProtoError
 
 // --- chunked upload assembly ------------------------------------------------------
 
-/// What a [`ChunkAssembler`] observed while accepting one frame — the hook a routing
-/// tier uses to fingerprint the corpus incrementally without re-walking it.
-#[derive(Debug)]
-pub enum ChunkEvent<'a> {
-    /// A `BeginFit` opened an upload declaring this many total columns.
-    Begin {
-        /// The correlation id of the upload.
-        id: u64,
-        /// Total columns the sequence will carry (hashed first by the corpus
-        /// fingerprint, which is why it is declared up front).
-        total_columns: u64,
-    },
-    /// A `CorpusChunk` delivered these columns (in corpus order).
-    Columns {
-        /// The correlation id of the upload.
-        id: u64,
-        /// The chunk's decoded columns.
-        columns: &'a [GemColumn],
-    },
-}
-
 #[derive(Debug)]
 enum FitMode {
     Fit {
@@ -862,18 +849,12 @@ impl ChunkAssembler {
 
     /// Accept one chunk-sequence frame. Returns the assembled request envelope when
     /// the frame was the sequence's `EndFit`, `None` while the upload is still open.
-    /// `observe` is called for the begin declaration and for every chunk's columns —
-    /// see [`ChunkEvent`].
     ///
     /// # Errors
     /// [`ProtoError::Parse`] for out-of-sequence frames, count or byte-budget
     /// violations, and payloads that fail to decode; the offending id's partial state
     /// is dropped before returning.
-    pub fn accept<F: FnMut(ChunkEvent<'_>)>(
-        &mut self,
-        frame: &Frame,
-        mut observe: F,
-    ) -> Result<Option<RequestEnvelope>, ProtoError> {
+    pub fn accept(&mut self, frame: &Frame) -> Result<Option<RequestEnvelope>, ProtoError> {
         let mut cur = Cur::new(&frame.payload);
         let id = cur.request_id()?;
         let step = || -> Result<Option<RequestEnvelope>, ProtoError> {
@@ -903,7 +884,6 @@ impl ChunkAssembler {
                         }
                     };
                     cur.expect_end()?;
-                    observe(ChunkEvent::Begin { id, total_columns });
                     self.active.insert(
                         id,
                         FitAssembly {
@@ -938,10 +918,6 @@ impl ChunkAssembler {
                             self.limit
                         )));
                     }
-                    observe(ChunkEvent::Columns {
-                        id,
-                        columns: &columns,
-                    });
                     self.held = held;
                     assembly.bytes = assembly.bytes.saturating_add(bytes);
                     assembly.columns.extend(columns);
@@ -1405,27 +1381,17 @@ mod tests {
         let frames = encode_request_frames(&envelope, 2048).unwrap();
         assert!(frames.len() > 3, "expected begin + chunks + end");
         let mut assembler = ChunkAssembler::new();
-        let mut seen_total = 0u64;
-        let mut seen_columns = 0usize;
         let mut assembled = None;
         for bytes in &frames {
             for frame in reassemble(bytes) {
                 assert!(ChunkAssembler::is_chunk_kind(frame.kind));
                 assert_eq!(frame.correlation_id(), Some(9));
-                if let Some(envelope) = assembler
-                    .accept(&frame, |event| match event {
-                        ChunkEvent::Begin { total_columns, .. } => seen_total = total_columns,
-                        ChunkEvent::Columns { columns, .. } => seen_columns += columns.len(),
-                    })
-                    .unwrap()
-                {
+                if let Some(envelope) = assembler.accept(&frame).unwrap() {
                     assembled = Some(envelope);
                 }
             }
         }
         assert_eq!(assembler.in_progress(), 0);
-        assert_eq!(seen_total, corpus.len() as u64);
-        assert_eq!(seen_columns, corpus.len());
         let assembled = assembled.expect("end_fit produced the envelope");
         assert_eq!(assembled.id, 9);
         let RequestBody::Fit {
@@ -1457,7 +1423,7 @@ mod tests {
             kind: KIND_CORPUS_CHUNK,
             payload,
         };
-        let err = assembler.accept(&orphan, |_| {}).unwrap_err();
+        let err = assembler.accept(&orphan).unwrap_err();
         assert_eq!(err.code(), "protocol_error");
         // A truncated chunk payload: declares three columns, carries one.
         let mut truncated = Vec::new();
@@ -1473,7 +1439,7 @@ mod tests {
             Some(4),
             "id salvages from the header"
         );
-        let err = assembler.accept(&frame, |_| {}).unwrap_err();
+        let err = assembler.accept(&frame).unwrap_err();
         assert_eq!(err.code(), "protocol_error");
         // An end that closes short of the declared count.
         let envelope = RequestEnvelope::new(
@@ -1489,9 +1455,9 @@ mod tests {
         assert!(frames.len() > 3);
         let begin = reassemble(&frames[0]).remove(0);
         let end = reassemble(frames.last().unwrap()).remove(0);
-        assembler.accept(&begin, |_| {}).unwrap();
+        assembler.accept(&begin).unwrap();
         assert_eq!(assembler.in_progress(), 1);
-        let err = assembler.accept(&end, |_| {}).unwrap_err();
+        let err = assembler.accept(&end).unwrap_err();
         assert_eq!(err.code(), "protocol_error");
         assert_eq!(
             assembler.in_progress(),
@@ -1840,6 +1806,46 @@ mod tests {
     }
 
     #[test]
+    fn an_idle_tick_gives_a_large_frames_buffer_back() {
+        // One 2 MiB frame, read the way a socket hands it over, and a small one behind.
+        let wide = [GemColumn::values_only(vec![0.5; 262_144])];
+        let large = encode_embed_frame(2, "0000000000000001-0000000000000002", &wide).unwrap();
+        assert!(large.len() > 2 << 20);
+        let small = encode_request_frame(&RequestEnvelope::new(1, RequestBody::Stats)).unwrap();
+        let stream = [&large[..], &small[..]].concat();
+        let mut assembler = FrameAssembler::new();
+        let mut sent = 0;
+        while sent < large.len() {
+            let room = assembler.room();
+            let count = room.len().min(large.len() - sent);
+            room[..count].copy_from_slice(&stream[sent..sent + count]);
+            assembler.filled(count);
+            sent += count;
+        }
+        assert!(assembler.buf.capacity() >= large.len());
+        // A tick with half a frame buffered keeps it.
+        assembler.push(&small[..7]);
+        assert!(assembler.next_frame().unwrap().is_some());
+        assembler.shrink_to_idle();
+        assert_eq!(assembler.buffered(), 7);
+        assembler.push(&small[7..]);
+        assert!(assembler.next_frame().unwrap().is_some());
+        // A tick with nothing buffered shrinks the buffer to one idle read.
+        assembler.shrink_to_idle();
+        assert!(
+            assembler.buf.capacity() <= 16 << 10,
+            "{}",
+            assembler.buf.capacity()
+        );
+        assert_eq!(assembler.room().len(), IDLE_READ);
+        assembler.push(&small);
+        assert_eq!(
+            assembler.next_frame().unwrap().map(|f| f.kind),
+            Some(KIND_REQ_JSON)
+        );
+    }
+
+    #[test]
     fn the_handshake_line_comes_off_before_the_frames_behind_it() {
         let hello = hello_line().into_bytes();
         let frame = encode_request_frame(&RequestEnvelope::new(3, RequestBody::Stats)).unwrap();
@@ -1899,7 +1905,7 @@ mod tests {
         let second = upload(2, corpus(0.5));
         for frames in [&first, &second] {
             let mut alone = bounded();
-            let results: Vec<_> = frames.iter().map(|f| alone.accept(f, |_| {})).collect();
+            let results: Vec<_> = frames.iter().map(|f| alone.accept(f)).collect();
             assert!(results.iter().all(Result::is_ok), "alone, an upload fits");
             assert!(matches!(results.last(), Some(Ok(Some(_)))));
         }
@@ -1907,33 +1913,27 @@ mod tests {
         // refused and only that upload is dropped.
         let mut assembler = bounded();
         for begin in [&first[0], &second[0]] {
-            assert_eq!(assembler.accept(begin, |_| {}).unwrap(), None);
+            assert_eq!(assembler.accept(begin).unwrap(), None);
         }
         let (end, chunks) = first[1..].split_last().unwrap();
         for chunk in chunks {
-            assert_eq!(assembler.accept(chunk, |_| {}).unwrap(), None);
+            assert_eq!(assembler.accept(chunk).unwrap(), None);
         }
         let refused = second[1..]
             .iter()
-            .find_map(|chunk| assembler.accept(chunk, |_| {}).err())
+            .find_map(|chunk| assembler.accept(chunk).err())
             .expect("the bound refuses a chunk of the second upload");
         assert_eq!(refused.code(), "protocol_error");
         assert!(refused.to_string().contains("bound"), "{refused}");
         assert_eq!(assembler.in_progress(), 1);
-        let assembled = assembler
-            .accept(end, |_| {})
-            .unwrap()
-            .expect("the first upload");
+        let assembled = assembler.accept(end).unwrap().expect("the first upload");
         let RequestBody::Fit { corpus: back, .. } = assembled.body else {
             panic!("not a fit");
         };
         assert_eq!(bits_of(&back), bits_of(&corpus(0.0)));
         assert_eq!((assembler.in_progress(), assembler.held), (0, 0));
         // The released bytes are free again: the second upload now fits whole.
-        let last = second
-            .iter()
-            .map(|f| assembler.accept(f, |_| {}).unwrap())
-            .last();
+        let last = second.iter().map(|f| assembler.accept(f).unwrap()).last();
         assert!(matches!(last, Some(Some(_))));
     }
 
@@ -1952,7 +1952,7 @@ mod tests {
         };
         let refused = frames
             .iter()
-            .find_map(|frame| assembler.accept(frame, |_| {}).err())
+            .find_map(|frame| assembler.accept(frame).err())
             .expect("the empty columns cross the bound in memory");
         assert_eq!(refused.code(), "protocol_error");
         assert_eq!((assembler.in_progress(), assembler.held), (0, 0));

@@ -29,14 +29,14 @@
 //!   `shutdown` (or EOF) stops the router. Admin responses are printed to stdout as
 //!   `gem-routed admin: ...` lines.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
 use gem_router::ring::DEFAULT_VNODES;
 use gem_router::{Cluster, RouterMetrics, RouterServer, Supervisor};
+use gem_telemetry::spawn_exposition_listener;
 
 struct Args {
     replicas: Vec<String>,
@@ -114,31 +114,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Serve the router's Prometheus exposition over bare HTTP on its own listener
-/// thread (same shape as `gem-served --metrics-addr`): drain the request head,
-/// ignore the path, answer the full document, close. Detached; dies with the process.
-fn spawn_metrics_listener(addr: &str, metrics: Arc<RouterMetrics>) -> Result<SocketAddr, String> {
-    let listener =
-        TcpListener::bind(addr).map_err(|e| format!("cannot bind metrics address {addr}: {e}"))?;
-    let bound = listener.local_addr().map_err(|e| e.to_string())?;
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-            let mut head = [0u8; 1024];
-            let _ = stream.read(&mut head);
-            let body = metrics.render();
-            let response = format!(
-                "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
-            let _ = stream.write_all(response.as_bytes());
-        }
-    });
-    Ok(bound)
-}
-
 /// One admin line from stdin. Returns `true` when the router should shut down.
 fn handle_admin_line(cluster: &Arc<Cluster>, line: &str) -> bool {
     let mut words = line.split_whitespace();
@@ -212,7 +187,13 @@ fn run() -> Result<(), String> {
     let addr = server.local_addr();
     let handle = server.handle();
     let metrics_addr = match &args.metrics_addr {
-        Some(scrape_addr) => Some(spawn_metrics_listener(scrape_addr, Arc::clone(&metrics))?),
+        Some(scrape_addr) => {
+            let metrics = Arc::clone(&metrics);
+            Some(
+                spawn_exposition_listener(scrape_addr.as_str(), move || metrics.render())
+                    .map_err(|e| format!("cannot bind metrics address {scrape_addr}: {e}"))?,
+            )
+        }
         None => None,
     };
     let mut supervisor = Supervisor::spawn(Arc::clone(&cluster));

@@ -17,9 +17,14 @@
 //!
 //! * **Placement** — [`HashRing`]: a deterministic consistent-hash ring (FNV-1a over
 //!   `replica#vnode` points). `Fit` requests are routed by computing the model key
-//!   *router-side* with the same [`gem_store::model_key`] the replica will use, so the
-//!   router knows the handle before the replica answers. Key movement on membership
+//!   *router-side* with the same [`gem_store::fit_model_key`] the replica will use, so
+//!   the router knows the handle before the replica answers; a chunked upload is keyed
+//!   from its reassembled corpus, like a one-frame fit. Key movement on membership
 //!   change is bounded to ~1/N of the handles.
+//! * **Listening** — clients connect through `gem-serve`'s
+//!   [`Listener`](gem_serve::framing::Listener), the accept loop, connection setup and
+//!   request reader `gem-served` runs too; it reassembles chunked uploads and answers
+//!   malformed framing itself.
 //! * **Forwarding** — pipelined requests are forwarded to the owning replica with the
 //!   client's envelope id preserved verbatim (each client connection gets its own
 //!   upstream connections, so ids never collide), and responses stream back in

@@ -23,24 +23,22 @@
 //! upstream links close as an orderly teardown: the replicas stay up.
 //!
 //! Routing is key-aware without extra round trips: the router computes `Fit` model
-//! keys itself with the same [`gem_store::model_key`] the replica will use, derives
+//! keys itself with the same [`gem_store::fit_model_key`] the replica will use, derives
 //! `FitUpdate` keys with [`gem_store::updated_model_key`], and peeks the `key` header
 //! of `PushModel` snapshots — so it knows every handle *before* any replica answers.
 //!
 //! ## The wire
 //!
-//! Both sides speak what `gem-served` speaks, through [`gem_serve::framing`]:
-//! a client opens with the `gem_proto::binary` hello exactly as against `gem-served`
-//! (any other first line is refused with one typed error line), and each of that
-//! connection's upstreams dials its replica with the same hello; both sides read
-//! through a [`FrameReader`]. Frames then forward
-//! **verbatim** — streamed `embed_rows` frames pass through without retiring the
-//! in-flight entry (the closing `embed_done` does), and chunked corpus uploads are
-//! reassembled here once, **fingerprinted incrementally while the chunks arrive**
-//! ([`gem_store::CorpusHasher`] — the routing key is ready the moment the upload
-//! completes, no second pass over megabytes of corpus), then re-chunked toward the
-//! owning replica. A replica that declines the hello is treated like one that refuses
-//! the connection: it is marked down and the request retries on the next ring node.
+//! Both sides speak what `gem-served` speaks, through [`gem_serve::framing`]: clients
+//! connect to the same [`Listener`] `gem-served` runs (the hello, the request reader,
+//! chunk reassembly and the refusals it answers itself), and each client connection's
+//! upstreams dial their replica with the same hello and read through a
+//! [`FrameReader`]. Frames then forward **verbatim** — streamed `embed_rows` frames pass
+//! through without retiring the in-flight entry (the closing `embed_done` does). A
+//! chunked corpus upload is reassembled by the listener once, keyed from the
+//! reassembled corpus exactly like a one-frame fit, then re-chunked toward the owning
+//! replica. A replica that declines the hello is treated like one that refuses the
+//! connection: it is marked down and the request retries on the next ring node.
 //!
 //! `Stats`, `ListModels`, and `Evict` fan out to every live replica and answer once
 //! with a merged body. `Health` is answered by the router itself from the last probe
@@ -58,64 +56,43 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gem_proto::{
     binary, merge_models, merge_stats, RequestBody, RequestEnvelope, ResponseBody, WireModelInfo,
     WireStats,
 };
 use gem_serve::framing::{
-    accept_hello, dial, encode_reply, is_tick, FrameReader, ReplyWriter, WriteBudget,
+    dial, encode_reply, FramePayload, FrameReader, Handler, Listener, ReplyWriter, StopHandle,
+    WriteBudget,
 };
 use gem_serve::sync::lock_or_recover;
 use gem_serve::ModelHandle;
 use gem_store::fingerprint::Fnv1a;
-use gem_store::{
-    corpus_fingerprint, fit_model_key, updated_model_key_from_fingerprint, CorpusHasher,
-};
+use gem_store::{corpus_fingerprint, fit_model_key, updated_model_key};
 
 use crate::cluster::{Cluster, Transition};
 use crate::metrics::ReplicaInstruments;
 
-/// How often blocked client reads wake to check the shutdown flag (mirrors the
-/// serving tier's tick).
-const READ_TICK: Duration = Duration::from_millis(100);
-/// Backoff after a failed `accept` so a transient error cannot spin the loop.
-const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 /// The error code for "no live replica can own this route".
 pub const NO_REPLICA: &str = "no_replica";
 /// The error code for "the owning replica vanished mid-request" (safe to retry; the
 /// retry re-routes to the fail-over owner).
 pub const REPLICA_UNAVAILABLE: &str = "replica_unavailable";
 
-/// A handle for stopping a running [`RouterServer`] from another thread.
-#[derive(Debug, Clone)]
-pub struct RouterHandle {
-    shutdown: Arc<AtomicBool>,
-    addr: SocketAddr,
-}
-
-impl RouterHandle {
-    /// Ask the router to stop: in-flight requests finish, the accept loop exits, and
-    /// [`RouterServer::run`] returns.
-    pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Poke the accept loop so it notices the flag without waiting for a client.
-        let _ = TcpStream::connect(self.addr);
-    }
-}
+/// A handle for stopping a running [`RouterServer`] from another thread: in-flight
+/// requests finish, the accept loop exits, and [`RouterServer::run`] returns.
+pub type RouterHandle = StopHandle;
 
 /// The routing front-end. Bind, grab a [`RouterHandle`], then [`RouterServer::run`].
 #[derive(Debug)]
 pub struct RouterServer {
-    listener: TcpListener,
+    listener: Listener,
     cluster: Arc<Cluster>,
-    shutdown: Arc<AtomicBool>,
-    local_addr: SocketAddr,
 }
 
 impl RouterServer {
@@ -124,56 +101,79 @@ impl RouterServer {
     /// # Errors
     /// Propagates the bind failure.
     pub fn bind(cluster: Arc<Cluster>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         Ok(RouterServer {
-            listener,
+            listener: Listener::bind(addr)?,
             cluster,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            local_addr,
         })
     }
 
     /// The address the router is listening on.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// A shutdown handle usable from any thread.
     pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            shutdown: Arc::clone(&self.shutdown),
-            addr: self.local_addr,
-        }
+        self.listener.stop_handle()
     }
 
     /// Accept and serve client connections until [`RouterHandle::shutdown`]. Joins
     /// every connection thread before returning.
     ///
     /// # Errors
-    /// Propagates only fatal listener errors; per-connection errors end that
-    /// connection and are otherwise absorbed.
+    /// None today: a failed accept is retried, and per-connection errors end that
+    /// connection.
     pub fn run(self) -> std::io::Result<()> {
-        let mut connections: Vec<JoinHandle<()>> = Vec::new();
-        for incoming in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match incoming {
-                Ok(stream) => {
-                    let cluster = Arc::clone(&self.cluster);
-                    let shutdown = Arc::clone(&self.shutdown);
-                    connections.push(std::thread::spawn(move || {
-                        serve_connection(stream, cluster, shutdown);
-                    }));
-                }
-                Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
-            }
-        }
-        for connection in connections {
-            let _ = connection.join();
-        }
+        self.listener.run(Arc::new(Clients {
+            cluster: self.cluster,
+        }));
         Ok(())
+    }
+}
+
+/// The router's part in its [`Listener`]: each client connection routes its requests
+/// through a [`Forwarder`] of its own.
+struct Clients {
+    cluster: Arc<Cluster>,
+}
+
+impl Handler for Clients {
+    type Connection = Forwarder;
+
+    fn open(&self, writer: ReplyWriter) -> Forwarder {
+        Forwarder {
+            shared: Arc::new(ConnShared {
+                cluster: Arc::clone(&self.cluster),
+                writer,
+                groups: Mutex::new(HashMap::new()),
+                closing: AtomicBool::new(false),
+            }),
+            upstreams: HashMap::new(),
+            next_group: 0,
+        }
+    }
+
+    fn writer(forwarder: &Forwarder) -> &ReplyWriter {
+        &forwarder.shared.writer
+    }
+
+    /// Decode one request to route it. A reassembled upload has no single frame to
+    /// forward, so it is re-chunked toward its replica.
+    fn request(&self, forwarder: &mut Forwarder, request: FramePayload) {
+        match request {
+            FramePayload::Binary(frame) => match binary::decode_request_frame(&frame) {
+                Ok(envelope) => forwarder.dispatch(envelope, ForwardPayload::Frame(&frame)),
+                Err(e) => forwarder.shared.send_error(
+                    frame.correlation_id(),
+                    e.code(),
+                    e.to_string(),
+                    &mut WriteBudget::default(),
+                ),
+            },
+            FramePayload::Assembled(envelope) => {
+                forwarder.dispatch(*envelope, ForwardPayload::Reencode);
+            }
+        }
     }
 }
 
@@ -583,16 +583,7 @@ impl Forwarder {
     }
 
     /// Route and forward one decoded request.
-    ///
-    /// `corpus_fp` is the incremental corpus fingerprint a chunked upload computed
-    /// while its chunks streamed in — passing it here is what makes chunked routing
-    /// O(1) instead of a second pass over the reassembled corpus.
-    fn dispatch(
-        &mut self,
-        envelope: RequestEnvelope,
-        payload: ForwardPayload<'_>,
-        corpus_fp: Option<u64>,
-    ) {
+    fn dispatch(&mut self, envelope: RequestEnvelope, payload: ForwardPayload<'_>) {
         self.cluster().metrics().inc_request();
         let id = envelope.id;
         match &envelope.body {
@@ -627,13 +618,9 @@ impl Forwarder {
             } => {
                 // The replica derives the handle with the same function, so the router
                 // can place the model before it exists.
-                let handle = fit_model_key(
-                    corpus_fp.unwrap_or_else(|| corpus_fingerprint(corpus)),
-                    config,
-                    *features,
-                    *composition,
-                )
-                .to_hex();
+                let handle =
+                    fit_model_key(corpus_fingerprint(corpus), config, *features, *composition)
+                        .to_hex();
                 let route_handle = handle.clone();
                 self.forward(
                     id,
@@ -661,11 +648,7 @@ impl Forwarder {
                 };
                 // The derived model is created wherever the parent lives (placement
                 // first — the parent may itself be a derivative off its ring slot).
-                let derived = updated_model_key_from_fingerprint(
-                    parent.key(),
-                    corpus_fp.unwrap_or_else(|| corpus_fingerprint(corpus)),
-                )
-                .to_hex();
+                let derived = updated_model_key(parent.key(), corpus).to_hex();
                 let route_handle = handle.clone();
                 self.forward(
                     id,
@@ -752,10 +735,12 @@ impl Forwarder {
             }
         }
     }
+}
 
-    /// Orderly teardown: stop treating upstream EOFs as deaths, close every upstream,
-    /// and join their readers.
-    fn close(&mut self) {
+impl Drop for Forwarder {
+    /// Orderly teardown once the client reader ends: stop treating upstream EOFs as
+    /// deaths, close every upstream, and join their readers, the only other writers.
+    fn drop(&mut self) {
         self.shared.closing.store(true, Ordering::SeqCst);
         let addrs: Vec<String> = self.upstreams.keys().cloned().collect();
         for addr in addrs {
@@ -843,7 +828,6 @@ fn read_upstream_frames(
     instruments: &ReplicaInstruments,
     budget: &mut WriteBudget,
 ) {
-    let mut partials = binary::EmbedPartials::new();
     // The frames this read step completed, forwarded verbatim in one write.
     let mut forwarded = Vec::new();
     let forward = |forwarded: &mut Vec<u8>, frame: &binary::Frame| {
@@ -908,7 +892,6 @@ fn read_upstream_frames(
                 let Some(id) = frame.correlation_id() else {
                     continue;
                 };
-                let decoded = binary::decode_response_frame(&frame, &mut partials);
                 let entry = lock_or_recover(pending).entries.remove(&id);
                 match entry {
                     None => {}
@@ -918,12 +901,7 @@ fn read_upstream_frames(
                     }
                     Some(Pending::Tracked { started, handle }) => {
                         instruments.latency.record(started.elapsed());
-                        let succeeded = matches!(
-                            &decoded,
-                            Ok(Some(envelope))
-                                if !matches!(envelope.body, ResponseBody::Error { .. })
-                        );
-                        if succeeded {
+                        if success_body(&frame).is_some() {
                             // Replication waits on other replicas: what this read
                             // completed before the reply leaves first.
                             if !flush_forwarded(shared, &mut forwarded, budget) {
@@ -938,14 +916,7 @@ fn read_upstream_frames(
                     }
                     Some(Pending::Fan { started, group }) => {
                         instruments.latency.record(started.elapsed());
-                        let body = match decoded {
-                            Ok(Some(envelope)) => match envelope.body {
-                                ResponseBody::Error { .. } => None,
-                                body => Some(body),
-                            },
-                            _ => None,
-                        };
-                        shared.fold_fan_leg(group, body, budget);
+                        shared.fold_fan_leg(group, success_body(&frame), budget);
                     }
                 }
             }
@@ -954,120 +925,15 @@ fn read_upstream_frames(
     }
 }
 
-/// Serve one client connection: reader loop here, upstream readers spawned on demand,
-/// each thread writing the replies it produces. The connection's first line must be the
-/// hello; after the accept line it is frames for the rest of its life, and any other
-/// first line is refused with one typed error line before the connection closes.
-fn serve_connection(stream: TcpStream, cluster: Arc<Cluster>, shutdown: Arc<AtomicBool>) {
-    let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    let Some(writer) = stream
-        .try_clone()
-        .and_then(|half| ReplyWriter::new(half, None))
-        .ok()
-    else {
-        return;
-    };
-    let mut reader = FrameReader::new(stream);
-    if let Ok(true) = accept_hello(&mut reader, &writer, &shutdown) {
-        let mut forwarder = Forwarder {
-            shared: Arc::new(ConnShared {
-                cluster,
-                writer,
-                groups: Mutex::new(HashMap::new()),
-                closing: AtomicBool::new(false),
-            }),
-            upstreams: HashMap::new(),
-            next_group: 0,
-        };
-        serve_binary_client(reader, &mut forwarder, &shutdown);
-        // The upstream readers, the only other writers, are joined here.
-        forwarder.close();
-    }
-}
-
-/// The client reader loop, entered after an accepted hello.
-///
-/// Chunked uploads are reassembled here exactly once, and — the routing win — the
-/// corpus fingerprint is computed **incrementally from the chunk events**, so by the
-/// time `end_fit` lands the model key (identical to the replica's, and to an offline
-/// [`gem_store::model_key`]) costs two hash finishes instead of a second multi-
-/// megabyte corpus walk.
-fn serve_binary_client(
-    mut reader: FrameReader,
-    forwarder: &mut Forwarder,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let mut chunks = binary::ChunkAssembler::new();
-    let mut hashers: HashMap<u64, CorpusHasher> = HashMap::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        let frame = match reader.next_frame() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => match reader.read() {
-                Err(e) if !is_tick(&e) => return, // client hung up
-                _ => continue,
-            },
-            Err(e) => {
-                // A framing violation has no resynchronisation point on a byte
-                // stream: answer the typed error uncorrelated and drop the link.
-                forwarder.shared.send_error(
-                    None,
-                    e.code(),
-                    e.to_string(),
-                    &mut WriteBudget::default(),
-                );
-                return;
-            }
-        };
-        if binary::ChunkAssembler::is_chunk_kind(frame.kind) {
-            let accepted = chunks.accept(&frame, |event| match event {
-                binary::ChunkEvent::Begin { id, total_columns } => {
-                    hashers.insert(id, CorpusHasher::new(total_columns));
-                }
-                binary::ChunkEvent::Columns { id, columns } => {
-                    if let Some(hasher) = hashers.get_mut(&id) {
-                        hasher.push_columns(columns);
-                    }
-                }
-            });
-            match accepted {
-                Ok(Some(envelope)) => {
-                    let corpus_fp = hashers.remove(&envelope.id).map(CorpusHasher::finish);
-                    forwarder.dispatch(envelope, ForwardPayload::Reencode, corpus_fp);
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // A chunk-sequence violation costs only that upload: the
-                    // assembler already dropped its partial state, we drop the
-                    // matching hasher, and the connection (with any interleaved
-                    // uploads) lives on.
-                    let id = frame.correlation_id();
-                    if let Some(id) = id {
-                        hashers.remove(&id);
-                    }
-                    forwarder.shared.send_error(
-                        id,
-                        e.code(),
-                        e.to_string(),
-                        &mut WriteBudget::default(),
-                    );
-                }
-            }
-        } else {
-            match binary::decode_request_frame(&frame) {
-                Ok(envelope) => forwarder.dispatch(envelope, ForwardPayload::Frame(&frame), None),
-                Err(e) => {
-                    forwarder.shared.send_error(
-                        frame.correlation_id(),
-                        e.code(),
-                        e.to_string(),
-                        &mut WriteBudget::default(),
-                    );
-                }
-            }
+/// The body of a successful reply from its `resp_json` frame: `None` for an error reply
+/// or one that does not decode. Only a tracked reply's outcome and a fan-out leg's body
+/// are read; every other reply forwards undecoded.
+fn success_body(frame: &binary::Frame) -> Option<ResponseBody> {
+    match binary::decode_response_frame(frame, &mut binary::EmbedPartials::new()) {
+        Ok(Some(envelope)) if !matches!(envelope.body, ResponseBody::Error { .. }) => {
+            Some(envelope.body)
         }
+        _ => None,
     }
 }
 
@@ -1081,6 +947,8 @@ mod tests {
     use gem_serve::client::{ClientError, GemClient};
     use gem_serve::{model_key, EmbedService, GemServer, ServerHandle};
     use std::io::{BufRead, BufReader, Read};
+    use std::net::TcpListener;
+    use std::time::Duration;
 
     fn empty_router() -> (RouterHandle, SocketAddr, JoinHandle<std::io::Result<()>>) {
         let metrics = Arc::new(RouterMetrics::new());
@@ -1187,7 +1055,7 @@ mod tests {
     }
 
     #[test]
-    fn binary_clients_chunk_fits_through_the_router_with_incremental_keys() {
+    fn chunked_fits_through_the_router_are_placed_under_the_offline_model_key() {
         let (replica, replica_join) = real_replica();
         let (cluster, handle, addr, thread) = router_over(replica.addr());
         let config = GemConfig::fast();
@@ -1203,13 +1071,13 @@ mod tests {
             .expect("chunked fit through the router");
         let expected = model_key(&corpus, &config, FeatureSet::ds());
         assert_eq!(fitted.handle, ModelHandle::from(expected));
-        // The router keyed its placement from the *incremental* chunk hash — it must
-        // land on the same hex as the offline derivation, or fail-over would look the
-        // model up under a name nobody else computes.
+        // The router keyed its placement from the reassembled corpus — it must land on
+        // the same hex as the offline derivation, or fail-over would look the model up
+        // under a name nobody else computes.
         assert_eq!(
             cluster.placement_of(&expected.to_hex()),
             Some(replica.addr().to_string()),
-            "placement recorded under the incrementally fingerprinted key"
+            "placement recorded under the key of the reassembled corpus"
         );
 
         // Streamed embed rows forward through the router verbatim and match what the

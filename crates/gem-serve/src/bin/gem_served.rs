@@ -36,45 +36,11 @@
 //!   server runs until killed.
 
 use gem_core::{GemConfig, MethodRegistry};
-use gem_serve::{shutdown_summary, CachePolicy, EmbedService, GemServer, ModelStore, ServerHandle};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use gem_serve::{shutdown_summary, CachePolicy, EmbedService, GemServer, ModelStore};
+use gem_telemetry::spawn_exposition_listener;
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Serve the Prometheus text exposition over bare HTTP on its own listener thread.
-///
-/// One short-lived connection per scrape: the request head is drained (the path is
-/// ignored — every request gets the full document), the exposition is rendered from
-/// the live instruments plus the service's cache statistics, and the socket closes.
-/// The thread is detached; it dies with the process.
-fn spawn_metrics_listener(
-    addr: &str,
-    handle: ServerHandle,
-    service: Arc<EmbedService>,
-) -> Result<SocketAddr, String> {
-    let listener =
-        TcpListener::bind(addr).map_err(|e| format!("cannot bind metrics address {addr}: {e}"))?;
-    let bound = listener.local_addr().map_err(|e| e.to_string())?;
-    std::thread::spawn(move || {
-        for stream in listener.incoming() {
-            let Ok(mut stream) = stream else { continue };
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-            let mut head = [0u8; 1024];
-            let _ = stream.read(&mut head);
-            let stats = service.stats();
-            let body = handle.metrics().render(handle.counters(), Some(&stats));
-            let response = format!(
-                "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
-                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                body.len()
-            );
-            let _ = stream.write_all(response.as_bytes());
-        }
-    });
-    Ok(bound)
-}
 
 struct Args {
     addr: String,
@@ -182,11 +148,18 @@ fn run() -> Result<(), String> {
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     let handle = server.handle().map_err(|e| e.to_string())?;
     let metrics_addr = match &args.metrics_addr {
-        Some(scrape_addr) => Some(spawn_metrics_listener(
-            scrape_addr,
-            handle.clone(),
-            Arc::clone(&service),
-        )?),
+        Some(scrape_addr) => {
+            // Every scrape renders the live instruments plus the cache statistics.
+            let (handle, service) = (handle.clone(), Arc::clone(&service));
+            let render = move || {
+                let stats = service.stats();
+                handle.metrics().render(handle.counters(), Some(&stats))
+            };
+            Some(
+                spawn_exposition_listener(scrape_addr.as_str(), render)
+                    .map_err(|e| format!("cannot bind metrics address {scrape_addr}: {e}"))?,
+            )
+        }
         None => None,
     };
     if args.ctl_stdin {
@@ -214,7 +187,6 @@ fn run() -> Result<(), String> {
         println!("gem-served metrics on {scrape}");
     }
     println!("gem-served listening on {addr}");
-    use std::io::Write;
     let _ = std::io::stdout().flush();
     server.run().map_err(|e| e.to_string())?;
     // Only the graceful path reaches here (a kill never returns from run), so this is

@@ -1,6 +1,6 @@
 //! Socket plumbing shared by every connection — `gem-served`'s, [`GemClient`]'s and
 //! `gem-routed`'s on both of its sides: the handshake, the read half ([`FrameReader`]),
-//! the reply encoder and the reply write half.
+//! the reply encoder, the reply write half, and the one [`Listener`] both daemons run.
 //!
 //! A connection opens with one text line each way: the dialer sends
 //! [`binary::hello_line`], the listener answers [`binary::accept_line`], and everything
@@ -9,6 +9,15 @@
 //! read step reads straight into the frame buffer (8 KiB while no frame is in progress,
 //! up to 256 KiB of one that is) and returns the socket's `io::Result`, so the
 //! listeners can tick on read timeouts where [`GemClient`] fails on them.
+//!
+//! A [`Listener`] accepts connections for `gem-served` and `gem-routed` alike: one
+//! thread per connection (a thread that cannot be spawned drops its connection, and
+//! finished threads are let go as the loop runs), the socket setup, the hello verdict,
+//! and one request reader. The reader hands each request frame to the daemon's
+//! [`Handler`] as read, and each chunked upload once reassembled; it answers a chunk
+//! refusal (correlated, the connection lives) and lost framing (uncorrelated, the
+//! connection closes) itself. A read tick that finds nothing buffered shrinks the read
+//! buffer back to 8 KiB, so an idle connection does not keep its largest frame's room.
 //!
 //! A listener answers through one [`ReplyWriter`] per connection: the socket's write
 //! half, taken in turns by every thread that produces a reply for that connection, so
@@ -29,18 +38,30 @@
 use crate::client::ClientError;
 use crate::metrics::ServerMetrics;
 use crate::sync::{lock_or_recover, wait_timeout_or_recover};
-use gem_proto::binary::{self, Frame, FrameAssembler};
-use gem_proto::{ProtoError, ResponseBody, ResponseEnvelope, PROTOCOL_VERSION};
+use gem_proto::binary::{self, ChunkAssembler, Frame, FrameAssembler};
+use gem_proto::{ProtoError, RequestEnvelope, ResponseBody, ResponseEnvelope, PROTOCOL_VERSION};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// The most a listener reads of a connection's first line: `gem-wire-binary `, the 20
 /// digits of the largest `u64` version, and `\r\n`. A first line that has not ended by
 /// then is not a hello, and the listener stops reading it.
 pub const HELLO_LINE_CAP: usize = 38;
+
+/// The read timeout of every connection a [`Listener`] accepts: how often a reader
+/// waiting on its peer wakes to check the shutdown flag. A tick loses nothing read.
+pub const READ_TICK: Duration = Duration::from_millis(100);
+
+/// Pause after a failed `accept`, so a persistent error (fd exhaustion under a
+/// connection flood) degrades to slow retries instead of a busy spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
+
+/// The most a [`StopHandle`]'s wake-up connect waits for the listener.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How long one reply may spend writing: waiting for its turn at the connection's
 /// write half and blocked on the socket, summed over all of the reply's writes (see
@@ -304,6 +325,15 @@ pub fn encode_reply(in_reply_to: Option<u64>, body: ResponseBody) -> Vec<u8> {
     })
 }
 
+/// The typed error answering a request the codec refused.
+pub(crate) fn protocol_error_body(error: &ProtoError) -> ResponseBody {
+    ResponseBody::Error {
+        code: error.code().to_string(),
+        message: error.to_string(),
+        retry_after_ms: None,
+    }
+}
+
 /// The error body that stands in for a reply the codec refused to frame.
 pub(crate) fn unframeable_reply(error: &ProtoError) -> ResponseBody {
     ResponseBody::Error {
@@ -467,6 +497,224 @@ fn write_within(
         }
         if started.elapsed() >= limit {
             return Err(io::ErrorKind::TimedOut.into());
+        }
+    }
+}
+
+/// One request as a listener's reader hands it to its [`Handler`].
+#[derive(Debug)]
+pub enum FramePayload {
+    /// A request frame as read, its payload not decoded.
+    Binary(Frame),
+    /// A `Fit` or `FitUpdate` the reader reassembled from its chunked upload.
+    Assembled(Box<RequestEnvelope>),
+}
+
+impl FramePayload {
+    /// The request id for correlating a reply, without decoding.
+    pub fn correlation_id(&self) -> Option<u64> {
+        match self {
+            FramePayload::Binary(frame) => frame.correlation_id(),
+            FramePayload::Assembled(envelope) => Some(envelope.id),
+        }
+    }
+}
+
+/// What a daemon does with the connections its [`Listener`] accepts, past the setup,
+/// the hello and the request reader the listener runs itself.
+pub trait Handler: Send + Sync + 'static {
+    /// What one connection holds past its hello; dropped when its reader ends.
+    type Connection;
+
+    /// Where connections count the bytes they read after the hello and every byte
+    /// they write, if anywhere.
+    fn metrics(&self) -> Option<&Arc<ServerMetrics>> {
+        None
+    }
+
+    /// Count one accepted connection.
+    fn accepted(&self) {}
+
+    /// Count one refusal the listener answered itself: a declined hello, a chunk
+    /// refusal, or lost framing.
+    fn refused(&self) {}
+
+    /// Open a connection whose hello was accepted, around its write half.
+    fn open(&self, writer: ReplyWriter) -> Self::Connection;
+
+    /// The write half [`Handler::open`] was given.
+    fn writer(connection: &Self::Connection) -> &ReplyWriter;
+
+    /// Act on one request read off `connection`.
+    fn request(&self, connection: &mut Self::Connection, request: FramePayload);
+}
+
+/// Stops a running [`Listener`] from any thread.
+#[derive(Debug, Clone)]
+pub struct StopHandle {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+}
+
+impl StopHandle {
+    /// The address the listener is bound to, its ephemeral port resolved.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Ask the listener to stop: it accepts no more connections, every connection's
+    /// reader stops within one [`READ_TICK`], and [`Listener::run`] returns once all of
+    /// them have. Safe to call more than once.
+    pub fn shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop blocks in `accept`; a throwaway connection wakes it to see
+        // the flag without waiting for real traffic.
+        let _ = TcpStream::connect_timeout(&self.addr, WAKE_TIMEOUT);
+    }
+}
+
+/// A bound listening socket and the connection handling `gem-served` and `gem-routed`
+/// share (see the module docs).
+#[derive(Debug)]
+pub struct Listener {
+    socket: TcpListener,
+    stop: StopHandle,
+}
+
+impl Listener {
+    /// Bind `addr` (port 0 picks an ephemeral port).
+    ///
+    /// # Errors
+    /// The bind failure, or the failure to read the bound address back.
+    pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
+        let socket = TcpListener::bind(addr)?;
+        let stop = StopHandle {
+            addr: socket.local_addr()?,
+            shutdown: Arc::new(AtomicBool::new(false)),
+        };
+        Ok(Listener { socket, stop })
+    }
+
+    /// The bound address, its ephemeral port resolved.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.stop.addr
+    }
+
+    /// A handle that stops [`Listener::run`] from another thread.
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
+    }
+
+    /// Accept connections until [`StopHandle::shutdown`], each on a thread of its own
+    /// that hands its requests to `handler`. Joins every connection's thread before
+    /// returning.
+    pub fn run<H: Handler>(self, handler: Arc<H>) {
+        let mut connections: Vec<JoinHandle<()>> = Vec::new();
+        for incoming in self.socket.incoming() {
+            if self.stop.shutdown.load(Ordering::SeqCst) {
+                break;
+            }
+            let Ok(stream) = incoming else {
+                thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            };
+            handler.accepted();
+            let (handler, shutdown) = (Arc::clone(&handler), Arc::clone(&self.stop.shutdown));
+            // A thread that cannot be spawned drops its connection with the closure;
+            // the daemon serves on.
+            let spawned = thread::Builder::new()
+                .spawn(move || run_connection(stream, handler.as_ref(), &shutdown));
+            // Finished threads are let go here, so the loop holds one thread per open
+            // connection, not one per connection it ever accepted.
+            connections.retain(|connection| !connection.is_finished());
+            connections.extend(spawned.ok());
+        }
+        for connection in connections {
+            let _ = connection.join();
+        }
+    }
+}
+
+/// One accepted connection: set the socket up, answer the hello, then read requests
+/// until the peer leaves, the connection dies or the listener stops. Replies in flight
+/// hold the write half, so the reader ending abandons none of them.
+fn run_connection<H: Handler>(stream: TcpStream, handler: &H, shutdown: &AtomicBool) {
+    // The read timeout is a shutdown tick, not a deadline: partial input is kept and
+    // reading resumes, so slow writers lose nothing.
+    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
+        return;
+    }
+    // Replies leave as many small writes; Nagle would hold them behind delayed ACKs and
+    // hand the latency win of pipelining right back.
+    let _ = stream.set_nodelay(true);
+    let Ok(writer) = stream
+        .try_clone()
+        .and_then(|half| ReplyWriter::new(half, handler.metrics().cloned()))
+    else {
+        return;
+    };
+    let mut reader = FrameReader::new(stream);
+    match accept_hello(&mut reader, &writer, shutdown) {
+        Ok(true) => {
+            let mut connection = handler.open(writer);
+            read_requests(&mut reader, handler, &mut connection, shutdown);
+        }
+        Ok(false) => handler.refused(),
+        Err(_) => {}
+    }
+}
+
+/// The request reader: hand `handler` every request frame as read and every chunked
+/// upload once reassembled (chunk sequencing is stateful, so it happens here, in
+/// arrival order). A read timeout is a shutdown-check tick.
+///
+/// A chunk refusal inside valid framing (a chunk out of sequence, an unknown upload
+/// id, the connection's upload bound crossed) is answered with a correlated typed error
+/// and the connection, other uploads included, lives on. Lost framing (a zero or
+/// oversized length prefix) has no resynchronisation point: it is answered uncorrelated
+/// and the connection closes.
+fn read_requests<H: Handler>(
+    reader: &mut FrameReader,
+    handler: &H,
+    connection: &mut H::Connection,
+    shutdown: &AtomicBool,
+) {
+    let count_read = |bytes: usize| {
+        if let Some(metrics) = handler.metrics() {
+            metrics.count_wire_read(bytes as u64);
+        }
+    };
+    // What arrived behind the hello line is the first frames' bytes.
+    count_read(reader.buffered());
+    let refuse = |connection: &H::Connection, id: Option<u64>, error: ProtoError| {
+        handler.refused();
+        let body = protocol_error_body(&error);
+        H::writer(connection).write(&encode_reply(id, body), &mut WriteBudget::default());
+    };
+    let mut chunks = ChunkAssembler::new();
+    loop {
+        match reader.next_frame() {
+            Ok(Some(frame)) if ChunkAssembler::is_chunk_kind(frame.kind) => {
+                match chunks.accept(&frame) {
+                    Ok(Some(envelope)) => {
+                        handler.request(connection, FramePayload::Assembled(Box::new(envelope)));
+                    }
+                    Ok(None) => {}
+                    Err(error) => refuse(connection, frame.correlation_id(), error),
+                }
+            }
+            Ok(Some(frame)) => handler.request(connection, FramePayload::Binary(frame)),
+            Ok(None) if shutdown.load(Ordering::SeqCst) || H::writer(connection).is_dead() => {
+                return;
+            }
+            Ok(None) => match reader.read() {
+                Ok(received) => count_read(received.bytes),
+                // Back-to-back requests never wait a tick, so only an idle connection
+                // gives its read buffer back.
+                Err(e) if is_tick(&e) => reader.frames.shrink_to_idle(),
+                Err(_) => return,
+            },
+            Err(error) => return refuse(connection, None, error),
         }
     }
 }

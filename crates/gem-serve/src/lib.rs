@@ -31,8 +31,8 @@
 //!   `gem-served` and `gem-client` binaries wrap them). Each connection opens with the
 //!   `gem_proto::binary` hello and then speaks length-prefixed frames (raw-IEEE-754
 //!   f64 payloads, chunked corpus upload, streamed embed rows); [`framing`] holds the
-//!   handshake, read step, reply encoder and reply write half that `gem-router`
-//!   shares. The server multiplexes every connection onto one bounded executor pool,
+//!   listener (accept loop, connection setup, request reader), handshake, read step,
+//!   reply encoder and reply write half that `gem-router` shares. The server multiplexes every connection onto one bounded executor pool,
 //!   whose executors write their own replies, and answers **out of order** (a cheap
 //!   `Embed` overtakes a slow `Fit`); the client's pipelined
 //!   mode ([`GemClient::send`] / [`GemClient::recv_any`]) correlates replies by

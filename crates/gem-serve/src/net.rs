@@ -22,9 +22,11 @@
 //! Each connection costs one *cheap* thread — a blocking reader, I/O-bound — while all
 //! CPU work is multiplexed onto one bounded pool:
 //!
-//! * the **reader** answers the hello, reads every frame after it through the
-//!   connection's [`FrameReader`] and pushes complete frames onto a shared MPMC work
-//!   queue (it never decodes or executes anything);
+//! * the **reader** — the request reader of the [`Listener`] that `gem-routed` runs
+//!   too — answers the hello, reads every frame after it through the connection's
+//!   [`FrameReader`](crate::framing::FrameReader), reassembles chunked uploads and
+//!   pushes each request onto a shared MPMC work queue (it never decodes or executes
+//!   anything);
 //! * **executors** ([`GemServer::with_workers`], default [`default_workers`]) pop
 //!   frames from the queue in arrival order — *across all connections* — decode,
 //!   execute through [`EmbedService`], encode, and write the reply to the owning
@@ -64,7 +66,8 @@
 
 use crate::error::ServeError;
 use crate::framing::{
-    accept_hello, encode_reply, is_tick, unframeable_reply, FrameReader, ReplyWriter, WriteBudget,
+    encode_reply, protocol_error_body, unframeable_reply, FramePayload, Handler, Listener,
+    ReplyWriter, StopHandle, WriteBudget, READ_TICK,
 };
 use crate::handle::ModelHandle;
 use crate::metrics::{RequestShape, ServerMetrics};
@@ -72,23 +75,16 @@ use crate::service::{EmbedService, ModelInfo, ServeRequest, ServeResponse, Servi
 use crate::{CacheTier, ServedFrom};
 use gem_proto::{self as proto, binary, RequestBody, ResponseBody};
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// How often an idle reader or executor wakes to check the shutdown flag.
-const READ_TICK: Duration = Duration::from_millis(100);
-
 /// The default work-queue bound: deliberately generous (deeper than any sane backlog —
 /// at that depth tail latency is already seconds), so shedding only fires under a
 /// genuine flood, never under a bursty-but-healthy workload.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// Pause after a failed `accept` so persistent errors (e.g. fd exhaustion) degrade to
-/// slow retries instead of a busy spin.
-const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(20);
 
 /// The default executor-pool size: the machine's available parallelism, clamped to
 /// `[2, 8]` — at least two so cheap requests can overtake a slow fit even on a
@@ -177,26 +173,6 @@ pub fn shutdown_summary(
     )
 }
 
-/// The undecoded request a reader queued. Decoding stays on the executor (the reader
-/// never parses payloads) — except chunked uploads, which the reader must reassemble
-/// in arrival order.
-enum FramePayload {
-    /// A frame split from the stream, payload not yet decoded.
-    Binary(binary::Frame),
-    /// A request the reader already assembled from a chunked upload sequence.
-    Assembled(Box<proto::RequestEnvelope>),
-}
-
-impl FramePayload {
-    /// The request id for correlating an error response without decoding.
-    fn correlation_id(&self) -> Option<u64> {
-        match self {
-            FramePayload::Binary(frame) => frame.correlation_id(),
-            FramePayload::Assembled(envelope) => Some(envelope.id),
-        }
-    }
-}
-
 /// What every thread answering one connection shares: the socket's write half and the
 /// connection's in-flight depth.
 struct Connection {
@@ -215,9 +191,10 @@ impl Connection {
     }
 }
 
-/// One frame read off a connection, awaiting an executor: the undecoded payload and
-/// the owning connection, so the reply lands on the right socket no matter which
-/// executor runs it, and no matter in which order it finishes.
+/// One request read off a connection, awaiting an executor: the undecoded payload
+/// (decoding stays on the executor, except a chunked upload's reassembly) and the owning
+/// connection, so the reply lands on the right socket no matter which executor runs it,
+/// and no matter in which order it finishes.
 struct Frame {
     payload: FramePayload,
     connection: Arc<Connection>,
@@ -316,11 +293,58 @@ impl WorkQueue {
     }
 }
 
+/// `gem-served`'s part in its [`Listener`]: every request a connection reads joins the
+/// work queue.
+impl Handler for WorkQueue {
+    type Connection = Arc<Connection>;
+
+    fn metrics(&self) -> Option<&Arc<ServerMetrics>> {
+        Some(&self.metrics)
+    }
+
+    fn accepted(&self) {
+        self.counters.connections.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn refused(&self) {
+        self.counters
+            .protocol_errors
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn open(&self, writer: ReplyWriter) -> Arc<Connection> {
+        Arc::new(Connection {
+            writer,
+            depth: AtomicU64::new(0),
+        })
+    }
+
+    fn writer(connection: &Arc<Connection>) -> &ReplyWriter {
+        &connection.writer
+    }
+
+    /// Queue one request (incrementing the connection's in-flight depth first, so the
+    /// depth covers shed frames too); a full queue refuses it and it is shed with the
+    /// typed `overloaded` error instead of blocking the reader (which would stall the
+    /// connection and, transitively, the client's pipeline).
+    fn request(&self, connection: &mut Arc<Connection>, payload: FramePayload) {
+        let now_in_flight = connection.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        self.metrics.observe_connection_depth(now_in_flight);
+        let frame = Frame {
+            payload,
+            connection: Arc::clone(connection),
+            enqueued_at: Instant::now(),
+        };
+        if let Err(refused) = self.push(frame) {
+            self.shed(refused);
+        }
+    }
+}
+
 /// A remote control for a running [`GemServer`]: address, counters, shutdown.
 #[derive(Debug, Clone)]
 pub struct ServerHandle {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    stop: StopHandle,
     counters: Arc<ServerCounters>,
     metrics: Arc<ServerMetrics>,
 }
@@ -328,7 +352,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The address the server is listening on (with the ephemeral port resolved).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.stop.addr()
     }
 
     /// The live request counters.
@@ -351,10 +375,7 @@ impl ServerHandle {
     /// requests finish and their responses are written, idle connections close within
     /// one read-timeout tick. Safe to call more than once.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // The acceptor blocks in `accept`; a throwaway connection wakes it so it can
-        // observe the flag without waiting for real traffic.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        self.stop.shutdown();
     }
 }
 
@@ -362,9 +383,8 @@ impl ServerHandle {
 /// hold the [`ServerHandle`] from [`GemServer::handle`] to stop it from another thread.
 #[derive(Debug)]
 pub struct GemServer {
-    listener: TcpListener,
+    listener: Listener,
     service: Arc<EmbedService>,
-    shutdown: Arc<AtomicBool>,
     counters: Arc<ServerCounters>,
     metrics: Arc<ServerMetrics>,
     workers: usize,
@@ -380,9 +400,8 @@ impl GemServer {
     /// Propagates the bind failure.
     pub fn bind(service: Arc<EmbedService>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         Ok(GemServer {
-            listener: TcpListener::bind(addr)?,
+            listener: Listener::bind(addr)?,
             service,
-            shutdown: Arc::new(AtomicBool::new(false)),
             counters: Arc::new(ServerCounters::default()),
             metrics: Arc::new(ServerMetrics::new()),
             workers: default_workers(),
@@ -435,19 +454,18 @@ impl GemServer {
     /// The bound address (ephemeral port resolved).
     ///
     /// # Errors
-    /// Propagates the socket-introspection failure.
+    /// None today: the address is read back at bind time.
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
+        Ok(self.listener.local_addr())
     }
 
     /// A handle for observing and stopping the server from other threads.
     ///
     /// # Errors
-    /// Propagates the socket-introspection failure.
+    /// None today: the address is read back at bind time.
     pub fn handle(&self) -> std::io::Result<ServerHandle> {
         Ok(ServerHandle {
-            addr: self.listener.local_addr()?,
-            shutdown: Arc::clone(&self.shutdown),
+            stop: self.listener.stop_handle(),
             counters: Arc::clone(&self.counters),
             metrics: Arc::clone(&self.metrics),
         })
@@ -460,7 +478,8 @@ impl GemServer {
     /// gone).
     ///
     /// # Errors
-    /// Propagates accept failures (transient per-connection errors are skipped).
+    /// None today: a failed accept is retried, and a connection that cannot get a
+    /// thread is dropped.
     pub fn run(self) -> std::io::Result<()> {
         self.metrics
             .set_shape_of_pool(self.workers as u64, self.queue_capacity as u64);
@@ -493,35 +512,10 @@ impl GemServer {
                 })
             })
             .collect();
-        let mut readers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        for incoming in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match incoming {
-                Ok(stream) => stream,
-                // A failed accept (peer vanished mid-handshake, fd exhaustion, …)
-                // should not take the server down — but a *persistent* error (EMFILE
-                // under a connection flood) would otherwise turn this loop into a
-                // 100%-CPU spin, so back off briefly before retrying.
-                Err(_) => {
-                    std::thread::sleep(ACCEPT_ERROR_BACKOFF);
-                    continue;
-                }
-            };
-            self.counters.connections.fetch_add(1, Ordering::Relaxed);
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&self.shutdown);
-            readers.push(std::thread::spawn(move || {
-                read_connection(stream, &queue, &shutdown);
-            }));
-            readers.retain(|r| !r.is_finished());
-        }
-        // Shutdown: readers stop feeding the queue within one tick; the executors keep
-        // answering meanwhile, because `inputs_closed` is not raised yet.
-        for reader in readers {
-            let _ = reader.join();
-        }
+        // Returns at shutdown, once every reader is joined: readers stop feeding the
+        // queue within one tick, and the executors keep answering meanwhile, because
+        // `inputs_closed` is not raised yet.
+        self.listener.run(Arc::clone(&queue));
         // Only now can no new frame appear: let the executors drain what remains and
         // retire.
         inputs_closed.store(true, Ordering::SeqCst);
@@ -770,13 +764,8 @@ fn respond_frame(
         Err((id, error)) => {
             counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
             let decode = decode_started.elapsed();
-            let body = ResponseBody::Error {
-                code: error.code().to_string(),
-                message: error.to_string(),
-                retry_after_ms: None,
-            };
             let encode_started = Instant::now();
-            let bytes = encode_reply(id, body);
+            let bytes = encode_reply(id, protocol_error_body(&error));
             metrics.observe(
                 RequestShape::ProtocolError,
                 queue_wait,
@@ -867,134 +856,6 @@ fn health_body(metrics: &ServerMetrics) -> ResponseBody {
         busy_workers,
         workers,
         retry_after_ms,
-    }
-}
-
-/// Queue one frame (incrementing the connection's in-flight depth first, so the depth
-/// covers shed frames too); a full queue refuses it and it is shed with the typed
-/// `overloaded` error instead of blocking the reader (which would stall the connection
-/// and, transitively, the client's pipeline).
-fn enqueue(queue: &WorkQueue, payload: FramePayload, connection: &Arc<Connection>) {
-    let now_in_flight = connection.depth.fetch_add(1, Ordering::Relaxed) + 1;
-    queue.metrics.observe_connection_depth(now_in_flight);
-    let frame = Frame {
-        payload,
-        connection: Arc::clone(connection),
-        enqueued_at: Instant::now(),
-    };
-    if let Err(refused) = queue.push(frame) {
-        queue.shed(refused);
-    }
-}
-
-/// One connection's reader: answer the hello, then split the byte stream into frames
-/// and queue them. Replies in flight hold the connection's write half, so the reader
-/// finishing (EOF, shutdown, a dead connection or a refused hello) abandons none of
-/// them; the socket closes when the last of them is written. A refused hello counts as
-/// a protocol error and closes the connection once its error line is written.
-fn read_connection(stream: TcpStream, queue: &WorkQueue, shutdown: &AtomicBool) {
-    // The read timeout is a shutdown tick, not a deadline: on timeout partial input is
-    // kept and reading resumes, so slow writers lose nothing.
-    if stream.set_read_timeout(Some(READ_TICK)).is_err() {
-        return;
-    }
-    // Out-of-order responses are written as many small buffers; Nagle would batch them
-    // behind delayed ACKs and hand the latency win right back.
-    let _ = stream.set_nodelay(true);
-    let Some(writer) = stream
-        .try_clone()
-        .and_then(|half| ReplyWriter::new(half, Some(Arc::clone(&queue.metrics))))
-        .ok()
-    else {
-        return;
-    };
-    let connection = Arc::new(Connection {
-        writer,
-        depth: AtomicU64::new(0),
-    });
-    let mut reader = FrameReader::new(stream);
-    match accept_hello(&mut reader, &connection.writer, shutdown) {
-        Ok(true) => {
-            // What arrived behind the hello line is the first frames' bytes.
-            queue.metrics.count_wire_read(reader.buffered() as u64);
-            read_binary_frames(&mut reader, queue, shutdown, &connection);
-        }
-        Ok(false) => {
-            queue
-                .counters
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => {}
-    }
-}
-
-/// The frames after an accepted hello: read them through the connection's
-/// [`FrameReader`], queue complete frames, and reassemble chunked corpus uploads in
-/// arrival order (chunk sequencing is stateful, so it *must* happen here in the reader —
-/// executors see only complete requests). A read timeout is a shutdown-check tick.
-///
-/// Error discipline mirrors the codec's: a payload-level violation inside valid
-/// framing (a chunk out of sequence, an unknown upload id) is answered with a
-/// correlated typed error and the connection — including other in-flight uploads —
-/// survives; a framing-level violation (zero or oversized length prefix) means the
-/// stream position is unrecoverable, so the error is sent uncorrelated and the
-/// connection closes.
-fn read_binary_frames(
-    reader: &mut FrameReader,
-    queue: &WorkQueue,
-    shutdown: &AtomicBool,
-    connection: &Arc<Connection>,
-) {
-    let mut chunks = binary::ChunkAssembler::new();
-    let protocol_error = |id: Option<u64>, error: proto::ProtoError| {
-        queue
-            .counters
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
-        let body = ResponseBody::Error {
-            code: error.code().to_string(),
-            message: error.to_string(),
-            retry_after_ms: None,
-        };
-        connection
-            .writer
-            .write(&encode_reply(id, body), &mut WriteBudget::default());
-    };
-    loop {
-        if shutdown.load(Ordering::SeqCst) || connection.writer.is_dead() {
-            return;
-        }
-        // Drain every complete frame read so far before reading again.
-        loop {
-            match reader.next_frame() {
-                Ok(Some(frame)) if binary::ChunkAssembler::is_chunk_kind(frame.kind) => {
-                    match chunks.accept(&frame, |_| {}) {
-                        Ok(Some(envelope)) => enqueue(
-                            queue,
-                            FramePayload::Assembled(Box::new(envelope)),
-                            connection,
-                        ),
-                        Ok(None) => {}
-                        // The violating upload's state is dropped, but the framing is
-                        // intact: answer and keep serving.
-                        Err(error) => protocol_error(frame.correlation_id(), error),
-                    }
-                }
-                Ok(Some(frame)) => enqueue(queue, FramePayload::Binary(frame), connection),
-                Ok(None) => break,
-                Err(error) => {
-                    // Framing lost: nothing after this point can be trusted.
-                    protocol_error(None, error);
-                    return;
-                }
-            }
-        }
-        match reader.read() {
-            Ok(received) => queue.metrics.count_wire_read(received.bytes as u64),
-            Err(e) if is_tick(&e) => {}
-            Err(_) => return,
-        }
     }
 }
 
@@ -1195,6 +1056,7 @@ mod tests {
     use crate::client::{ClientError, GemClient};
     use gem_core::{FeatureSet, GemColumn, GemConfig, GemModel, MethodRegistry};
     use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{TcpListener, TcpStream};
 
     fn corpus() -> Vec<GemColumn> {
         (0..5)
@@ -2059,60 +1921,6 @@ mod tests {
         server.shutdown();
         join.join().unwrap().unwrap();
         assert_eq!(server.counters().protocol_errors(), 0);
-    }
-
-    #[test]
-    fn chunk_sequence_violations_answer_typed_errors_and_spare_the_connection() {
-        let (server, join) = start_server();
-        let (mut stream, mut reader) = raw_connection(server.addr());
-
-        // A corpus_chunk with no begin_fit before it: a payload-level violation inside
-        // valid framing. Payload = correlation header only (has_id=1, id=9) plus a
-        // column count of zero.
-        let mut payload = vec![1u8];
-        payload.extend_from_slice(&9u64.to_le_bytes());
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        let frame = binary::frame_bytes(binary::KIND_CORPUS_CHUNK, &payload).unwrap();
-        stream.write_all(&frame).unwrap();
-        let envelope = read_replies(&mut reader, 1).remove(0);
-        assert_eq!(
-            envelope.in_reply_to,
-            Some(9),
-            "correlated via the chunk's id"
-        );
-        assert_eq!(error_code(&envelope), "protocol_error");
-
-        // Framing stayed intact: the same connection still serves real requests.
-        let stats = proto::RequestEnvelope::new(10, RequestBody::Stats);
-        stream
-            .write_all(&binary::encode_request_frame(&stats).unwrap())
-            .unwrap();
-        assert_eq!(read_replies(&mut reader, 1)[0].in_reply_to, Some(10));
-        assert_eq!(server.counters().protocol_errors(), 1);
-        server.shutdown();
-        join.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn oversized_length_prefixes_close_the_connection_with_a_typed_error() {
-        let (server, join) = start_server();
-        let (mut stream, mut reader) = raw_connection(server.addr());
-
-        // A length prefix beyond MAX_FRAME_LEN: framing is unrecoverable.
-        let mut bogus = Vec::new();
-        bogus.extend_from_slice(&(u32::MAX).to_le_bytes());
-        bogus.push(binary::KIND_EMBED);
-        stream.write_all(&bogus).unwrap();
-
-        let envelope = read_replies(&mut reader, 1).remove(0);
-        assert_eq!(envelope.in_reply_to, None, "nothing is salvageable");
-        assert_eq!(error_code(&envelope), "protocol_error");
-        // The server closes its half after the uncorrelated error; the next read
-        // reports EOF.
-        assert!(reader.fill_buf().map_or(true, |rest| rest.is_empty()));
-        assert!(server.counters().protocol_errors() >= 1);
-        server.shutdown();
-        join.join().unwrap().unwrap();
     }
 
     #[test]

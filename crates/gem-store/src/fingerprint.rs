@@ -102,31 +102,24 @@ pub fn corpus_fingerprint(columns: &[GemColumn]) -> u64 {
     h.finish()
 }
 
-/// Incremental form of [`corpus_fingerprint`] for corpora that arrive in slices — the
-/// binary wire codec's chunked upload streams columns through one of these so a server
-/// (or routing tier) computes the fingerprint **as chunks land**, without a second pass
-/// over the assembled corpus. The digest depends only on the column stream, never on
-/// chunk boundaries: feeding the same columns in any slicing yields exactly
-/// `corpus_fingerprint` of the whole — which is what keeps a chunk-uploaded fit's handle
-/// bit-identical to the key the client computes locally.
-///
-/// The total column count is hashed first (it prefixes the flat encoding), which is why
-/// the chunked upload protocol declares it up front in `begin_fit`.
+/// The digest behind [`corpus_fingerprint`], column by column: the total column count
+/// first, then each column's header and values. It depends only on the column stream,
+/// never on how the columns were sliced.
 #[derive(Debug, Clone, Copy)]
-pub struct CorpusHasher {
+struct CorpusHasher {
     h: Fnv1a,
 }
 
 impl CorpusHasher {
     /// Start a corpus digest that will cover exactly `total_columns` columns.
-    pub fn new(total_columns: u64) -> Self {
+    fn new(total_columns: u64) -> Self {
         let mut h = Fnv1a::new();
         h.write_u64(total_columns);
         CorpusHasher { h }
     }
 
     /// Absorb the next column of the stream (corpus order).
-    pub fn push_column(&mut self, column: &GemColumn) {
+    fn push_column(&mut self, column: &GemColumn) {
         self.h.write_u64(column.header.len() as u64);
         self.h.write(column.header.as_bytes());
         self.h.write_u64(column.values.len() as u64);
@@ -136,7 +129,7 @@ impl CorpusHasher {
     }
 
     /// Absorb a slice of consecutive columns.
-    pub fn push_columns(&mut self, columns: &[GemColumn]) {
+    fn push_columns(&mut self, columns: &[GemColumn]) {
         for column in columns {
             self.push_column(column);
         }
@@ -144,7 +137,7 @@ impl CorpusHasher {
 
     /// The corpus fingerprint. Equals [`corpus_fingerprint`] of the concatenated stream
     /// when exactly the declared number of columns was pushed.
-    pub fn finish(self) -> u64 {
+    fn finish(self) -> u64 {
         self.h.finish()
     }
 }
@@ -206,10 +199,8 @@ pub fn updated_model_key(parent: ModelKey, new_columns: &[GemColumn]) -> ModelKe
     updated_model_key_from_fingerprint(parent, corpus_fingerprint(new_columns))
 }
 
-/// [`updated_model_key`] when the new columns' fingerprint is already known — e.g.
-/// computed incrementally by a [`CorpusHasher`] while a chunked upload streamed in, so
-/// routing a chunked `fit_update` never re-walks the assembled corpus.
-pub fn updated_model_key_from_fingerprint(parent: ModelKey, new_corpus: u64) -> ModelKey {
+/// [`updated_model_key`] from the new columns' [`corpus_fingerprint`].
+fn updated_model_key_from_fingerprint(parent: ModelKey, new_corpus: u64) -> ModelKey {
     let mut h = Fnv1a::new();
     h.write(b"gem-fit-update");
     h.write_u64(parent.corpus);

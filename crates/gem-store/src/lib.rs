@@ -31,8 +31,7 @@ pub mod fingerprint;
 mod store;
 
 pub use fingerprint::{
-    config_fingerprint, corpus_fingerprint, fit_model_key, model_key, updated_model_key,
-    updated_model_key_from_fingerprint, CorpusHasher, ModelKey,
+    config_fingerprint, corpus_fingerprint, fit_model_key, model_key, updated_model_key, ModelKey,
 };
 pub use store::{
     decode_snapshot, encode_snapshot, encode_snapshot_with_parent, snapshot_parent, GcPolicy,

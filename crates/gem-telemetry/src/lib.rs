@@ -25,7 +25,9 @@
 //! `shape="fit"`) and renders them all as Prometheus text exposition format
 //! ([`MetricsRegistry::render`]): counters and gauges as their value, histograms as a
 //! `summary` with `quantile="0.5" / 0.9 / 0.99"` series plus `_count` and `_sum` (in
-//! seconds). The output is what `gem-served --metrics-addr` serves to scrapers.
+//! seconds). [`spawn_exposition_listener`] serves a rendered document over bare HTTP:
+//! it is what `gem-served --metrics-addr` and `gem-routed --metrics-addr` answer
+//! scrapers with.
 //!
 //! ```
 //! use gem_telemetry::MetricsRegistry;
@@ -50,6 +52,8 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -580,6 +584,39 @@ fn sample(
     out.push('\n');
 }
 
+/// Serve the Prometheus text exposition over bare HTTP on a thread of its own, and
+/// return the bound address (port 0 picks an ephemeral one).
+///
+/// One short-lived connection per scrape: the request head is drained (the path is
+/// ignored — every request gets the full document), `render` renders the document, and
+/// the socket closes. The thread is detached; it dies with the process.
+///
+/// # Errors
+/// The bind failure, or the failure to start the thread.
+pub fn spawn_exposition_listener(
+    addr: impl ToSocketAddrs,
+    render: impl Fn() -> String + Send + 'static,
+) -> std::io::Result<SocketAddr> {
+    let listener = TcpListener::bind(addr)?;
+    let bound = listener.local_addr()?;
+    std::thread::Builder::new().spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(mut stream) = stream else { continue };
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+            let mut head = [0u8; 1024];
+            let _ = stream.read(&mut head);
+            let body = render();
+            let response = format!(
+                "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+                 Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            );
+            let _ = stream.write_all(response.as_bytes());
+        }
+    })?;
+    Ok(bound)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,5 +782,32 @@ mod tests {
                 "sample `{line}` has no TYPE declaration"
             );
         }
+    }
+
+    #[test]
+    fn the_exposition_listener_answers_every_request_with_the_rendered_document() {
+        let scrapes = Arc::new(Counter::new());
+        let rendered = Arc::clone(&scrapes);
+        let addr = spawn_exposition_listener(("127.0.0.1", 0), move || {
+            rendered.inc();
+            format!("gem_scrapes_total {}\n", rendered.get())
+        })
+        .unwrap();
+        for (path, expected) in [("/metrics", 1), ("/anything", 2)] {
+            let mut stream = std::net::TcpStream::connect(addr).unwrap();
+            stream
+                .write_all(format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes())
+                .unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            let body = format!("gem_scrapes_total {expected}\n");
+            assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+            assert!(
+                response.contains(&format!("Content-Length: {}\r\n", body.len())),
+                "{response}"
+            );
+            assert!(response.ends_with(&format!("\r\n\r\n{body}")), "{response}");
+        }
+        assert_eq!(scrapes.get(), 2);
     }
 }
