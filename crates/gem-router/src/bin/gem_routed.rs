@@ -18,7 +18,9 @@
 //! * `--down-after` — consecutive probe failures before a replica is marked down
 //!   (forwarding failures mark it down immediately regardless). Defaults to 2.
 //! * `--connect-timeout` — milliseconds for upstream connects and control traffic
-//!   (probes, snapshot pulls/pushes). Defaults to 2000.
+//!   (probes, snapshot pulls/pushes, and each leg of a `stats` / `list-models` /
+//!   `evict` fan-out; a replica that outruns it is left out of that fan-out).
+//!   Defaults to 2000.
 //! * `--vnodes` — virtual nodes per replica on the hash ring. Defaults to 64.
 //! * `--metrics-addr` — serve the router's Prometheus text exposition (cluster
 //!   counters, per-replica state/forwards/latency) over plain HTTP at this address;

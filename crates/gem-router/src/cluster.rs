@@ -223,13 +223,28 @@ impl Cluster {
         self.connect_timeout
     }
 
-    /// Open a control connection (probes, pulls, pushes) to `addr` with the cluster's
-    /// connect/IO timeout.
+    /// Open a control connection (probes, listings, fan-outs, pulls, pushes) to `addr`
+    /// with the cluster's connect/IO timeout.
     ///
     /// # Errors
     /// [`ClientError`] when the replica is unreachable or the handshake fails.
     pub fn connect(&self, addr: &str) -> Result<GemClient, ClientError> {
         GemClient::connect_timeout(addr, self.connect_timeout)
+    }
+
+    /// Ask each of `replicas` in turn one request, `ask`, over a control connection of
+    /// its own ([`Cluster::connect`], so each step of a leg waits at most the connect
+    /// timeout). Lazy: a leg runs when its outcome is taken, and a failed leg is its
+    /// error, not the end of the walk.
+    pub fn ask_each<'a, T: 'a>(
+        &'a self,
+        replicas: &'a [String],
+        ask: impl Fn(&mut GemClient) -> Result<T, ClientError> + 'a,
+    ) -> impl Iterator<Item = (&'a str, Result<T, ClientError>)> + 'a {
+        replicas.iter().map(move |addr| {
+            let outcome = self.connect(addr).and_then(|mut client| ask(&mut client));
+            (addr.as_str(), outcome)
+        })
     }
 
     /// Every replica address with its current state, sorted by address.
@@ -514,12 +529,14 @@ impl Cluster {
 
         // Phase 2 (unlocked): ask every live replica what it holds.
         let mut holders: HashMap<String, Vec<String>> = HashMap::new();
-        for addr in &live {
-            let models = self.connect(addr).and_then(|mut c| c.list_models());
+        for (addr, models) in self.ask_each(&live, GemClient::list_models) {
             match models {
                 Ok(models) => {
                     for model in models {
-                        holders.entry(model.handle).or_default().push(addr.clone());
+                        holders
+                            .entry(model.handle)
+                            .or_default()
+                            .push(addr.to_string());
                     }
                 }
                 Err(e) => report.failures.push(format!("list {addr}: {e}")),
@@ -610,10 +627,14 @@ impl Supervisor {
                         return;
                     }
                 }
+                let members: Vec<String> = cluster
+                    .replica_states()
+                    .into_iter()
+                    .map(|(addr, _)| addr)
+                    .collect();
                 let mut needs_rebalance = false;
-                for (addr, _) in cluster.replica_states() {
-                    let outcome = cluster.connect(&addr).and_then(|mut c| c.health());
-                    if cluster.probe_result(&addr, outcome) != Transition::None {
+                for (addr, outcome) in cluster.ask_each(&members, GemClient::health) {
+                    if cluster.probe_result(addr, outcome) != Transition::None {
                         needs_rebalance = true;
                     }
                 }

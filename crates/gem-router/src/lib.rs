@@ -28,9 +28,11 @@
 //! * **Forwarding** — pipelined requests are forwarded to the owning replica with the
 //!   client's envelope id preserved verbatim (each client connection gets its own
 //!   upstream connections, so ids never collide), and responses stream back in
-//!   whatever order replicas finish them. `Stats` / `ListModels` / `Evict` fan out to
-//!   every live replica and answer with a merged body ([`gem_proto::merge_stats`] /
-//!   [`gem_proto::merge_models`]).
+//!   whatever order replicas finish them. `Stats` / `ListModels` / `Evict` instead ask
+//!   every live replica in turn over a control connection ([`Cluster::ask_each`], each
+//!   step bounded by the connect timeout) and answer with a merged body
+//!   ([`gem_proto::merge_stats`] / [`gem_proto::merge_models`]); a leg that fails is
+//!   left out.
 //! * **Supervision** — [`Supervisor`] probes every replica's `Health` endpoint on an
 //!   interval and tracks `up | degraded | down` per replica ([`ReplicaState`]);
 //!   forwarding failures mark a replica down immediately (passive detection), so

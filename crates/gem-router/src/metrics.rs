@@ -17,9 +17,12 @@
 //! * `router_failover_moves_total` — handles re-homed by fail-over or rebalancing.
 //! * `router_no_replica_total` — requests refused because no live replica could own them.
 //! * `router_replica_state{replica=..}` — 2 = up, 1 = degraded, 0 = down.
-//! * `router_replica_forwards_total{replica=..}` / `router_replica_errors_total{..}`.
+//! * `router_replica_forwards_total{replica=..}` / `router_replica_errors_total{..}` —
+//!   requests forwarded over clients' upstream links, and the failures forwarding
+//!   saw. Fan-out legs ride control connections and count in neither.
 //! * `router_replica_probes_total{replica=..}` / `router_replica_probe_failures_total{..}`.
-//! * `router_replica_request_seconds{replica=..}` — forward round-trip latency summary.
+//! * `router_replica_request_seconds{replica=..}` — forward round-trip latency summary
+//!   (forwards only, like `router_replica_forwards_total`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -38,7 +41,8 @@ pub const STATE_DOWN: u64 = 0;
 /// keep their own copy and record without any locking.
 #[derive(Debug, Clone)]
 pub struct ReplicaInstruments {
-    /// Requests forwarded to this replica (including fan-out legs).
+    /// Requests forwarded to this replica over clients' upstream links (fan-out legs
+    /// ride control connections and are not counted).
     pub forwards: Arc<Counter>,
     /// Forwarding failures observed against this replica (connect, write, or a
     /// connection that died with requests in flight).

@@ -5,7 +5,7 @@
 //! ## Forwarding model
 //!
 //! Each client connection owns its **own** upstream connection to every replica it
-//! talks to. Client envelope ids are therefore unique per upstream connection by
+//! forwards to. Client envelope ids are therefore unique per upstream connection by
 //! construction (a client already may not reuse an id it has in flight, exactly as
 //! against `gem-served` directly), so request frames are forwarded **verbatim** — no
 //! id rewriting, no re-encoding — and response frames come back the same way. The
@@ -13,14 +13,13 @@
 //! so a byte-exact round trip through the router is structural, not incidental.
 //!
 //! Every thread that produces a reply writes it to the client itself, through the
-//! client socket's shared [`ReplyWriter`]: the client loop answers `Health` and the
-//! router's own typed errors, and each upstream reader writes all the response frames
-//! one read completes in one write (and a fan-out's merged reply when it folds the
-//! last leg). Each upstream reader writes on one budget of
-//! [`REPLY_WRITE_TIMEOUT`](gem_serve::framing::REPLY_WRITE_TIMEOUT), refilled whenever
-//! it catches up with its link, so a client that stops reading or drains a trickle is
-//! cut off before the link backs up long enough for a replica to cut it, and its
-//! upstream links close as an orderly teardown: the replicas stay up.
+//! client socket's shared [`ReplyWriter`]: the client loop answers `Health`, the
+//! fan-outs and the router's own typed errors, and each upstream reader writes all the
+//! response frames one read completes in one write. Each upstream reader writes on one
+//! budget of [`REPLY_WRITE_TIMEOUT`](gem_serve::framing::REPLY_WRITE_TIMEOUT), refilled
+//! whenever it catches up with its link, so a client that stops reading or drains a
+//! trickle is cut off before the link backs up long enough for a replica to cut it,
+//! and its upstream links close as an orderly teardown: the replicas stay up.
 //!
 //! Routing is key-aware without extra round trips: the router computes `Fit` model
 //! keys itself with the same [`gem_store::fit_model_key`] the replica will use, derives
@@ -40,10 +39,15 @@
 //! replica. A replica that declines the hello is treated like one that refuses the
 //! connection: it is marked down and the request retries on the next ring node.
 //!
-//! `Stats`, `ListModels`, and `Evict` fan out to every live replica and answer once
-//! with a merged body. `Health` is answered by the router itself from the last probe
-//! observations (a health probe that depended on the replicas being probed would be
-//! useless for deciding whether to route to them).
+//! `Stats`, `ListModels`, and `Evict` do not ride the upstream links: the client loop
+//! asks every live replica in turn over a control connection of its own
+//! ([`Cluster::ask_each`], each step bounded by the connect timeout) and answers once
+//! with the merged body, so the client's later requests wait for it. A leg that fails
+//! or times out is left out of the merge and marks nothing down (the supervisor owns
+//! liveness); only when no leg answers is the reply `replica_unavailable`. `Health` is
+//! answered by the router itself from the last probe observations (a health probe that
+//! depended on the replicas being probed would be useless for deciding whether to
+//! route to them).
 //!
 //! ## Fail-over
 //!
@@ -59,13 +63,11 @@ use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use gem_proto::{
-    binary, merge_models, merge_stats, RequestBody, RequestEnvelope, ResponseBody, WireModelInfo,
-    WireStats,
-};
+use gem_proto::{binary, merge_models, merge_stats, RequestBody, RequestEnvelope, ResponseBody};
+use gem_serve::client::{ClientError, GemClient};
 use gem_serve::framing::{
     dial, encode_reply, FramePayload, FrameReader, Handler, Listener, ReplyWriter, StopHandle,
     WriteBudget,
@@ -145,11 +147,9 @@ impl Handler for Clients {
             shared: Arc::new(ConnShared {
                 cluster: Arc::clone(&self.cluster),
                 writer,
-                groups: Mutex::new(HashMap::new()),
                 closing: AtomicBool::new(false),
             }),
             upstreams: HashMap::new(),
-            next_group: 0,
         }
     }
 
@@ -187,36 +187,12 @@ struct PendingMap {
     entries: HashMap<u64, Pending>,
 }
 
-/// What an in-flight forwarded request is waiting for.
-enum Pending {
-    /// Forward the response frames to the client verbatim.
-    Forward { started: Instant },
-    /// Like `Forward`, but on success first record placement and write-through
-    /// replicate `handle` to its ring successor (fit / fit-update / push).
-    Tracked { started: Instant, handle: String },
-    /// One leg of a fan-out; fold the decoded body into the group.
-    Fan { started: Instant, group: u64 },
-}
-
-/// Which fan-out request a group merges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FanKind {
-    Stats,
-    Models,
-    Evict,
-}
-
-/// One fan-out in flight: the client's id, how many legs are still pending, and the
-/// successful partial bodies collected so far.
-struct FanGroup {
-    client_id: u64,
-    kind: FanKind,
-    remaining: usize,
-    ok_legs: usize,
-    stats: Vec<WireStats>,
-    models: Vec<Vec<WireModelInfo>>,
-    existed: bool,
-    evict_handle: Option<String>,
+/// An in-flight forwarded request: when it was written upstream, and for a tracked
+/// request (fit, fit-update, push) the handle whose placement its success records and
+/// write-through replicates to the ring successor.
+struct Pending {
+    started: Instant,
+    tracked: Option<String>,
 }
 
 /// State shared between the client reader and this connection's upstream readers.
@@ -230,7 +206,6 @@ struct FanGroup {
 struct ConnShared {
     cluster: Arc<Cluster>,
     writer: ReplyWriter,
-    groups: Mutex<HashMap<u64, FanGroup>>,
     /// Set during orderly teardown so upstream EOFs stop being treated as replica
     /// deaths.
     closing: AtomicBool,
@@ -278,69 +253,6 @@ impl ConnShared {
             budget,
         );
     }
-
-    /// Fold one fan-out leg (decoded success body, or `None` for a failed leg) into
-    /// its group; emits the merged response, drawing on `budget`, when the last leg
-    /// lands.
-    fn fold_fan_leg(&self, group_id: u64, body: Option<ResponseBody>, budget: &mut WriteBudget) {
-        let finished = {
-            let mut groups = lock_or_recover(&self.groups);
-            let Some(group) = groups.get_mut(&group_id) else {
-                return;
-            };
-            match body {
-                Some(ResponseBody::Stats(stats)) => {
-                    group.stats.push(stats);
-                    group.ok_legs += 1;
-                }
-                Some(ResponseBody::Models(models)) => {
-                    group.models.push(models);
-                    group.ok_legs += 1;
-                }
-                Some(ResponseBody::Evicted { existed }) => {
-                    group.existed |= existed;
-                    group.ok_legs += 1;
-                }
-                Some(_) | None => {}
-            }
-            group.remaining = group.remaining.saturating_sub(1);
-            if group.remaining == 0 {
-                groups.remove(&group_id)
-            } else {
-                None
-            }
-        };
-        if let Some(group) = finished {
-            self.finish_fan(group, budget);
-        }
-    }
-
-    fn finish_fan(&self, group: FanGroup, budget: &mut WriteBudget) {
-        if group.ok_legs == 0 {
-            self.send_error(
-                Some(group.client_id),
-                REPLICA_UNAVAILABLE,
-                "every fan-out leg failed; no replica answered".to_string(),
-                budget,
-            );
-            return;
-        }
-        let body = match group.kind {
-            FanKind::Stats => ResponseBody::Stats(merge_stats(&group.stats)),
-            FanKind::Models => ResponseBody::Models(merge_models(&group.models)),
-            FanKind::Evict => {
-                if let Some(handle) = &group.evict_handle {
-                    if group.existed {
-                        self.cluster.forget_placement(handle);
-                    }
-                }
-                ResponseBody::Evicted {
-                    existed: group.existed,
-                }
-            }
-        };
-        self.send_response(Some(group.client_id), body, budget);
-    }
 }
 
 /// What the router has in hand for one request when it forwards it: the client's
@@ -357,7 +269,7 @@ enum ForwardPayload<'a> {
 struct Upstream {
     write: TcpStream,
     pending: Arc<Mutex<PendingMap>>,
-    reader: Option<JoinHandle<()>>,
+    reader: JoinHandle<()>,
     instruments: ReplicaInstruments,
 }
 
@@ -404,7 +316,6 @@ impl Upstream {
 struct Forwarder {
     shared: Arc<ConnShared>,
     upstreams: HashMap<String, Upstream>,
-    next_group: u64,
 }
 
 impl Forwarder {
@@ -414,7 +325,8 @@ impl Forwarder {
 
     /// Get (or open) this connection's upstream to `addr`, spawning its reader. A new
     /// upstream offers the replica the hello before anything else crosses it; a
-    /// declined hello fails like a refused connect.
+    /// declined hello, or a reader the OS refuses a thread, fails like a refused
+    /// connect.
     fn upstream(&mut self, addr: &str) -> Result<&mut Upstream, ()> {
         if !self.upstreams.contains_key(addr) {
             // The verdict read is the one upstream read this thread performs itself;
@@ -430,16 +342,16 @@ impl Forwarder {
                 let pending = Arc::clone(&pending);
                 let instruments = instruments.clone();
                 let addr = addr.to_string();
-                std::thread::spawn(move || {
-                    read_upstream(reader, &addr, &shared, &pending, &instruments);
-                })
+                thread::Builder::new()
+                    .spawn(move || read_upstream(reader, &addr, &shared, &pending, &instruments))
+                    .map_err(|_| ())?
             };
             self.upstreams.insert(
                 addr.to_string(),
                 Upstream {
                     write: stream,
                     pending,
-                    reader: Some(reader),
+                    reader,
                     instruments,
                 },
             );
@@ -450,42 +362,41 @@ impl Forwarder {
     /// Drop the upstream to `addr` after a failure: close both halves so its reader
     /// drains every pending request to `replica_unavailable`, then join it.
     fn discard_upstream(&mut self, addr: &str) {
-        if let Some(mut upstream) = self.upstreams.remove(addr) {
+        if let Some(upstream) = self.upstreams.remove(addr) {
             let _ = upstream.write.shutdown(Shutdown::Both);
-            if let Some(reader) = upstream.reader.take() {
-                let _ = reader.join();
-            }
+            let _ = upstream.reader.join();
         }
     }
 
-    /// A forwarding failure against `addr`: count it, mark the replica down, kick a
-    /// rebalance on the down edge, and drop the connection.
+    /// A forwarding failure against `addr`: count it, mark the replica down, and drop
+    /// the connection.
     fn forward_failed(&mut self, addr: &str) {
-        if let Some(upstream) = self.upstreams.get(addr) {
-            upstream.instruments.errors.inc();
-        } else {
-            self.cluster().metrics().replica(addr).errors.inc();
-        }
-        if self.cluster().mark_down(addr) == Transition::WentDown {
-            let cluster = Arc::clone(self.cluster());
-            std::thread::spawn(move || {
-                let _ = cluster.rebalance();
-            });
-        }
+        replica_failed(self.cluster(), addr);
         self.discard_upstream(addr);
+    }
+
+    /// Refuse `id` with `no_replica`: nothing live can serve it.
+    fn no_replica(&self, id: u64) {
+        self.cluster().metrics().inc_no_replica();
+        self.shared.send_error(
+            Some(id),
+            NO_REPLICA,
+            "no live replica can serve this request".to_string(),
+            &mut WriteBudget::default(),
+        );
     }
 
     /// Forward one request to the replica `route` currently resolves to, retrying
     /// across fail-over candidates: every failure marks the replica down, so
     /// re-running `route` yields the next live ring node. Bounded by the membership
-    /// size.
-    fn forward<R: Fn(&Cluster) -> Option<String>>(
+    /// size. A `tracked` request's success records the handle's placement.
+    fn forward(
         &mut self,
         id: u64,
         payload: &ForwardPayload<'_>,
         envelope: &RequestEnvelope,
-        route: R,
-        pending_for: impl Fn() -> Pending,
+        route: impl Fn(&Cluster) -> Option<String>,
+        tracked: Option<String>,
     ) {
         let attempts = self.cluster().replica_states().len().max(1);
         for _ in 0..attempts {
@@ -499,7 +410,11 @@ impl Forwarder {
             // Register before writing: the response may race back before this thread
             // regains control. A refused registration means the reader died and
             // drained already — treat it exactly like a failed write.
-            if !upstream.register(id, pending_for()) {
+            let entry = Pending {
+                started: Instant::now(),
+                tracked: tracked.clone(),
+            };
+            if !upstream.register(id, entry) {
                 self.forward_failed(&addr);
                 continue;
             }
@@ -510,79 +425,58 @@ impl Forwarder {
             upstream.unregister(id);
             self.forward_failed(&addr);
         }
-        self.cluster().metrics().inc_no_replica();
-        self.shared.send_error(
-            Some(id),
-            NO_REPLICA,
-            "no live replica can serve this request".to_string(),
-            &mut WriteBudget::default(),
-        );
+        self.no_replica(id);
     }
 
-    /// Send one request to every live replica and answer once with the merged body.
-    fn fan_out(
-        &mut self,
+    /// Ask every live replica `ask` over a control connection, one after another, and
+    /// answer `id` once with `merge` of the answers. A leg that fails or outruns the
+    /// connect timeout is left out and marks nothing down: the supervisor owns
+    /// liveness.
+    fn fan_out<T>(
+        &self,
         id: u64,
-        payload: &ForwardPayload<'_>,
-        envelope: &RequestEnvelope,
-        kind: FanKind,
-        evict_handle: Option<String>,
+        ask: impl Fn(&mut GemClient) -> Result<T, ClientError>,
+        merge: impl FnOnce(Vec<T>) -> ResponseBody,
     ) {
         self.cluster().metrics().inc_fanout();
         let live = self.cluster().live_replicas();
         if live.is_empty() {
-            self.cluster().metrics().inc_no_replica();
-            self.shared.send_error(
-                Some(id),
-                NO_REPLICA,
-                "no live replica can serve this request".to_string(),
-                &mut WriteBudget::default(),
-            );
+            self.no_replica(id);
             return;
         }
-        self.next_group += 1;
-        let group_id = self.next_group;
-        lock_or_recover(&self.shared.groups).insert(
-            group_id,
-            FanGroup {
-                client_id: id,
-                kind,
-                remaining: live.len(),
-                ok_legs: 0,
-                stats: Vec::new(),
-                models: Vec::new(),
-                existed: false,
-                evict_handle,
-            },
-        );
-        for addr in live {
-            let sent = match self.upstream(&addr) {
-                Ok(upstream) => {
-                    let entry = Pending::Fan {
-                        started: Instant::now(),
-                        group: group_id,
-                    };
-                    if !upstream.register(id, entry) {
-                        false
-                    } else if upstream.send(payload, envelope).is_ok() {
-                        upstream.instruments.forwards.inc();
-                        true
-                    } else {
-                        upstream.unregister(id);
-                        false
-                    }
-                }
-                Err(()) => false,
-            };
-            if !sent {
-                self.forward_failed(&addr);
-                self.shared
-                    .fold_fan_leg(group_id, None, &mut WriteBudget::default());
+        let answers: Vec<T> = self
+            .cluster()
+            .ask_each(&live, ask)
+            .filter_map(|(_, answer)| answer.ok())
+            .collect();
+        let budget = &mut WriteBudget::default();
+        if answers.is_empty() {
+            let message = "no live replica answered the fan-out".to_string();
+            self.shared
+                .send_error(Some(id), REPLICA_UNAVAILABLE, message, budget);
+        } else {
+            self.shared.send_response(Some(id), merge(answers), budget);
+        }
+    }
+
+    /// Parse the handle a request names, answering `invalid_request` when it is
+    /// malformed, as a replica would.
+    fn parse_handle(&self, id: u64, handle: &str) -> Option<ModelHandle> {
+        match ModelHandle::parse(handle) {
+            Ok(parsed) => Some(parsed),
+            Err(reason) => {
+                self.shared.send_error(
+                    Some(id),
+                    "invalid_request",
+                    reason,
+                    &mut WriteBudget::default(),
+                );
+                None
             }
         }
     }
 
-    /// Route and forward one decoded request.
+    /// Route and forward (or fan out, or answer) one decoded request.
     fn dispatch(&mut self, envelope: RequestEnvelope, payload: ForwardPayload<'_>) {
         self.cluster().metrics().inc_request();
         let id = envelope.id;
@@ -602,13 +496,26 @@ impl Forwarder {
                     &mut WriteBudget::default(),
                 );
             }
-            RequestBody::Stats => self.fan_out(id, &payload, &envelope, FanKind::Stats, None),
-            RequestBody::ListModels => {
-                self.fan_out(id, &payload, &envelope, FanKind::Models, None);
-            }
+            RequestBody::Stats => self.fan_out(id, GemClient::stats, |parts| {
+                ResponseBody::Stats(merge_stats(&parts))
+            }),
+            RequestBody::ListModels => self.fan_out(id, GemClient::list_models, |parts| {
+                ResponseBody::Models(merge_models(&parts))
+            }),
             RequestBody::Evict { handle } => {
-                let handle = handle.clone();
-                self.fan_out(id, &payload, &envelope, FanKind::Evict, Some(handle));
+                if let Some(parsed) = self.parse_handle(id, handle) {
+                    self.fan_out(
+                        id,
+                        |client| client.evict(parsed),
+                        |answers| {
+                            let existed = answers.contains(&true);
+                            if existed {
+                                self.cluster().forget_placement(handle);
+                            }
+                            ResponseBody::Evicted { existed }
+                        },
+                    );
+                }
             }
             RequestBody::Fit {
                 corpus,
@@ -621,99 +528,35 @@ impl Forwarder {
                 let handle =
                     fit_model_key(corpus_fingerprint(corpus), config, *features, *composition)
                         .to_hex();
-                let route_handle = handle.clone();
-                self.forward(
-                    id,
-                    &payload,
-                    &envelope,
-                    move |cluster| cluster.route_handle(&route_handle),
-                    || Pending::Tracked {
-                        started: Instant::now(),
-                        handle: handle.clone(),
-                    },
-                );
+                let route = |cluster: &Cluster| cluster.route_handle(&handle);
+                self.forward(id, &payload, &envelope, route, Some(handle.clone()));
             }
             RequestBody::FitUpdate { handle, corpus } => {
-                let parent = match ModelHandle::parse(handle) {
-                    Ok(parent) => parent,
-                    Err(reason) => {
-                        self.shared.send_error(
-                            Some(id),
-                            "invalid_request",
-                            reason,
-                            &mut WriteBudget::default(),
-                        );
-                        return;
-                    }
+                let Some(parent) = self.parse_handle(id, handle) else {
+                    return;
                 };
                 // The derived model is created wherever the parent lives (placement
                 // first — the parent may itself be a derivative off its ring slot).
                 let derived = updated_model_key(parent.key(), corpus).to_hex();
-                let route_handle = handle.clone();
-                self.forward(
-                    id,
-                    &payload,
-                    &envelope,
-                    move |cluster| cluster.route_handle(&route_handle),
-                    || Pending::Tracked {
-                        started: Instant::now(),
-                        handle: derived.clone(),
-                    },
-                );
+                let route = |cluster: &Cluster| cluster.route_handle(handle);
+                self.forward(id, &payload, &envelope, route, Some(derived));
             }
             RequestBody::Embed { handle, .. } | RequestBody::PullModel { handle } => {
-                if let Err(reason) = ModelHandle::parse(handle) {
-                    self.shared.send_error(
-                        Some(id),
-                        "invalid_request",
-                        reason,
-                        &mut WriteBudget::default(),
-                    );
-                    return;
+                if self.parse_handle(id, handle).is_some() {
+                    let route = |cluster: &Cluster| cluster.route_handle(handle);
+                    self.forward(id, &payload, &envelope, route, None);
                 }
-                let handle = handle.clone();
-                self.forward(
-                    id,
-                    &payload,
-                    &envelope,
-                    move |cluster| cluster.route_handle(&handle),
-                    || Pending::Forward {
-                        started: Instant::now(),
-                    },
-                );
             }
             RequestBody::PushModel { snapshot } => {
                 // Route by the key the envelope header names; a snapshot too malformed
                 // to carry one goes to any live replica, whose store validation owns
                 // the canonical rejection.
-                let key = snapshot
-                    .get("key")
-                    .and_then(|k| k.as_str())
-                    .map(str::to_owned);
-                match key {
-                    Some(key) => {
-                        let route_key = key.clone();
-                        self.forward(
-                            id,
-                            &payload,
-                            &envelope,
-                            move |cluster| cluster.route_handle(&route_key),
-                            || Pending::Tracked {
-                                started: Instant::now(),
-                                handle: key.clone(),
-                            },
-                        );
-                    }
-                    None => self.forward(
-                        id,
-                        &payload,
-                        &envelope,
-                        |cluster| cluster.route_hash(0),
-                        || Pending::Forward {
-                            started: Instant::now(),
-                        },
-                    ),
-                }
+                let key = snapshot.get("key").and_then(|k| k.as_str());
+                let route = |cluster: &Cluster| match key {
+                    Some(key) => cluster.route_handle(key),
+                    None => cluster.route_hash(0),
+                };
+                self.forward(id, &payload, &envelope, route, key.map(str::to_owned));
             }
             RequestBody::EmbedCorpus { method, corpus, .. } => {
                 // One-shot embeds have no handle; shard them by method + corpus
@@ -723,15 +566,8 @@ impl Forwarder {
                 h.write(method.as_bytes());
                 h.write_u64(corpus_fingerprint(corpus));
                 let hash = h.finish();
-                self.forward(
-                    id,
-                    &payload,
-                    &envelope,
-                    move |cluster| cluster.route_hash(hash),
-                    || Pending::Forward {
-                        started: Instant::now(),
-                    },
-                );
+                let route = |cluster: &Cluster| cluster.route_hash(hash);
+                self.forward(id, &payload, &envelope, route, None);
             }
         }
     }
@@ -749,9 +585,20 @@ impl Drop for Forwarder {
     }
 }
 
+/// A failure the forwarding path saw against `addr`: count it, mark the replica down,
+/// and on the down edge rebalance on a thread of its own. A rebalance the OS refuses a
+/// thread is skipped; the next liveness edge or an admin `rebalance` runs one.
+fn replica_failed(cluster: &Arc<Cluster>, addr: &str) {
+    cluster.metrics().replica(addr).errors.inc();
+    if cluster.mark_down(addr) == Transition::WentDown {
+        let cluster = Arc::clone(cluster);
+        let _ = thread::Builder::new().spawn(move || cluster.rebalance());
+    }
+}
+
 /// One upstream connection's reader: correlate responses with pending requests, run
-/// write-through replication for tracked handles, fold fan-out legs, and — if the
-/// replica dies with requests in flight — drain them to `replica_unavailable`.
+/// write-through replication for tracked handles, and — if the replica dies with
+/// requests in flight — drain them to `replica_unavailable`.
 ///
 /// Everything it writes to the client draws on one [`WriteBudget`], refilled whenever
 /// a read empties the link: the reader spends at most
@@ -772,35 +619,24 @@ fn read_upstream(
     if shared.closing.load(Ordering::SeqCst) {
         return;
     }
-    // The replica died under us. Mark it down, kick a rebalance on the edge, and
-    // answer everything still in flight with the retryable typed error.
-    instruments.errors.inc();
-    if shared.cluster.mark_down(addr) == Transition::WentDown {
-        let cluster = Arc::clone(&shared.cluster);
-        std::thread::spawn(move || {
-            let _ = cluster.rebalance();
-        });
-    }
+    // The replica died under us: mark it down and answer everything still in flight
+    // with the retryable typed error.
+    replica_failed(&shared.cluster, addr);
     // Close first, drain second, under one lock hold: a forward racing this teardown
     // either lands in `entries` before the drain (answered below) or sees `closed`
     // and retries on the fail-over route. Nothing can be stranded in between.
-    let drained: Vec<(u64, Pending)> = {
+    let drained: Vec<u64> = {
         let mut pending = lock_or_recover(pending);
         pending.closed = true;
-        pending.entries.drain().collect()
+        pending.entries.drain().map(|(id, _)| id).collect()
     };
-    for (id, entry) in drained {
-        match entry {
-            Pending::Forward { .. } | Pending::Tracked { .. } => {
-                shared.send_error(
-                    Some(id),
-                    REPLICA_UNAVAILABLE,
-                    format!("replica {addr} disconnected with the request in flight"),
-                    &mut budget,
-                );
-            }
-            Pending::Fan { group, .. } => shared.fold_fan_leg(group, None, &mut budget),
-        }
+    for id in drained {
+        shared.send_error(
+            Some(id),
+            REPLICA_UNAVAILABLE,
+            format!("replica {addr} disconnected with the request in flight"),
+            &mut budget,
+        );
     }
 }
 
@@ -869,72 +705,43 @@ fn read_upstream_frames(
                     forward(&mut forwarded, &frame);
                 }
             }
-            binary::KIND_EMBED_DONE => {
-                let Some(id) = frame.correlation_id() else {
+            binary::KIND_EMBED_DONE | binary::KIND_RESP_JSON => {
+                // A reply's last frame retires its entry; one for an id that is not
+                // pending (already drained) vanishes.
+                let Some(entry) = frame
+                    .correlation_id()
+                    .and_then(|id| lock_or_recover(pending).entries.remove(&id))
+                else {
                     continue;
                 };
-                let entry = lock_or_recover(pending).entries.remove(&id);
-                match entry {
-                    None => {}
-                    Some(Pending::Forward { started }) | Some(Pending::Tracked { started, .. }) => {
-                        instruments.latency.record(started.elapsed());
-                        forward(&mut forwarded, &frame);
+                instruments.latency.record(entry.started.elapsed());
+                if let Some(handle) = entry.tracked.filter(|_| succeeded(&frame)) {
+                    // Replication waits on other replicas: what this read completed
+                    // before the reply leaves first.
+                    if !flush_forwarded(shared, &mut forwarded, budget) {
+                        return;
                     }
-                    // Embeds never fan out; fold defensively so a confused replica
-                    // cannot wedge a fan group forever.
-                    Some(Pending::Fan { started, group }) => {
-                        instruments.latency.record(started.elapsed());
-                        shared.fold_fan_leg(group, None, budget);
-                    }
+                    // Write-through BEFORE the client sees success: once the response
+                    // is out, fail-over must already be covered.
+                    shared.cluster.record_placement(&handle, addr);
+                    let _ = shared.cluster.replicate(&handle, addr);
                 }
-            }
-            binary::KIND_RESP_JSON => {
-                let Some(id) = frame.correlation_id() else {
-                    continue;
-                };
-                let entry = lock_or_recover(pending).entries.remove(&id);
-                match entry {
-                    None => {}
-                    Some(Pending::Forward { started }) => {
-                        instruments.latency.record(started.elapsed());
-                        forward(&mut forwarded, &frame);
-                    }
-                    Some(Pending::Tracked { started, handle }) => {
-                        instruments.latency.record(started.elapsed());
-                        if success_body(&frame).is_some() {
-                            // Replication waits on other replicas: what this read
-                            // completed before the reply leaves first.
-                            if !flush_forwarded(shared, &mut forwarded, budget) {
-                                return;
-                            }
-                            // Write-through BEFORE the client sees success: once the
-                            // response is out, fail-over must already be covered.
-                            shared.cluster.record_placement(&handle, addr);
-                            let _ = shared.cluster.replicate(&handle, addr);
-                        }
-                        forward(&mut forwarded, &frame);
-                    }
-                    Some(Pending::Fan { started, group }) => {
-                        instruments.latency.record(started.elapsed());
-                        shared.fold_fan_leg(group, success_body(&frame), budget);
-                    }
-                }
+                forward(&mut forwarded, &frame);
             }
             _ => {} // an unknown response kind is uncorrelated noise
         }
     }
 }
 
-/// The body of a successful reply from its `resp_json` frame: `None` for an error reply
-/// or one that does not decode. Only a tracked reply's outcome and a fan-out leg's body
-/// are read; every other reply forwards undecoded.
-fn success_body(frame: &binary::Frame) -> Option<ResponseBody> {
-    match binary::decode_response_frame(frame, &mut binary::EmbedPartials::new()) {
-        Ok(Some(envelope)) if !matches!(envelope.body, ResponseBody::Error { .. }) => {
-            Some(envelope.body)
-        }
-        _ => None,
-    }
+/// Whether a tracked request's reply succeeded: a `resp_json` frame that decodes to
+/// anything but an error. Only tracked replies are decoded; every other reply
+/// forwards undecoded.
+fn succeeded(frame: &binary::Frame) -> bool {
+    frame.kind == binary::KIND_RESP_JSON
+        && matches!(
+            binary::decode_response_frame(frame, &mut binary::EmbedPartials::new()),
+            Ok(Some(envelope)) if !matches!(envelope.body, ResponseBody::Error { .. })
+        )
 }
 
 #[cfg(test)]
@@ -943,7 +750,7 @@ mod tests {
     use crate::cluster::ReplicaState;
     use crate::metrics::RouterMetrics;
     use gem_core::{FeatureSet, GemColumn, GemConfig, MethodRegistry};
-    use gem_proto::ResponseEnvelope;
+    use gem_proto::{ResponseEnvelope, WireStats};
     use gem_serve::client::{ClientError, GemClient};
     use gem_serve::{model_key, EmbedService, GemServer, ServerHandle};
     use std::io::{BufRead, BufReader, Read};
@@ -1025,9 +832,24 @@ mod tests {
         SocketAddr,
         JoinHandle<std::io::Result<()>>,
     ) {
+        router_over_all(&[replica])
+    }
+
+    /// A router over `members`, without a supervisor, whose control connections wait
+    /// at most 500 ms a step.
+    #[allow(clippy::type_complexity)]
+    fn router_over_all(
+        members: &[SocketAddr],
+    ) -> (
+        Arc<Cluster>,
+        RouterHandle,
+        SocketAddr,
+        JoinHandle<std::io::Result<()>>,
+    ) {
+        let members: Vec<String> = members.iter().map(SocketAddr::to_string).collect();
         let metrics = Arc::new(RouterMetrics::new());
         let cluster = Arc::new(Cluster::with_options(
-            &[replica.to_string()],
+            &members,
             metrics,
             8,
             1,
@@ -1092,6 +914,142 @@ mod tests {
         let _ = thread.join();
         replica.shutdown();
         let _ = replica_join.join();
+    }
+
+    /// A stand-in member that answers the hello, then reads frames without ever
+    /// answering one, each connection on a thread of its own. The closure stops it.
+    fn silent_member() -> (SocketAddr, impl FnOnce()) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind the silent member");
+        let addr = listener.local_addr().expect("silent member addr");
+        let stopping = Arc::new(AtomicBool::new(false));
+        let accepting = {
+            let stopping = Arc::clone(&stopping);
+            std::thread::spawn(move || {
+                for stream in listener.incoming() {
+                    if stopping.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let Ok(mut stream) = stream else { continue };
+                    std::thread::spawn(move || {
+                        let mut hello = [0u8; 64];
+                        let _ = stream.read(&mut hello);
+                        let _ = stream.write_all(binary::accept_line().as_bytes());
+                        let _ = std::io::copy(&mut stream, &mut std::io::sink());
+                    });
+                }
+            })
+        };
+        let stop = move || {
+            stopping.store(true, Ordering::SeqCst);
+            let _ = TcpStream::connect(addr);
+            let _ = accepting.join();
+        };
+        (addr, stop)
+    }
+
+    /// Run `call` on a thread of its own and wait at most `deadline` for it, so a call
+    /// that hangs fails the test instead of wedging it.
+    fn within<T: Send + 'static>(
+        deadline: Duration,
+        call: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(call());
+        });
+        result
+            .recv_timeout(deadline)
+            .expect("answered within the deadline")
+    }
+
+    #[test]
+    fn stats_and_list_models_answer_within_a_connect_timeout_of_a_silent_member() {
+        let (replica, replica_join) = real_replica();
+        let (silent, stop_silent) = silent_member();
+        let (_cluster, handle, addr, thread) = router_over_all(&[replica.addr(), silent]);
+        // A model on the replica, so its stats and its listing are not empty.
+        let mut direct = GemClient::connect(replica.addr()).expect("direct connect");
+        direct
+            .fit(&test_corpus(), &GemConfig::fast(), FeatureSet::ds())
+            .expect("direct fit");
+
+        // The silent member's leg runs out its 500 ms connect timeout and is left out:
+        // each merge is the real replica's body alone.
+        let deadline = Duration::from_secs(3);
+        let routed = within(deadline, move || {
+            GemClient::connect(addr).and_then(|mut client| client.stats())
+        })
+        .expect("stats through the router");
+        let only_requests_moved = |stats: WireStats| WireStats {
+            requests: 0,
+            latencies: Vec::new(),
+            ..stats
+        };
+        assert_eq!(
+            only_requests_moved(routed),
+            only_requests_moved(direct.stats().expect("direct stats"))
+        );
+        let listed = within(deadline, move || {
+            GemClient::connect(addr).and_then(|mut client| client.list_models())
+        })
+        .expect("list_models through the router");
+        assert_eq!(listed, direct.list_models().expect("direct list_models"));
+        assert_eq!(listed.len(), 1, "{listed:?}");
+
+        handle.shutdown();
+        let _ = thread.join();
+        stop_silent();
+        replica.shutdown();
+        let _ = replica_join.join();
+    }
+
+    #[test]
+    fn evict_reaches_every_replica_and_refuses_a_malformed_handle() {
+        let (first, first_join) = real_replica();
+        let (second, second_join) = real_replica();
+        let (cluster, handle, addr, thread) = router_over_all(&[first.addr(), second.addr()]);
+        let mut client = GemClient::connect(addr).expect("connect");
+        let fitted = client
+            .fit(&test_corpus(), &GemConfig::fast(), FeatureSet::ds())
+            .expect("fit through the router");
+        let hex = fitted.handle.to_hex();
+        let holds = |replica: &ServerHandle| {
+            GemClient::connect(replica.addr())
+                .and_then(|mut direct| direct.list_models())
+                .expect("direct list_models")
+                .iter()
+                .any(|model| model.handle == hex)
+        };
+        assert!(
+            holds(&first) && holds(&second),
+            "write-through put the model on both replicas"
+        );
+
+        assert!(client.evict(fitted.handle).expect("evict"), "it existed");
+        assert!(!holds(&first) && !holds(&second), "evicted from both");
+        assert_eq!(cluster.placement_of(&hex), None, "placement forgotten");
+        assert!(
+            !client.evict(fitted.handle).expect("second evict"),
+            "nothing is left to evict"
+        );
+
+        // The router refuses a malformed handle itself, as the replicas would.
+        let id = client
+            .send(RequestBody::Evict {
+                handle: "not-a-handle".to_string(),
+            })
+            .expect("send");
+        let reply = client.recv_any().expect("reply");
+        assert_eq!(reply.id, id);
+        let err = reply.outcome.expect_err("a malformed handle is refused");
+        assert_eq!(err.code(), Some("invalid_request"), "{err}");
+
+        handle.shutdown();
+        let _ = thread.join();
+        for (replica, join) in [(first, first_join), (second, second_join)] {
+            replica.shutdown();
+            let _ = join.join();
+        }
     }
 
     #[test]
